@@ -3,21 +3,22 @@
 Subcommands: energy, theta, scan, stability, minimize, poisson-check.
 Outputs are JSON (reports), CSV (tables, 17 significant digits, header
 line "# lattice-forge v1") or a minimal SVG polyline for the stability
-curve.  Exit codes: 0 success, 2 spec parse error, 3 numeric
-nonconvergence.
+curve.  Exit codes: 0 success, 2 bad input (spec, lattice or range),
+3 numeric nonconvergence (including a lattice sum too wide to enumerate).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import energy, lattice, optimize, stability
 from .energy import NonconvergenceError
-from .lattice import LatticeDomainError, LatticeParams
+from .lattice import LatticeDomainError, LatticeParams, ShellCapError
 from .measure import MeasureSpecError, parse_measure
 from .optimize import MaxIterationsError
 from .potential import PotentialSpecError, parse_potential
@@ -89,10 +90,14 @@ def _parse_lattice(text: str) -> LatticeParams:
 def _parse_range(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"expected 'lo:hi:step', got '{text}'")
+        raise ValueError(f"--eps: expected 'lo:hi:step', got '{text}'")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"--eps: bounds and step must be finite in '{text}'")
     if step <= 0:
-        raise ValueError(f"step must be positive in '{text}'")
+        raise ValueError(f"--eps: step must be positive in '{text}'")
+    if hi < lo:
+        raise ValueError(f"--eps: empty range '{text}' (hi < lo)")
     n = int(round((hi - lo) / step))
     return lo + step * np.arange(n + 1)
 
@@ -238,6 +243,18 @@ def run(args) -> int:
     raise AssertionError(f"unhandled command {cmd}")
 
 
+# the arguments that set how far a command's lattice sums reach
+_SUM_ARGS = {
+    "theta": ("lattice", "t", "rtol"),
+    "poisson-check": ("potential", "lattice", "z", "rtol"),
+}
+
+
+def _sum_args(args) -> str:
+    names = _SUM_ARGS.get(args.command, ("potential", "measure", "rtol"))
+    return " ".join(f"--{name} {getattr(args, name)}" for name in names)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -248,6 +265,10 @@ def main(argv=None) -> int:
         return 2
     except (NonconvergenceError, MaxIterationsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ShellCapError as exc:
+        print(f"error: {exc}; lattice sum too wide for {_sum_args(args)}",
+              file=sys.stderr)
         return 3
 
 

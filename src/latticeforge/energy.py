@@ -178,7 +178,7 @@ def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
     rho = _packing_radius(Ld)
     tail = mixture_tail(ts, ws, rho)  # |g| <= 1
     part = point_energy(h_eval, Ld, rtol, tail=tail)
-    const = Phi.value_at_origin() - self_convolution_at_zero(P, mu)
+    const = Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
     return EnergyReport(
         value=part.lattice_part + const,
         lattice_part=part.lattice_part,
@@ -200,7 +200,7 @@ def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
     Phi = fourier(P)
     ts, ws = Phi.rep.nodes()
     const = (
-        Phi.value_at_origin() - self_convolution_at_zero(P, mu)
+        Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
         if include_constant
         else 0.0
     )

@@ -76,6 +76,10 @@ class LatticeParams:
     scale: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise LatticeDomainError(
+                f"lattice coordinates must be finite, got ({self.x}, {self.y})"
+            )
         if not in_domain(self.x, self.y):
             raise LatticeDomainError(
                 f"({self.x}, {self.y}) outside fundamental domain"

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_legendre
+from scipy.special import j0, j1, jv, roots_legendre
 
 from .potential import RadialPotential, fourier
 
 __all__ = [
     "RadialMeasure",
-    "HankelProfile",
     "DivergentMomentError",
     "MeasureSpecError",
     "bessel_j",
@@ -38,7 +37,6 @@ __all__ = [
     "parse_measure",
 ]
 
-_SERIES_CUT = 12.0  # power series below, asymptotic expansion above
 _PROFILE_NODES = 256
 
 
@@ -54,56 +52,21 @@ class MeasureSpecError(ValueError):
 # Bessel functions J0, J1, J2
 # ---------------------------------------------------------------------------
 
-def _bessel_series(n: int, x: np.ndarray) -> np.ndarray:
-    xh = 0.5 * x
-    term = xh**n / math.factorial(n)
-    out = term.copy()
-    x2 = xh * xh
-    for m in range(1, 60):
-        term = -term * x2 / (m * (m + n))
-        out += term
-    return out
-
-# number of terms in each of the P and Q asymptotic series; 10 keeps the
-# truncation error below ~1.5e-12 at the x = 12 switch point
-_ASYM_TERMS = 10
-
-
-def _bessel_asymptotic(n: int, x: np.ndarray) -> np.ndarray:
-    mu = 4.0 * n * n
-    P = np.ones_like(x)
-    Q = np.zeros_like(x)
-    num = 1.0
-    inv8x = 1.0 / (8.0 * x)
-    powk = np.ones_like(x)
-    for k in range(1, 2 * _ASYM_TERMS + 1):
-        num *= mu - (2 * k - 1) ** 2
-        powk = powk * inv8x
-        term = (num / math.factorial(k)) * powk
-        if k % 2 == 1:
-            Q += term * (-1.0) ** ((k - 1) // 2)
-        else:
-            P += term * (-1.0) ** (k // 2)
-    chi = x - n * math.pi / 2.0 - math.pi / 4.0
-    return np.sqrt(2.0 / (math.pi * x)) * (P * np.cos(chi) - Q * np.sin(chi))
+_BESSEL = (j0, j1, lambda x: jv(2, x))
 
 
 def bessel_j(n: int, x):
-    """J_n(x) for n in {0, 1, 2} and x >= 0 (scalar or array)."""
+    """J_n(x) for n in {0, 1, 2} and x >= 0 (scalar or array).
+
+    Thin wrapper over ``scipy.special``; the name is kept for callers.
+    """
     if n not in (0, 1, 2):
         raise ValueError(f"order must be in {{0, 1, 2}}, got {n}")
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
     if np.any(xa < 0):
         raise ValueError("argument must be nonnegative")
-    out = np.empty_like(xa)
-    lo = xa <= _SERIES_CUT
-    if lo.any():
-        out[lo] = _bessel_series(n, xa[lo])
-    if (~lo).any():
-        out[~lo] = _bessel_asymptotic(n, xa[~lo])
-    return float(out[0]) if scalar else out
+    out = _BESSEL[n](xa)
+    return float(out) if xa.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +97,14 @@ class RadialMeasure:
         return float((ws * ss * ss).sum())
 
 
-@dataclass(frozen=True)
-class HankelProfile:
-    g: object  # callable t -> g(t)
-    closed_form: str | None = None
-
-
 def dirac() -> RadialMeasure:
     return RadialMeasure(kind="dirac", psi_atoms=((0.0, 1.0),))
 
 
 def uniform_disk(R: float) -> RadialMeasure:
     """Uniform probability measure on the disk of radius R (psi density 2s/R^2)."""
-    if not R > 0:
-        raise MeasureSpecError(f"disk radius must be > 0, got {R}")
+    if not 0 < R < math.inf:
+        raise MeasureSpecError(f"disk radius must be finite and > 0, got {R}")
     u, w = roots_legendre(_PROFILE_NODES)
     s = 0.5 * R * (u + 1.0)
     ws = 0.5 * R * w * 2.0 * s / (R * R)
@@ -158,8 +115,10 @@ def uniform_disk(R: float) -> RadialMeasure:
 
 def radial_gaussian(sigma: float) -> RadialMeasure:
     """Probability density exp(-pi |x|^2 / sigma^2) / sigma^2."""
-    if not sigma > 0:
-        raise MeasureSpecError(f"gaussian width must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise MeasureSpecError(
+            f"gaussian width must be finite and > 0, got {sigma}"
+        )
     cut = 6.5 * sigma
     u, w = roots_legendre(_PROFILE_NODES)
     s = 0.5 * cut * (u + 1.0)
@@ -238,76 +197,80 @@ def _safe_j1_over(X: np.ndarray) -> np.ndarray:
     return bessel_j(1, Xs) / Xs
 
 
-def hankel_profile(mu: RadialMeasure) -> HankelProfile:
-    tag = mu.kind if mu.kind in ("dirac", "disk", "gaussian") else None
-    return HankelProfile(g=lambda t: hankel(mu, t), closed_form=tag)
-
-
-def hankel_moments(mu: RadialMeasure, eps: float, r: float):
+def hankel_moments(mu: RadialMeasure, eps: float, r):
     """The three psi-integrals driving (G_eps^2)' and (G_eps^2)''.
 
     Returns (A0, A1, A2) with argument c = 2 pi eps sqrt(r):
         A0 = int J0(c s) dpsi,  A1 = int s J1(c s) dpsi,
         A2 = int s^2 (J2 - J0)(c s) dpsi.
+    Floats for a scalar r, arrays shaped like r for an array of r.
     """
-    if not r > 0:
+    ra = np.asarray(r, dtype=float)
+    if not np.all(ra > 0):
         raise ValueError(f"r must be positive, got {r}")
-    c = 2.0 * math.pi * eps * math.sqrt(r)
+    c = 2.0 * math.pi * eps * np.sqrt(ra)
     if mu.kind == "dirac":
-        return 1.0, 0.0, 0.0
-    if mu.kind == "disk":
-        return _disk_moments(mu.param, c)
-    if mu.kind == "gaussian":
-        return _gaussian_moments(mu.param, c)
-    if not np.isfinite(mu.second_moment()):
-        raise DivergentMomentError("second radial moment diverges")
-    ss, ws = mu.nodes()
-    cs = c * ss
-    A0 = float((ws * bessel_j(0, cs)).sum())
-    A1 = float((ws * ss * bessel_j(1, cs)).sum())
-    A2 = float((ws * ss * ss * (bessel_j(2, cs) - bessel_j(0, cs))).sum())
-    return A0, A1, A2
+        A = (np.ones_like(c), np.zeros_like(c), np.zeros_like(c))
+    elif mu.kind == "disk":
+        A = _disk_moments(mu.param, c)
+    elif mu.kind == "gaussian":
+        A = _gaussian_moments(mu.param, c)
+    else:
+        if not np.isfinite(mu.second_moment()):
+            raise DivergentMomentError("second radial moment diverges")
+        ss, ws = mu.nodes()
+        cs = np.multiply.outer(c, ss)
+        J0 = bessel_j(0, cs)
+        A = (
+            (ws * J0).sum(axis=-1),
+            (ws * ss * bessel_j(1, cs)).sum(axis=-1),
+            (ws * ss * ss * (bessel_j(2, cs) - J0)).sum(axis=-1),
+        )
+    if ra.ndim == 0:
+        return tuple(float(a) for a in A)
+    return A
 
 
-def _disk_moments(R: float, c: float):
+def _disk_moments(R: float, c: np.ndarray):
     X = c * R
-    if X < 1e-4:
-        # series of J1, J2 around zero
-        A0 = 1.0 - X * X / 8.0
-        A1 = R * X / 4.0 * (1.0 - X * X / 12.0)
-        A2 = R * R * (-0.5 + X * X / 8.0)
-        return A0, A1, A2
-    j1 = bessel_j(1, X)
-    j2 = bessel_j(2, X)
-    A0 = 2.0 * j1 / X
-    A1 = R * 2.0 * j2 / X
-    A2 = R * R * (12.0 * j2 / (X * X) - 4.0 * j1 / X)
+    # series of J1, J2 around zero below X = 1e-4
+    small = X < 1e-4
+    Xs = np.where(small, 1.0, X)
+    j1 = bessel_j(1, Xs)
+    j2 = bessel_j(2, Xs)
+    A0 = np.where(small, 1.0 - X * X / 8.0, 2.0 * j1 / Xs)
+    A1 = np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * j2 / Xs)
+    A2 = np.where(small, R * R * (-0.5 + X * X / 8.0),
+                  R * R * (12.0 * j2 / (Xs * Xs) - 4.0 * j1 / Xs))
     return A0, A1, A2
 
 
-def _gaussian_moments(sigma: float, c: float):
+def _gaussian_moments(sigma: float, c: np.ndarray):
     beta = sigma * sigma / (4.0 * math.pi)
-    A0 = math.exp(-beta * c * c)
+    A0 = np.exp(-beta * c * c)
     A1 = 2.0 * beta * c * A0
     A2 = 2.0 * (4.0 * beta * beta * c * c - 2.0 * beta) * A0
     return A0, A1, A2
 
 
-def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure) -> float:
+def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure,
+                             Phi: RadialPotential | None = None) -> float:
     """(f * mu * mu)(0) via the radial Plancherel identity.
 
     Equals 2 pi int_0^inf Phi(r^2) g(r)^2 r dr with Phi the Fourier
-    transform of the potential.
+    transform of the potential; pass ``Phi`` when the caller has it.
     """
-    Phi = fourier(P)
-    ts, _ = Phi.rep.nodes()
+    if Phi is None:
+        Phi = fourier(P)
+    ts, ws = Phi.rep.nodes()
     t_min = float(ts.min())
     # Phi(r^2) <= Phi(0) exp(-t_min r^2): integrand negligible beyond r_cut
     r_cut = math.sqrt(max(40.0, -math.log(1e-16)) / t_min) + 1.0
 
     def integrand(r):
         g = hankel(mu, r)
-        return 2.0 * math.pi * r * Phi.eval(r * r) * g * g
+        phi = float((ws * np.exp(-np.multiply.outer(r * r, ts))).sum())
+        return 2.0 * math.pi * r * phi * g * g
 
     val, _ = quad(integrand, 0.0, r_cut, epsabs=1e-13, epsrel=1e-10, limit=400)
     return val

@@ -9,9 +9,8 @@ is assessed by finite-difference Hessians on (x, y).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,19 +43,19 @@ class StabilityReport:
     classification: str  # "stable" | "unstable" | "marginal"
 
 
+@lru_cache(maxsize=None)
 def _triangular_rings(M: int):
     """(n^2, n^4, q) for the ring max(|m|,|n|) = M of the triangular sum."""
     side = np.arange(-M, M + 1)
-    m_list, n_list = [], []
-    for m in side:
-        for n in side:
-            if max(abs(m), abs(n)) == M:
-                m_list.append(m)
-                n_list.append(n)
-    m = np.array(m_list, dtype=float)
-    n = np.array(n_list, dtype=float)
+    m, n = np.meshgrid(side, side, indexing="ij")
+    on_ring = np.maximum(np.abs(m), np.abs(n)) == M
+    m = m[on_ring].astype(float)
+    n = n[on_ring].astype(float)
     q = (2.0 / math.sqrt(3.0)) * (m * m + m * n + n * n)
-    return n * n, n**4, q
+    out = (n * n, n**4, q)
+    for a in out:
+        a.flags.writeable = False  # shared by every call through the cache
+    return out
 
 
 def t_coefficient(F1, F2, rtol: float = 1e-10, max_box: int = 80) -> float:
@@ -104,23 +103,13 @@ def diffuse_h_derivatives(P: RadialPotential, mu: RadialMeasure, eps: float, r):
     return _h_derivatives(Phi, mu, eps, r)
 
 
-def _moments_vec(mu: RadialMeasure, eps: float, r: np.ndarray):
-    """hankel_moments vectorized over squared radii."""
-    A0 = np.empty_like(r)
-    A1 = np.empty_like(r)
-    A2 = np.empty_like(r)
-    for i, ri in enumerate(r):
-        A0[i], A1[i], A2[i] = hankel_moments(mu, eps, float(ri))
-    return A0, A1, A2
-
-
 def _h_derivatives(Phi: RadialPotential, mu: RadialMeasure, eps: float, r):
     ra = np.atleast_1d(np.asarray(r, dtype=float))
     scalar = np.ndim(r) == 0
     P0 = np.atleast_1d(Phi.eval(ra))
     P1 = np.atleast_1d(Phi.derivative(ra, 1))
     P2 = np.atleast_1d(Phi.derivative(ra, 2))
-    A0, A1, A2 = _moments_vec(mu, eps, ra)
+    A0, A1, A2 = hankel_moments(mu, eps, ra)
     sqr = np.sqrt(ra)
     G2 = A0 * A0
     dG2 = -(2.0 * math.pi * eps / sqr) * A1 * A0
@@ -153,29 +142,11 @@ def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps: float,
     )
 
 
-def _max_workers() -> int:
-    env = os.environ.get("LATTICE_FORGE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def stability_curve(P: RadialPotential, mu: RadialMeasure, eps_grid,
                     rtol: float = 1e-10) -> list[tuple[float, float]]:
     """T_{h_eps} along a grid of concentration parameters."""
-    eps_list = [float(e) for e in eps_grid]
-
-    def one(eps: float) -> float:
-        return t_coefficient_diffuse(P, mu, eps, rtol=rtol)
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ts = list(pool.map(one, eps_list))
-    else:
-        ts = [one(e) for e in eps_list]
-    return list(zip(eps_list, ts))
+    return [(float(e), t_coefficient_diffuse(P, mu, float(e), rtol=rtol))
+            for e in eps_grid]
 
 
 def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,

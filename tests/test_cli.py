@@ -1,9 +1,10 @@
+import functools
 import json
 import math
 
 import pytest
 
-from latticeforge import cli
+from latticeforge import cli, lattice
 
 
 def run_cli(args):
@@ -153,3 +154,39 @@ class TestErrorsAndDeterminism:
         assert run_cli(args + ["--output", str(a)]) == 0
         assert run_cli(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+_GAUSS = ["--potential", "gaussian:alpha=3.141592653589793"]
+_CURVE = ["stability"] + _GAUSS + ["--measure", "disk:r=1"]
+
+
+class TestExitCodeContract:
+    @pytest.fixture(autouse=True)
+    def small_point_cap(self, monkeypatch):
+        # a 10^4-candidate cap makes a too-wide sum fail at once instead of
+        # after building boxes of up to 10^7 candidates
+        monkeypatch.setattr(
+            lattice, "enumerate_points",
+            functools.partial(lattice.enumerate_points, cap=10**4),
+        )
+
+    @pytest.mark.parametrize("argv, code, needle", [
+        (["theta", "--lattice", "0,1", "--t", "1e-6"], 3, "--t 1e-06"),
+        (_CURVE + ["--eps", "1:0:0.1"], 2, "--eps"),
+        (_CURVE + ["--eps", "1:0:0.1", "--format", "svg"], 2, "--eps"),
+        (_CURVE + ["--eps", "0:inf:0.1"], 2, "--eps"),
+        (_CURVE + ["--eps", "nan:1:0.1", "--format", "json"], 2, "--eps"),
+        (_CURVE + ["--eps", "0:1:nan"], 2, "--eps"),
+        (["energy"] + _GAUSS + ["--measure", "disk:r=inf", "--lattice", "0,1"],
+         2, "disk radius"),
+        (["energy"] + _GAUSS + ["--measure", "gauss:sigma=nan",
+                                "--lattice", "0,1"], 2, "gaussian width"),
+        (["energy"] + _GAUSS + ["--lattice", "0.5,inf"], 2, "lattice"),
+        (["theta", "--lattice", "nan,1", "--t", "1"], 2, "lattice"),
+    ])
+    def test_bad_input(self, argv, code, needle, capsys):
+        assert run_cli(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert needle in captured.err

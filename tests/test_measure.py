@@ -206,6 +206,51 @@ class TestHankelMoments:
             msr.hankel_moments(msr.dirac(), 1.0, 0.0)
 
 
+class TestHankelMomentsArray:
+    # eps = 0.01 with r on [1e-6, 1e5] puts X = c R from 6e-5 to 20 for
+    # the unit disk: both sides of the small-X series switch and past 12
+    EPS = 0.01
+    R_GRID = np.logspace(-6.0, 5.0, 23)
+
+    @staticmethod
+    def _ring_profile():
+        s = np.linspace(0.0, 1.0, 41)
+        return msr.profile(zip(s, s * np.exp(-(((s - 0.6) / 0.2) ** 2))))
+
+    @pytest.mark.parametrize("kind", ["dirac", "disk", "gauss", "profile"])
+    def test_array_matches_scalar_calls(self, kind):
+        mu = {
+            "dirac": msr.dirac(),
+            "disk": msr.uniform_disk(1.0),
+            "gauss": msr.radial_gaussian(0.7),
+            "profile": self._ring_profile(),
+        }[kind]
+        X = 2.0 * math.pi * self.EPS * np.sqrt(self.R_GRID)
+        assert X.min() < 1e-4 and X.max() > 12.0
+        arrays = msr.hankel_moments(mu, self.EPS, self.R_GRID)
+        scalars = [msr.hankel_moments(mu, self.EPS, float(r))
+                   for r in self.R_GRID]
+        for i, A in enumerate(arrays):
+            assert isinstance(A, np.ndarray) and A.shape == self.R_GRID.shape
+            np.testing.assert_allclose(
+                A, [sc[i] for sc in scalars], rtol=1e-15, atol=0.0
+            )
+        assert all(isinstance(a, float) for a in scalars[0])
+
+    def test_disk_closed_form_vs_its_psi_quadrature(self):
+        disk = msr.uniform_disk(1.0)
+        nodes = msr.RadialMeasure(kind="profile", psi_nodes=disk.psi_nodes)
+        closed = msr.hankel_moments(disk, self.EPS, self.R_GRID)
+        summed = msr.hankel_moments(nodes, self.EPS, self.R_GRID)
+        for a, b in zip(closed, summed):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+
+    def test_rejects_nonpositive_entry(self):
+        with pytest.raises(ValueError):
+            msr.hankel_moments(msr.uniform_disk(1.0), 1.0,
+                               np.array([1.0, 0.0]))
+
+
 class TestSelfConvolution:
     def test_dirac_collapses(self):
         P = pot.gaussian(2.0)

@@ -27,6 +27,22 @@ def _theta_lattice_energy(t: float):
     return stab.diffuse_point_energy(P, msr.dirac(), 0.0, rtol=1e-12)
 
 
+def _rings_by_loop(M: int):
+    """Reference ring of the triangular sum: double loop over the box."""
+    pairs = [(m, n) for m in range(-M, M + 1) for n in range(-M, M + 1)
+             if max(abs(m), abs(n)) == M]
+    m = np.array([p[0] for p in pairs], dtype=float)
+    n = np.array([p[1] for p in pairs], dtype=float)
+    return n * n, n**4, (2.0 / math.sqrt(3.0)) * (m * m + m * n + n * n)
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 17])
+def test_triangular_rings_match_loop(M):
+    for got, want in zip(stab._triangular_rings(M), _rings_by_loop(M)):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
 class TestTCoefficient:
     def test_zero_for_constant(self):
         z = lambda q: np.zeros_like(q)
@@ -110,15 +126,6 @@ class TestStabilityCurve:
         # refined zeros stay inside their grid brackets
         assert 0.55 < zeros[0] < 0.7
         assert 0.7 < zeros[1] < 0.85
-
-    def test_threaded_matches_serial(self, monkeypatch):
-        P = pot.gaussian(math.pi)
-        mu = msr.uniform_disk(1.0)
-        grid = [0.3, 0.6, 0.9]
-        serial = stab.stability_curve(P, mu, grid)
-        monkeypatch.setenv("LATTICE_FORGE_THREADS", "3")
-        threaded = stab.stability_curve(P, mu, grid)
-        assert serial == threaded
 
     def test_sign_invariant_under_mass_rescaling(self):
         # disk of total mass pi versus probability normalization
