@@ -4,12 +4,9 @@ from .lattice import (
     TRIANGULAR,
     Basis2D,
     LatticeParams,
-    ShellEnumeration,
     dual,
-    enumerate_shells,
     from_params,
     metric,
-    metric_paper,
     reduce,
 )
 from .potential import (

@@ -102,6 +102,23 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
+# what a numeric argument must satisfy, for the commands that take it
+_NUMBER_RULES = (
+    ("rtol", "finite and > 0", lambda v: 0 < v < math.inf),
+    ("tol", "finite and > 0", lambda v: 0 < v < math.inf),
+    ("x_steps", ">= 1", lambda v: v >= 1),
+    ("y_steps", ">= 1", lambda v: v >= 1),
+    ("y_max", "finite and > 1", lambda v: 1 < v < math.inf),
+)
+
+
+def _check_numbers(args) -> None:
+    for name, rule, ok in _NUMBER_RULES:
+        v = getattr(args, name, None)
+        if v is not None and not ok(v):
+            raise ValueError(f"--{name.replace('_', '-')}: must be {rule}, got {v}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lattice-forge",
@@ -159,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
+    _check_numbers(args)
     cmd = args.command
     if cmd == "theta":
         L = _parse_lattice(args.lattice)

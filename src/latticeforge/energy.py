@@ -13,7 +13,8 @@ bound derived from a disk-packing estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import erfc
@@ -74,30 +75,35 @@ class EnergyReport:
 # An extra ``offset`` handles shifted summands phi(|x| - offset).
 # ---------------------------------------------------------------------------
 
-def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho: float,
-                 offset: float = 0.0):
-    """Tail-bound closure for phi(r) = sum w exp(-t r^2)."""
+def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho, offset: float = 0.0):
+    """Tail-bound closure for phi(r) = sum w exp(-t r^2).
+
+    ``rho`` may be an array of packing radii; the closure then takes an
+    array R of the same shape and returns one bound per entry.
+    """
     ts = np.asarray(ts, dtype=float)
     ws = np.asarray(ws, dtype=float)
-    shift = rho + offset
+    rho = np.asarray(rho, dtype=float)
+    two_rho, rho2 = 2.0 * rho[..., None], rho * rho
+    shift = (rho + offset)[..., None] * 0.5 * np.sqrt(math.pi / ts)
+    sqrt_ts, two_ts = np.sqrt(ts), 2.0 * ts
 
-    def bound(R: float) -> float:
-        a = max(R - 2.0 * rho - offset, 0.0)
-        # int_a^inf (u + shift) exp(-t u^2) du, then * 2 / rho^2
-        vals = ws * (
-            np.exp(-ts * a * a) / (2.0 * ts)
-            + shift * 0.5 * np.sqrt(math.pi / ts) * erfc(np.sqrt(ts) * a)
-        )
-        return float(vals.sum()) * 2.0 / (rho * rho)
+    def bound(R):
+        a = np.maximum(np.asarray(R)[..., None] - two_rho - offset, 0.0)
+        # int_a^inf (u + rho + offset) exp(-t u^2) du, then * 2 / rho^2
+        vals = ws * (np.exp(-ts * a * a) / two_ts + shift * erfc(sqrt_ts * a))
+        return vals.sum(axis=-1) * 2.0 / rho2
 
     return bound
 
 
-def power_tail(C: float, eta: float, rho: float):
-    """Tail-bound closure for phi(r) = C (1 + r)^(-2-eta)."""
+def power_tail(C: float, eta: float, rho):
+    """Tail-bound closure for phi(r) = C (1 + r)^(-2-eta); arrays as in
+    ``mixture_tail``."""
+    rho = np.asarray(rho, dtype=float)
 
-    def bound(R: float) -> float:
-        a = max(R - 2.0 * rho, 0.0)
+    def bound(R):
+        a = np.maximum(R - 2.0 * rho, 0.0)
         v = 1.0 + a
         # int_a^inf (u + rho) (1 + u)^(-2-eta) du
         integral = (rho - 1.0) * v ** (-1.0 - eta) / (1.0 + eta) + v ** (-eta) / eta
@@ -106,38 +112,129 @@ def power_tail(C: float, eta: float, rho: float):
     return bound
 
 
-def _packing_radius(L: LatticeParams) -> float:
-    # for reduced (x, y) the shortest vector is u1 of length 1/sqrt(y)
-    return 0.5 / math.sqrt(L.y) * math.sqrt(L.scale)
+# ---------------------------------------------------------------------------
+# The lattice-sum engine
+# ---------------------------------------------------------------------------
+
+# candidates (lattices x box) broadcast at once; larger batches go in chunks
+_CHUNK_CANDIDATES = 1 << 18
 
 
-def _summed(h_eval, basis: np.ndarray, rho: float, tail, rtol: float,
+def _packing_radius(bases: np.ndarray) -> np.ndarray:
+    """Half the shortest of u1, u2, u1 + u2 and u1 - u2, per basis.
+
+    For a reduced basis (any (x, y) near D) this is half the shortest
+    lattice vector.
+    """
+    u1, u2 = bases[..., 0, :], bases[..., 1, :]
+    vs = np.stack([u1, u2, u1 + u2, u1 - u2])
+    return 0.5 * np.sqrt(np.einsum("...i,...i->...", vs, vs).min(axis=0))
+
+
+def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray):
+    """Sum of h over each lattice's points within its R, and their count.
+
+    Each lattice's terms are summed on their own, in ascending order, so a
+    sum does not depend on the other lattices of the batch.
+    """
+    box = lat.enumerate_points(bases, R)
+    m, n = box[:, :1], box[:, 1:]
+    sums, counts = np.zeros(len(bases)), np.zeros(len(bases), dtype=int)
+    step = max(1, _CHUNK_CANDIDATES // len(box))
+    for lo in range(0, len(bases), step):
+        b, r = bases[lo:lo + step, None], R[lo:lo + step, None]
+        pts = m * b[..., 0, :] + n * b[..., 1, :]  # (lattices, box, 2)
+        q = pts[..., 0] * pts[..., 0] + pts[..., 1] * pts[..., 1]
+        keep = q <= r * r * (1.0 + 1e-12)
+        count = counts[lo:lo + step] = keep.sum(axis=1)
+        vals = h_eval(pts[keep], q[keep])
+        order = np.lexsort((vals, np.nonzero(keep)[0]))
+        some = count > 0
+        sums[lo + np.flatnonzero(some)] = np.add.reduceat(
+            vals[order], (np.cumsum(count) - count)[some])
+    return sums, counts
+
+
+def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float,
             floor: float = 1e-300):
-    """Adaptive truncated sum of h over nonzero points of ``basis``."""
-    R = max(6.0 * rho, 2.0)
+    """Adaptive truncated sums of h over the nonzero points of each lattice.
+
+    ``bases`` is a (k, 2, 2) stack of basis rows (or one (2, 2) basis);
+    ``tail_of(rho)`` builds the tail bound R -> bound for packing radii rho.
+    Each lattice starts at R = max(6 rho, 2) and grows R by 1.5x until its
+    tail bound is within ``rtol`` of its sum, then leaves the batch.
+    Returns arrays (sums, R, bounds, terms), one entry per lattice.
+    """
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be finite and > 0, got {rtol}")
+    bases = np.asarray(bases, dtype=float).reshape(-1, 2, 2)
+    rho = _packing_radius(bases)
+    tail = tail_of(rho)
+    R = np.maximum(6.0 * rho, 2.0)
+    total, bound = np.zeros(len(bases)), np.zeros(len(bases))
+    terms = np.zeros(len(bases), dtype=int)
+    active = np.arange(len(bases))
     for _ in range(40):
-        bound = tail(R)
-        pts = lat.enumerate_points(basis, R)
-        q = np.einsum("ij,ij->i", pts, pts)
-        total = float(np.sort(h_eval(pts, q)).sum())
-        scale = max(abs(total), floor)
-        if bound <= rtol * scale:
-            return total, R, bound, len(pts)
-        R *= 1.5
+        bound[active] = tail(R)[active]
+        total[active], terms[active] = _round_sums(h_eval, bases[active], R[active])
+        done = bound[active] <= rtol * np.maximum(np.abs(total[active]), floor)
+        active = active[~done]
+        if not active.size:
+            return total, R, bound, terms
+        R[active] *= 1.5
     raise NonconvergenceError("lattice sum did not meet the tail tolerance")
+
+
+def _report(h_eval, tail_of, basis: np.ndarray, rtol: float) -> EnergyReport:
+    """One lattice through the engine."""
+    total, R, bound, n = (v[0] for v in _summed(h_eval, tail_of, basis, rtol))
+    return EnergyReport(
+        value=float(total), lattice_part=float(total), constant_part=0.0,
+        cutoff_R=float(R), tail_bound=float(bound), terms_used=int(n),
+    )
+
+
+def _lattice_fn(h_eval, tail_of, rtol: float, dual: bool = False,
+                const: float = 0.0):
+    """E(x, y) = const + the sum of h over the lattice (x, y) or its dual.
+
+    Defined for any x and y > 0.  Arrays x and y of one shape are summed as
+    one batch and give an array of that shape; scalars give a float.
+    """
+
+    def E(x, y):
+        x = np.asarray(x, dtype=float)
+        bases = lat.basis_matrix(x.ravel(), np.ravel(y))
+        if dual:
+            bases = np.linalg.inv(bases).transpose(0, 2, 1)
+        val = _summed(h_eval, tail_of, bases, rtol)[0] + const
+        return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
+
+    return E
+
+
+def _basis(L: LatticeParams) -> np.ndarray:
+    return lat.basis_matrix(L.x, L.y) * math.sqrt(L.scale)
+
+
+def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps: float = 1.0):
+    """h(p) = Phi(|p|^2) g(eps |p|)^2 and its tail factory (|g| <= 1)."""
+
+    def h_eval(pts, q):
+        g = hankel(mu, eps * np.sqrt(q))
+        return Phi.eval(q) * g * g
+
+    return h_eval, partial(mixture_tail, *Phi.rep.nodes())
 
 
 def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
     """Lattice theta function sum_{x in L} exp(-pi t |x|^2), origin included."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    basis = lat.basis_matrix(L.x, L.y) * math.sqrt(L.scale)
-    rho = _packing_radius(L)
-    tail = mixture_tail(np.array([math.pi * t]), np.array([1.0]), rho)
-    val, _, _, _ = _summed(
-        lambda pts, q: np.exp(-math.pi * t * q), basis, rho, tail, rtol
-    )
-    return 1.0 + val
+    return 1.0 + _report(
+        lambda pts, q: np.exp(-math.pi * t * q),
+        partial(mixture_tail, [math.pi * t], [1.0]), _basis(L), rtol,
+    ).value
 
 
 def point_energy(h_eval, L: LatticeParams, rtol: float, tail=None,
@@ -148,19 +245,16 @@ def point_energy(h_eval, L: LatticeParams, rtol: float, tail=None,
     points.  Supply either a ``tail`` closure (R -> bound) or power-decay
     constants ``decay = (C, eta)``.
     """
-    rho = _packing_radius(L)
-    if tail is None:
-        if decay is None:
-            raise NonconvergenceError(
-                "no tail control: pass tail= or decay=(C, eta)"
-            )
-        tail = power_tail(decay[0], decay[1], rho)
-    basis = lat.basis_matrix(L.x, L.y) * math.sqrt(L.scale)
-    val, R, bound, n = _summed(h_eval, basis, rho, tail, rtol)
-    return EnergyReport(
-        value=val, lattice_part=val, constant_part=0.0,
-        cutoff_R=R, tail_bound=bound, terms_used=n,
-    )
+    if tail is not None:
+        def tail_of(rho):  # ``tail`` takes the float R of one lattice
+            return lambda R: np.array([tail(float(R[0]))], dtype=float)
+    elif decay is not None:
+        tail_of = partial(power_tail, *decay)
+    else:
+        raise NonconvergenceError(
+            "no tail control: pass tail= or decay=(C, eta)"
+        )
+    return _report(h_eval, tail_of, _basis(L), rtol)
 
 
 def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
@@ -168,62 +262,26 @@ def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
     """Fourier-side energy: dual-lattice sum of fhat(p) g(|p|)^2 plus the
     lattice-independent constant fhat(0) - (f*mu*mu)(0)."""
     Phi = fourier(P)
-    Ld = lat.dual(L)
-    ts, ws = Phi.rep.nodes()
-
-    def h_eval(pts, q):
-        g = hankel(mu, np.sqrt(q))
-        return Phi.eval(q) * g * g
-
-    rho = _packing_radius(Ld)
-    tail = mixture_tail(ts, ws, rho)  # |g| <= 1
-    part = point_energy(h_eval, Ld, rtol, tail=tail)
+    part = _report(*_fourier_summand(Phi, mu), _basis(lat.dual(L)), rtol)
     const = Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
-    return EnergyReport(
-        value=part.lattice_part + const,
-        lattice_part=part.lattice_part,
-        constant_part=const,
-        cutoff_R=part.cutoff_R,
-        tail_bound=part.tail_bound,
-        terms_used=part.terms_used,
-    )
+    return replace(part, value=part.lattice_part + const, constant_part=const)
 
 
 def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
                       rtol: float = 1e-10, include_constant: bool = False):
-    """Fast E(x, y) callable for scans and minimization.
+    """Fast E(x, y) for scans and minimization, batched over arrays x, y.
 
-    Evaluates the dual-lattice sum directly from the inverse-transpose
-    basis, skipping per-point reduction; defined for any x and y > 0 so
-    optimizer probes near the boundary of D are fine.
+    Sums over the dual lattice straight from the inverse-transpose basis,
+    skipping per-point reduction; defined for any x and y > 0 so optimizer
+    probes near the boundary of D are fine.
     """
     Phi = fourier(P)
-    ts, ws = Phi.rep.nodes()
     const = (
         Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
         if include_constant
         else 0.0
     )
-
-    def h_eval(pts, q):
-        g = hankel(mu, np.sqrt(q))
-        return Phi.eval(q) * g * g
-
-    def E(x: float, y: float) -> float:
-        basis_d = np.linalg.inv(lat.basis_matrix(x, y)).T
-        rho = 0.5 * _shortest_norm(basis_d)
-        tail = mixture_tail(ts, ws, rho)
-        val, _, _, _ = _summed(h_eval, basis_d, rho, tail, rtol)
-        return val + const
-
-    return E
-
-
-def _shortest_norm(basis: np.ndarray) -> float:
-    r1, r2 = basis
-    return min(
-        float(np.linalg.norm(v)) for v in (r1, r2, r1 + r2, r1 - r2)
-    )
+    return _lattice_fn(*_fourier_summand(Phi, mu), rtol, dual=True, const=const)
 
 
 def _convolve_gaussians(c1, a1, c2, a2):
@@ -260,14 +318,11 @@ def diffuse_energy_direct(P: RadialPotential, mu: RadialMeasure,
     mix = _direct_mixture(P, mu)
     ws = np.array([c for c, _ in mix])
     ts = np.array([a for _, a in mix])
-    rho = _packing_radius(L)
-    tail = mixture_tail(ts, ws, rho)
 
     def h_eval(pts, q):
         return (ws * np.exp(-np.multiply.outer(q, ts))).sum(axis=-1)
 
-    part = point_energy(h_eval, L, rtol, tail=tail)
-    return part.lattice_part
+    return _report(h_eval, partial(mixture_tail, ts, ws), _basis(L), rtol).value
 
 
 def poisson_check(P: RadialPotential, L: LatticeParams, z,
@@ -279,30 +334,26 @@ def poisson_check(P: RadialPotential, L: LatticeParams, z,
     """
     z = np.asarray(z, dtype=float)
     ts, ws = P.rep.nodes()
-    basis = lat.basis_matrix(L.x, L.y) * math.sqrt(L.scale)
-    rho = _packing_radius(L)
+    basis = _basis(L)
     # shifted sum: f(x + z) <= phi(|x| - |z|), handled by the tail offset
     zn = float(np.linalg.norm(z))
-    tail_l = mixture_tail(ts, ws, rho, offset=zn)
 
     def f_shift(pts, q):
         d = pts + z
         qd = np.einsum("ij,ij->i", d, d)
         return (ws * np.exp(-np.multiply.outer(qd, ts))).sum(axis=-1)
 
-    lhs_sum, _, _, _ = _summed(f_shift, basis, rho, tail_l, rtol)
-    lhs = lhs_sum + float((ws * np.exp(-ts * (z @ z))).sum())
+    lhs = _report(f_shift, partial(mixture_tail, ts, ws, offset=zn), basis,
+                  rtol).value
+    lhs += float((ws * np.exp(-ts * (z @ z))).sum())
 
     Phi = fourier(P)
-    tsd, wsd = Phi.rep.nodes()
-    # the dual basis must stay in the input frame: p.z is frame-dependent
-    basis_d = np.linalg.inv(basis).T
-    rho_d = 0.5 * _shortest_norm(basis_d)
-    tail_r = mixture_tail(tsd, wsd, rho_d)
 
     def fhat_phase(pts, q):
         return np.cos(2.0 * math.pi * (pts @ z)) * Phi.eval(q)
 
-    rhs_sum, _, _, _ = _summed(fhat_phase, basis_d, rho_d, tail_r, rtol)
-    rhs = rhs_sum + Phi.value_at_origin()
+    # the dual basis must stay in the input frame: p.z is frame-dependent
+    rhs = _report(fhat_phase, partial(mixture_tail, *Phi.rep.nodes()),
+                  np.linalg.inv(basis).T, rtol).value
+    rhs += Phi.value_at_origin()
     return lhs, rhs, abs(lhs - rhs)

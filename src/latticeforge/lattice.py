@@ -12,14 +12,14 @@ which indexes unit-density lattices up to isometry via the basis
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "Basis2D",
     "LatticeParams",
-    "ShellEnumeration",
     "TRIANGULAR",
     "LatticeDomainError",
     "DegenerateBasisError",
@@ -29,8 +29,6 @@ __all__ = [
     "reduce",
     "dual",
     "metric",
-    "metric_paper",
-    "enumerate_shells",
 ]
 
 # inclusive slack for membership tests on the boundary of D
@@ -102,14 +100,16 @@ def in_domain(x: float, y: float, tol: float = _DOMAIN_TOL) -> bool:
 TRIANGULAR = LatticeParams(0.5, math.sqrt(3.0) / 2.0)
 
 
-def basis_matrix(x: float, y: float) -> np.ndarray:
+def basis_matrix(x, y) -> np.ndarray:
     """Basis rows for the (x, y) parameterization, without the D check.
 
     Valid for any x and y > 0; used for finite-difference stencils that
-    step slightly outside D.
+    step slightly outside D.  Arrays x and y of one shape give a stack of
+    bases of shape x.shape + (2, 2).
     """
-    sy = math.sqrt(y)
-    return np.array([[1.0 / sy, 0.0], [x / sy, sy]])
+    x, sy = np.asarray(x, dtype=float), np.sqrt(y)
+    rows = np.stack([1.0 / sy, np.zeros_like(x), x / sy, sy], axis=-1)
+    return rows.reshape(x.shape + (2, 2))
 
 
 def from_params(x: float, y: float) -> Basis2D:
@@ -197,48 +197,37 @@ def metric(L1: LatticeParams, L2: LatticeParams) -> float:
     return math.hypot(dx, L1.y - L2.y)
 
 
-def metric_paper(L1: LatticeParams, L2: LatticeParams) -> float:
-    """Distance with half-integer translations in x only (legacy variant).
-
-    Identifies x-coordinates modulo 1/2, which collapses some non-isometric
-    pairs; ``metric`` is the default everywhere else.
-    """
-    dx = min(abs(L1.x - L2.x - 0.5 * k) for k in range(-2, 3))
-    return math.hypot(dx, L1.y - L2.y)
-
-
-@dataclass(frozen=True)
-class ShellEnumeration:
-    """All nonzero lattice vectors with norm <= cutoff."""
-
-    points: np.ndarray = field(repr=False)  # (count, 2)
-    cutoff: float
-    count: int
-
-
-def enumerate_points(basis: np.ndarray, R: float, cap: int = 10**7) -> np.ndarray:
-    """Nonzero m*u1 + n*u2 with norm <= R, rows of ``basis`` as u1, u2."""
-    inv = np.linalg.inv(basis)
-    # m = p . inv[:,0], n = p . inv[:,1]; |m| <= R |inv[:,0]|
-    m_max = int(math.floor(R * np.linalg.norm(inv[:, 0]) + 1e-9)) + 1
-    n_max = int(math.floor(R * np.linalg.norm(inv[:, 1]) + 1e-9)) + 1
-    if (2 * m_max + 1) * (2 * n_max + 1) > cap:
-        raise ShellCapError(
-            f"shell enumeration at R={R} needs more than {cap} candidates"
-        )
+@lru_cache(maxsize=16)
+def _coeff_box(m_max: int, n_max: int) -> np.ndarray:
     ms, ns = np.meshgrid(
         np.arange(-m_max, m_max + 1), np.arange(-n_max, n_max + 1), indexing="ij"
     )
-    coeffs = np.stack([ms.ravel(), ns.ravel()], axis=1)
-    coeffs = coeffs[(coeffs[:, 0] != 0) | (coeffs[:, 1] != 0)]
-    pts = coeffs @ basis
-    keep = np.einsum("ij,ij->i", pts, pts) <= R * R * (1.0 + 1e-12)
-    return pts[keep]
+    nonzero = (ms != 0) | (ns != 0)
+    box = np.stack([ms[nonzero], ns[nonzero]], axis=1).astype(float)
+    box.flags.writeable = False  # shared by every call through the cache
+    return box
 
 
-def enumerate_shells(L: LatticeParams, R: float, cap: int = 10**7) -> ShellEnumeration:
-    if not R > 0:
+def enumerate_points(bases: np.ndarray, R, cap: int = 10**7) -> np.ndarray:
+    """Coefficients (m, n) != 0 covering every point m*u1 + n*u2 of norm
+    <= R_i of each lattice in a stack.
+
+    ``bases`` is (k, 2, 2) with rows u1, u2 per lattice and ``R`` holds k
+    cutoffs.  One box, shared by the stack, is returned as a read-only
+    (count, 2) float array; the caller keeps each lattice's points within
+    its own R_i.  Raises ShellCapError past ``cap`` candidates per lattice.
+    """
+    R = np.asarray(R, dtype=float)
+    if not (R > 0).all():
         raise ValueError(f"cutoff must be positive, got {R}")
-    basis = basis_matrix(L.x, L.y) * math.sqrt(L.scale)
-    pts = enumerate_points(basis, R, cap=cap)
-    return ShellEnumeration(points=pts, cutoff=R, count=len(pts))
+    # m = p . inv[:,0], n = p . inv[:,1] with inv[:,0] = (u2y, -u2x)/det and
+    # inv[:,1] = (-u1y, u1x)/det, so |m| <= R |u2|/|det|, |n| <= R |u1|/|det|
+    det = np.abs(bases[:, 0, 0] * bases[:, 1, 1] - bases[:, 0, 1] * bases[:, 1, 0])
+    lengths = np.sqrt(np.einsum("kij,kij->ki", bases, bases))
+    reach = np.floor((R / det)[:, None] * lengths[:, ::-1] + 1e-9).max(axis=0)
+    m_max, n_max = (int(v) + 1 for v in reach)
+    if (2 * m_max + 1) * (2 * n_max + 1) > cap:
+        raise ShellCapError(
+            f"shell enumeration at R={R.max()} needs more than {cap} candidates"
+        )
+    return _coeff_box(m_max, n_max)

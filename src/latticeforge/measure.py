@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import j0, j1, jv, roots_legendre
 
 from .potential import RadialPotential, fourier
@@ -260,6 +259,8 @@ def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure,
     Equals 2 pi int_0^inf Phi(r^2) g(r)^2 r dr with Phi the Fourier
     transform of the potential; pass ``Phi`` when the caller has it.
     """
+    from scipy.integrate import quad  # slow to import; only energies need it
+
     if Phi is None:
         Phi = fourier(P)
     ts, ws = Phi.rep.nodes()

@@ -57,15 +57,22 @@ def _project(p: np.ndarray) -> np.ndarray:
 
 
 def grid_scan(E, x_steps: int, y_steps: int, y_max: float) -> Landscape:
-    """Uniform scan of [0, 1/2] x [y_min(x), y_max]; ties break on (x, y)."""
+    """Uniform scan of [0, 1/2] x [y_min(x), y_max]; ties break on (x, y).
+
+    ``E(xs, ys)`` is called once per grid column with arrays of one shape
+    and must return an array of that shape (or a value broadcast to it).
+    """
     rows = []
     best = None
+    j = np.arange(y_steps)
     for i in range(x_steps):
         x = 0.5 * i / (x_steps - 1) if x_steps > 1 else 0.0
         y_lo = _y_min(x)
-        for j in range(y_steps):
-            y = y_lo + (y_max - y_lo) * j / (y_steps - 1) if y_steps > 1 else y_lo
-            e = float(E(x, y))
+        ys = (y_lo + (y_max - y_lo) * j / (y_steps - 1) if y_steps > 1
+              else np.full(y_steps, y_lo))
+        es = np.broadcast_to(np.asarray(E(np.full(y_steps, x), ys), dtype=float),
+                             ys.shape)
+        for y, e in zip(ys.tolist(), es.tolist()):
             rows.append((x, y, e))
             if best is None or e < best[2]:
                 best = (x, y, e)

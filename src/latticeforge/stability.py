@@ -14,10 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import lattice as lat
-from .energy import NonconvergenceError
+from .energy import NonconvergenceError, _fourier_summand, _lattice_fn
 from .lattice import TRIANGULAR, LatticeDomainError, LatticeParams
-from .measure import RadialMeasure, hankel, hankel_moments
+from .measure import RadialMeasure, hankel_moments
 from .potential import RadialPotential, fourier
 
 __all__ = [
@@ -175,25 +174,10 @@ def diffuse_point_energy(P: RadialPotential, mu: RadialMeasure, eps: float,
     """E(x, y) = sum'_{p in Lbar(x,y)} Phi(|p|^2) g(eps |p|)^2 as a callable.
 
     Defined for any (x, y) with y > 0, so finite-difference stencils may
-    step across the boundary of D.
+    step across the boundary of D.  Arrays x and y of one shape are summed
+    as one batch and give an array of that shape.
     """
-    Phi = fourier(P)
-    ts, ws = Phi.rep.nodes()
-    from .energy import _summed, mixture_tail  # local import, avoids cycle
-
-    def E(x: float, y: float) -> float:
-        basis = lat.basis_matrix(x, y)
-        rho = 0.5 * min(np.linalg.norm(basis[0]), np.linalg.norm(basis[1]))
-        tail = mixture_tail(ts, ws, rho)
-
-        def h_eval(pts, q):
-            g = hankel(mu, eps * np.sqrt(q))
-            return Phi.eval(q) * g * g
-
-        val, _, _, _ = _summed(h_eval, basis, rho, tail, rtol)
-        return val
-
-    return E
+    return _lattice_fn(*_fourier_summand(fourier(P), mu, eps), rtol)
 
 
 def fd_gradient_hessian(E, L: LatticeParams, step: float = 1e-4):

@@ -1,6 +1,9 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,6 +186,18 @@ class TestExitCodeContract:
                                 "--lattice", "0,1"], 2, "gaussian width"),
         (["energy"] + _GAUSS + ["--lattice", "0.5,inf"], 2, "lattice"),
         (["theta", "--lattice", "nan,1", "--t", "1"], 2, "lattice"),
+        (["energy"] + _GAUSS + ["--lattice", "0,1", "--rtol", "-1"], 2, "--rtol"),
+        (["energy"] + _GAUSS + ["--lattice", "0,1", "--rtol", "nan"], 2, "--rtol"),
+        (["energy"] + _GAUSS + ["--lattice", "0,1", "--rtol", "0"], 2, "--rtol"),
+        (["theta", "--lattice", "0,1", "--t", "1", "--rtol", "inf"], 2, "--rtol"),
+        (["minimize"] + _GAUSS + ["--tol", "nan"], 2, "--tol"),
+        (["scan"] + _GAUSS + ["--x-steps", "0", "--format", "json"], 2,
+         "--x-steps"),
+        (["scan"] + _GAUSS + ["--x-steps", "0"], 2, "--x-steps"),
+        (["minimize"] + _GAUSS + ["--x-steps", "0"], 2, "--x-steps"),
+        (["scan"] + _GAUSS + ["--y-steps", "-3"], 2, "--y-steps"),
+        (["minimize"] + _GAUSS + ["--y-max", "nan"], 2, "--y-max"),
+        (["scan"] + _GAUSS + ["--y-max", "0.2"], 2, "--y-max"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code
@@ -190,3 +205,14 @@ class TestExitCodeContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert needle in captured.err
+
+
+def test_cli_import_leaves_out_quadrature():
+    # scipy.integrate is slow to import and only energies integrate
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, latticeforge.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

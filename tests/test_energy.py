@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import latticeforge.energy as en
 import latticeforge.lattice as lat
 import latticeforge.measure as msr
 import latticeforge.potential as pot
+import latticeforge.stability as stab
 from latticeforge import Basis2D, LatticeParams, TRIANGULAR
 
 from conftest import random_lattice
@@ -208,3 +210,55 @@ class TestPoissonCheck:
             z = tuple(rng.uniform(-0.5, 0.5, size=2))
             _, _, diff = en.poisson_check(P, L, z)
             assert diff <= 1e-9
+
+
+class TestBatchedEngine:
+    def test_mixed_batch_matches_each_lattice_alone(self):
+        # lattices spread over x in [0, 1/2], y in [1, 4] stop at different
+        # rounds; each must get exactly what it gets when summed alone
+        Phi = pot.fourier(pot.gaussian(math.pi))
+        h, tail_of = en._fourier_summand(Phi, msr.uniform_disk(1.0))
+        xs, ys = np.meshgrid(np.linspace(0.0, 0.5, 4), np.linspace(1.0, 4.0, 5))
+        bases = np.linalg.inv(lat.basis_matrix(xs.ravel(), ys.ravel()))
+        bases = bases.transpose(0, 2, 1)
+        total, R, bound, terms = en._summed(h, tail_of, bases, 1e-10)
+        rho = en._packing_radius(bases)
+        rounds = np.round(np.log(R / np.maximum(6.0 * rho, 2.0)) / np.log(1.5))
+        assert len(set(rounds)) > 1
+        for i, basis in enumerate(bases):
+            alone = en._summed(h, tail_of, basis, 1e-10)
+            assert alone[0][0] == total[i]
+            assert alone[1][0] == R[i]
+            assert alone[2][0] == bound[i]
+            assert alone[3][0] == terms[i]
+
+    def test_batched_theta_square(self, rng):
+        # gaussian exp(-pi r^2) is its own Fourier transform, so the dirac
+        # point energy is theta(1) - 1 on every lattice of the batch
+        E = stab.diffuse_point_energy(
+            pot.from_atoms([(math.pi, 1.0)]), msr.dirac(), 0.0, rtol=1e-12
+        )
+        Ls = [LatticeParams(0.0, 1.0)] + [random_lattice(rng) for _ in range(6)]
+        got = E(np.array([L.x for L in Ls]), np.array([L.y for L in Ls]))
+        assert got[0] == pytest.approx(_theta_z2_oracle(1.0) - 1.0, rel=1e-12)
+        for L, v in zip(Ls, got):
+            assert v == pytest.approx(en.theta(L, 1.0) - 1.0, rel=1e-12)
+
+    def test_energy_fn_shapes(self):
+        E = en.diffuse_energy_fn(pot.gaussian(math.pi), msr.uniform_disk(1.0))
+        v = E(0.3, 1.2)
+        assert type(v) is float
+        xs = np.array([[0.0, 0.1, 0.2], [0.3, 0.4, 0.5]])
+        ys = np.full((2, 3), 1.5)
+        got = E(xs, ys)
+        assert got.shape == (2, 3)
+        assert got[1, 0] == E(0.3, 1.5)
+
+    def test_cap_reached_through_batch(self, monkeypatch):
+        monkeypatch.setattr(
+            lat, "enumerate_points",
+            partial(lat.enumerate_points, cap=100),
+        )
+        E = en.diffuse_energy_fn(pot.gaussian(50.0), msr.dirac())
+        with pytest.raises(lat.ShellCapError):
+            E(np.linspace(0.0, 0.5, 8), np.full(8, 2.0))

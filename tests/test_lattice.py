@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import latticeforge.energy as en
 import latticeforge.lattice as lat
 from latticeforge import Basis2D, LatticeParams, TRIANGULAR
 
@@ -126,22 +127,11 @@ class TestMetric:
         for _ in range(10):
             L = random_lattice(rng)
             assert lat.metric(L, L) == 0.0
-            assert lat.metric_paper(L, L) == 0.0
-
-    def test_half_period_variant_examples(self):
-        assert lat.metric_paper(
-            LatticeParams(0.0, 1.0), LatticeParams(0.0, 2.0)
-        ) == pytest.approx(1.0)
-        assert lat.metric_paper(
-            LatticeParams(0.1, 1.0), LatticeParams(0.45, 1.0)
-        ) == pytest.approx(0.15)
 
     def test_corrected_separates_square_pairs(self):
-        # (0,1) and (1/2,1) are distinct lattices; the half-period variant
-        # collapses them, the default keeps them apart
+        # (0,1) and (1/2,1) are distinct lattices
         a = LatticeParams(0.0, 1.0)
         b = LatticeParams(0.5, 1.0)
-        assert lat.metric_paper(a, b) == pytest.approx(0.0)
         assert lat.metric(a, b) == pytest.approx(0.5)
 
     def test_symmetry_and_triangle(self, rng):
@@ -151,36 +141,47 @@ class TestMetric:
             assert lat.metric(A, C) <= lat.metric(A, B) + lat.metric(B, C) + 1e-12
 
 
+def engine_points(L: LatticeParams, R: float) -> np.ndarray:
+    """The points the lattice-sum engine sums over for L at cutoff R."""
+    seen = []
+
+    def h(pts, q):
+        seen.append(pts)
+        return q
+
+    en._round_sums(h, lat.basis_matrix(L.x, L.y)[None], np.array([R]))
+    return seen[0]
+
+
 class TestEnumerateShells:
     def test_square_r1(self):
-        sh = lat.enumerate_shells(LatticeParams(0.0, 1.0), 1.0)
-        assert sh.count == 4
-        got = sorted(map(tuple, np.round(sh.points).astype(int)))
+        pts = engine_points(LatticeParams(0.0, 1.0), 1.0)
+        assert len(pts) == 4
+        got = sorted(map(tuple, np.round(pts).astype(int)))
         assert got == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
     def test_square_r15(self):
-        sh = lat.enumerate_shells(LatticeParams(0.0, 1.0), 1.5)
-        assert sh.count == 8
+        assert len(engine_points(LatticeParams(0.0, 1.0), 1.5)) == 8
 
     def test_triangular_first_shell(self):
-        sh = lat.enumerate_shells(TRIANGULAR, 1.1)
-        assert sh.count == 6
-        norms = np.linalg.norm(sh.points, axis=1)
+        pts = engine_points(TRIANGULAR, 1.1)
+        assert len(pts) == 6
+        norms = np.linalg.norm(pts, axis=1)
         assert norms == pytest.approx(
             np.full(6, math.sqrt(2.0 / SQ3)), abs=1e-12
         )
 
     def test_closed_under_negation(self, rng):
-        sh = lat.enumerate_shells(random_lattice(rng), 3.0)
-        pts = {tuple(np.round(p, 9)) for p in sh.points}
-        for p in sh.points:
-            assert tuple(np.round(-p, 9)) in pts
+        pts = engine_points(random_lattice(rng), 3.0)
+        seen = {tuple(np.round(p, 9)) for p in pts}
+        for p in pts:
+            assert tuple(np.round(-p, 9)) in seen
 
     def test_matches_brute_force(self, rng):
         for _ in range(50):
             L = random_lattice(rng)
             R = rng.uniform(0.5, 5.0)
-            sh = lat.enumerate_shells(L, R)
+            pts = engine_points(L, R)
             m = L.basis().matrix()
             box = 60
             ms, ns = np.meshgrid(
@@ -188,17 +189,18 @@ class TestEnumerateShells:
             )
             coeffs = np.stack([ms.ravel(), ns.ravel()], axis=1)
             coeffs = coeffs[(coeffs[:, 0] != 0) | (coeffs[:, 1] != 0)]
-            pts = coeffs @ m
-            want = pts[np.linalg.norm(pts, axis=1) <= R * (1.0 + 1e-12)]
-            assert sh.count == len(want)
-            assert np.sort(np.linalg.norm(sh.points, axis=1)) == pytest.approx(
+            brute = coeffs @ m
+            want = brute[np.linalg.norm(brute, axis=1) <= R * (1.0 + 1e-12)]
+            assert len(pts) == len(want)
+            assert np.sort(np.linalg.norm(pts, axis=1)) == pytest.approx(
                 np.sort(np.linalg.norm(want, axis=1)), abs=1e-12
             )
 
     def test_cap(self):
         with pytest.raises(lat.ShellCapError):
-            lat.enumerate_shells(LatticeParams(0.0, 1.0), 1e5, cap=1000)
+            lat.enumerate_points(lat.basis_matrix(0.0, 1.0)[None], [1e5],
+                                 cap=1000)
 
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
-            lat.enumerate_shells(TRIANGULAR, -1.0)
+            lat.enumerate_points(lat.basis_matrix(0.5, 0.5 * SQ3)[None], [-1.0])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import latticeforge.energy as en
@@ -40,6 +41,7 @@ class TestGridScan:
         assert scan.argmin[:2] == (0.0, 1.0)
 
     def test_constructed_objective(self):
+        @np.vectorize  # grid_scan passes whole columns
         def E(x, y):
             return metric(
                 LatticeParams(min(x, 0.5), max(y, 1.0)), TRIANGULAR
@@ -49,6 +51,17 @@ class TestGridScan:
         scan = opt.grid_scan(E, 11, 41, 4.0)
         assert scan.argmin[0] == pytest.approx(0.5)
         assert scan.argmin[2] <= (4.0 - 0.5 * SQ3) / 40.0
+
+    def test_one_call_per_column(self):
+        shapes = []
+
+        def E(xs, ys):
+            shapes.append((np.shape(xs), np.shape(ys)))
+            return xs + ys
+
+        scan = opt.grid_scan(E, 7, 9, 3.0)
+        assert shapes == [((9,), (9,))] * 7
+        assert scan.grid.shape == (63, 3)
 
     def test_grid_points_in_domain(self):
         scan = opt.grid_scan(lambda x, y: 0.0, 8, 8, 3.0)
