@@ -87,6 +87,16 @@ def _parse_lattice(text: str) -> LatticeParams:
     return LatticeParams(float(x_str), float(y_str))
 
 
+def _parse_shift(text: str) -> tuple[float, float]:
+    try:
+        z = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        z = ()
+    if len(z) != 2 or not all(math.isfinite(v) for v in z):
+        raise ValueError(f"--z: expected two finite numbers 'a,b', got '{text}'")
+    return z
+
+
 def _parse_range(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -106,6 +116,7 @@ def _parse_range(text: str) -> np.ndarray:
 _NUMBER_RULES = (
     ("rtol", "finite and > 0", lambda v: 0 < v < math.inf),
     ("tol", "finite and > 0", lambda v: 0 < v < math.inf),
+    ("t", "finite and > 0", lambda v: 0 < v < math.inf),
     ("x_steps", ">= 1", lambda v: v >= 1),
     ("y_steps", ">= 1", lambda v: v >= 1),
     ("y_max", "finite and > 1", lambda v: 1 < v < math.inf),
@@ -188,8 +199,7 @@ def run(args) -> int:
     if cmd == "poisson-check":
         P = parse_potential(args.potential)
         L = _parse_lattice(args.lattice)
-        zx, _, zy = args.z.partition(",")
-        lhs, rhs, diff = energy.poisson_check(P, L, (float(zx), float(zy)),
+        lhs, rhs, diff = energy.poisson_check(P, L, _parse_shift(args.z),
                                               rtol=args.rtol)
         _write_json(args.output, {"command": "poisson-check", "lhs": lhs,
                                   "rhs": rhs, "diff": diff})

@@ -5,7 +5,11 @@ is evaluated on the Fourier side as
 
     E[L] = sum'_{p in L*} fhat(p) g(|p|)^2  +  fhat(0) - (f*mu*mu)(0),
 
-with a direct-space summation available for Gaussian families as a
+For a planar lattice L of covolume s, the dual L* is L turned by 90
+degrees and scaled by 1/s.  The summand is radial, so the sum runs over
+the points of L / s, with no dual basis and no reduction; only the
+Poisson check, whose phase p.z depends on the frame, uses the dual basis.
+A direct-space summation is available for Gaussian families as a
 cross-check.  All sums are truncated at a radius with a certified tail
 bound derived from a disk-packing estimate.
 """
@@ -194,34 +198,15 @@ def _report(h_eval, tail_of, basis: np.ndarray, rtol: float) -> EnergyReport:
     )
 
 
-def _lattice_fn(h_eval, tail_of, rtol: float, dual: bool = False,
-                const: float = 0.0):
-    """E(x, y) = const + the sum of h over the lattice (x, y) or its dual.
-
-    Defined for any x and y > 0.  Arrays x and y of one shape are summed as
-    one batch and give an array of that shape; scalars give a float.
-    """
-
-    def E(x, y):
-        x = np.asarray(x, dtype=float)
-        bases = lat.basis_matrix(x.ravel(), np.ravel(y))
-        if dual:
-            bases = np.linalg.inv(bases).transpose(0, 2, 1)
-        val = _summed(h_eval, tail_of, bases, rtol)[0] + const
-        return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
-
-    return E
-
-
 def _basis(L: LatticeParams) -> np.ndarray:
     return lat.basis_matrix(L.x, L.y) * math.sqrt(L.scale)
 
 
-def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps: float = 1.0):
-    """h(p) = Phi(|p|^2) g(eps |p|)^2 and its tail factory (|g| <= 1)."""
+def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure):
+    """h(p) = Phi(|p|^2) g(|p|)^2 and its tail factory (|g| <= 1)."""
 
     def h_eval(pts, q):
-        g = hankel(mu, eps * np.sqrt(q))
+        g = hankel(mu, np.sqrt(q))
         return Phi.eval(q) * g * g
 
     return h_eval, partial(mixture_tail, *Phi.rep.nodes())
@@ -229,8 +214,8 @@ def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps: float = 1.0):
 
 def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
     """Lattice theta function sum_{x in L} exp(-pi t |x|^2), origin included."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and > 0, got {t}")
     return 1.0 + _report(
         lambda pts, q: np.exp(-math.pi * t * q),
         partial(mixture_tail, [math.pi * t], [1.0]), _basis(L), rtol,
@@ -262,26 +247,37 @@ def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
     """Fourier-side energy: dual-lattice sum of fhat(p) g(|p|)^2 plus the
     lattice-independent constant fhat(0) - (f*mu*mu)(0)."""
     Phi = fourier(P)
-    part = _report(*_fourier_summand(Phi, mu), _basis(lat.dual(L)), rtol)
+    # L* is L turned by 90 degrees and scaled by 1/covolume
+    part = _report(*_fourier_summand(Phi, mu), _basis(L) / L.scale, rtol)
     const = Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
     return replace(part, value=part.lattice_part + const, constant_part=const)
 
 
 def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
                       rtol: float = 1e-10, include_constant: bool = False):
-    """Fast E(x, y) for scans and minimization, batched over arrays x, y.
+    """E(x, y) for scans, minimization and finite differences.
 
-    Sums over the dual lattice straight from the inverse-transpose basis,
-    skipping per-point reduction; defined for any x and y > 0 so optimizer
-    probes near the boundary of D are fine.
+    Sums fhat(p) g(|p|)^2 over the unit-density lattice (x, y) itself,
+    which has the same radii as its dual.  Defined for any x and y > 0, so
+    probes may step across the boundary of D.  Arrays x and y of one shape
+    are summed as one batch and give an array of that shape; scalars give
+    a float.
     """
     Phi = fourier(P)
+    h_eval, tail_of = _fourier_summand(Phi, mu)
     const = (
         Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
         if include_constant
         else 0.0
     )
-    return _lattice_fn(*_fourier_summand(Phi, mu), rtol, dual=True, const=const)
+
+    def E(x, y):
+        x = np.asarray(x, dtype=float)
+        bases = lat.basis_matrix(x.ravel(), np.ravel(y))
+        val = _summed(h_eval, tail_of, bases, rtol)[0] + const
+        return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
+
+    return E
 
 
 def _convolve_gaussians(c1, a1, c2, a2):

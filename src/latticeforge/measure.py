@@ -6,8 +6,9 @@ absolutely continuous part.  The order-0 Hankel transform
 
     g(t) = int J0(2 pi s t) dpsi(s)
 
-is the 2D Fourier transform of the measure; closed forms are used for the
-dirac / uniform-disk / radial-Gaussian families.
+is the 2D Fourier transform of the measure.  The dirac / uniform-disk /
+radial-Gaussian families are evaluated in closed form from their kind tag
+and parameter, so only profile measures carry quadrature nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1, jv, roots_legendre
+from scipy.special import j0, j1, jv
 
 from .potential import RadialPotential, fourier
 
@@ -35,8 +36,6 @@ __all__ = [
     "self_convolution_at_zero",
     "parse_measure",
 ]
-
-_PROFILE_NODES = 256
 
 
 class DivergentMomentError(ValueError):
@@ -87,10 +86,6 @@ class RadialMeasure:
         ws = np.array([w for _, w in items])
         return ss, ws
 
-    def total_mass(self) -> float:
-        _, ws = self.nodes()
-        return float(ws.sum())
-
     def second_moment(self) -> float:
         ss, ws = self.nodes()
         return float((ws * ss * ss).sum())
@@ -104,12 +99,7 @@ def uniform_disk(R: float) -> RadialMeasure:
     """Uniform probability measure on the disk of radius R (psi density 2s/R^2)."""
     if not 0 < R < math.inf:
         raise MeasureSpecError(f"disk radius must be finite and > 0, got {R}")
-    u, w = roots_legendre(_PROFILE_NODES)
-    s = 0.5 * R * (u + 1.0)
-    ws = 0.5 * R * w * 2.0 * s / (R * R)
-    return RadialMeasure(
-        kind="disk", param=float(R), psi_nodes=tuple(zip(s.tolist(), ws.tolist()))
-    )
+    return RadialMeasure(kind="disk", param=float(R))
 
 
 def radial_gaussian(sigma: float) -> RadialMeasure:
@@ -118,15 +108,7 @@ def radial_gaussian(sigma: float) -> RadialMeasure:
         raise MeasureSpecError(
             f"gaussian width must be finite and > 0, got {sigma}"
         )
-    cut = 6.5 * sigma
-    u, w = roots_legendre(_PROFILE_NODES)
-    s = 0.5 * cut * (u + 1.0)
-    dens = (2.0 * math.pi * s / sigma**2) * np.exp(-math.pi * s * s / sigma**2)
-    ws = 0.5 * cut * w * dens
-    return RadialMeasure(
-        kind="gaussian", param=float(sigma),
-        psi_nodes=tuple(zip(s.tolist(), ws.tolist())),
-    )
+    return RadialMeasure(kind="gaussian", param=float(sigma))
 
 
 def profile(samples) -> RadialMeasure:
@@ -136,6 +118,8 @@ def profile(samples) -> RadialMeasure:
         raise MeasureSpecError("profile needs at least two samples")
     s = np.array([p[0] for p in samples])
     d = np.array([p[1] for p in samples])
+    if not (np.isfinite(s).all() and np.isfinite(d).all()):
+        raise MeasureSpecError("profile radii and densities must be finite")
     if not (np.all(np.diff(s) > 0) and s[0] >= 0):
         raise MeasureSpecError("profile radii must be nonnegative and increasing")
     if np.any(d < 0):

@@ -45,10 +45,12 @@ class LaplaceMeasure:
 
     def __post_init__(self):
         for t, w in list(self.atoms) + list(self.density_nodes):
-            if not t > 0:
-                raise PotentialSpecError(f"node position must be > 0, got {t}")
-            if w < 0:
-                raise PotentialSpecError(f"node weight must be >= 0, got {w}")
+            if not 0 < t < math.inf:
+                raise PotentialSpecError(
+                    f"node position must be finite and > 0, got {t}")
+            if not 0 <= w < math.inf:
+                raise PotentialSpecError(
+                    f"node weight must be finite and >= 0, got {w}")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """All (positions, weights) as arrays."""
@@ -106,8 +108,9 @@ def _build(measure: LaplaceMeasure, eta: float) -> RadialPotential:
 
 def gaussian(alpha: float) -> RadialPotential:
     """exp(-alpha |x|^2): a single Laplace atom at t = alpha."""
-    if not alpha > 0:
-        raise PotentialSpecError(f"gaussian width must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise PotentialSpecError(
+            f"gaussian alpha must be finite and > 0, got {alpha}")
     return _build(LaplaceMeasure(atoms=((float(alpha), 1.0),)), eta=2.0)
 
 
@@ -129,8 +132,9 @@ def inverse_power(
     quadrature loses all relative accuracy already at moderate radii because
     the integrand concentrates near t = 0 as r grows).
     """
-    if not (a > 0 and s > 1):
-        raise PotentialSpecError(f"need a > 0 and s > 1, got a={a}, s={s}")
+    if not (0 < a < math.inf and 1 < s < math.inf):
+        raise PotentialSpecError(
+            f"need finite a > 0 and s > 1, got a={a}, s={s}")
     # lower cutoff: mass of the density below t=delta/(a+R) is O(delta^s)
     delta = (1e-13 * math.exp(gammaln(s + 1))) ** (1.0 / s)
     x_lo = math.log(delta) - math.log(a + r_max * r_max)

@@ -2,8 +2,8 @@
 
 At the triangular point the Hessian of any radial-summand lattice energy
 is a multiple T of the identity.  T is computed from the closed double
-sum over the triangular shells; away from the triangular point stability
-is assessed by finite-difference Hessians on (x, y).
+sum over the triangular shells and checked against a finite-difference
+Hessian of E(x, y) on a 3x3 stencil.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import NonconvergenceError, _fourier_summand, _lattice_fn
-from .lattice import TRIANGULAR, LatticeDomainError, LatticeParams
-from .measure import RadialMeasure, hankel_moments
+from .energy import NonconvergenceError, diffuse_energy_fn
+from .lattice import TRIANGULAR, LatticeParams
+from .measure import RadialMeasure, hankel_moments, scale
 from .potential import RadialPotential, fourier
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "t_coefficient",
     "t_coefficient_diffuse",
     "diffuse_h_derivatives",
-    "diffuse_point_energy",
     "stability_curve",
     "sign_changes",
     "fd_gradient_hessian",
@@ -70,8 +69,8 @@ def t_coefficient(F1, F2, rtol: float = 1e-10, max_box: int = 80) -> float:
     for M in range(1, max_box + 1):
         n2, n4, q = _triangular_rings(M)
         ring = float(
-            (4.0 / math.sqrt(3.0)) * (n2 * _eval(F1, q)).sum()
-            + (4.0 / 3.0) * (n4 * _eval(F2, q)).sum()
+            (4.0 / math.sqrt(3.0)) * (n2 * F1(q)).sum()
+            + (4.0 / 3.0) * (n4 * F2(q)).sum()
         )
         total += ring
         peak = max(peak, abs(total))
@@ -82,13 +81,6 @@ def t_coefficient(F1, F2, rtol: float = 1e-10, max_box: int = 80) -> float:
         else:
             quiet = 0
     raise NonconvergenceError("triangular double sum did not converge")
-
-
-def _eval(F, q: np.ndarray) -> np.ndarray:
-    try:
-        return np.asarray(F(q), dtype=float)
-    except (TypeError, ValueError):
-        return np.array([float(F(qi)) for qi in q])
 
 
 def diffuse_h_derivatives(P: RadialPotential, mu: RadialMeasure, eps: float, r):
@@ -169,78 +161,24 @@ def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
     return zeros
 
 
-def diffuse_point_energy(P: RadialPotential, mu: RadialMeasure, eps: float,
-                         rtol: float = 1e-12):
-    """E(x, y) = sum'_{p in Lbar(x,y)} Phi(|p|^2) g(eps |p|)^2 as a callable.
-
-    Defined for any (x, y) with y > 0, so finite-difference stencils may
-    step across the boundary of D.  Arrays x and y of one shape are summed
-    as one batch and give an array of that shape.
-    """
-    return _lattice_fn(*_fourier_summand(fourier(P), mu, eps), rtol)
-
-
 def fd_gradient_hessian(E, L: LatticeParams, step: float = 1e-4):
     """Central-difference gradient and Hessian of E on (x, y) at L.
 
-    ``E`` is called as E(x, y); a one-sided stencil is used for any
-    direction in which E raises a domain error.
+    ``E(xs, ys)`` is called once, on the 3x3 stencil, with arrays of one
+    shape and must return an array of that shape (or a value broadcast to
+    it).  The stencil may step across the boundary of D.
     """
-    x0, y0 = L.x, L.y
-    h = step * (1.0 + abs(y0))
-
-    def ev(dx, dy):
-        return E(x0 + dx, y0 + dy)
-
-    gx = _central_or_onesided(ev, h, axis=0)
-    gy = _central_or_onesided(ev, h, axis=1)
-    e0 = ev(0.0, 0.0)
-    dxx = _second_or_onesided(ev, e0, h, axis=0)
-    dyy = _second_or_onesided(ev, e0, h, axis=1)
-    try:
-        dxy = (
-            ev(h, h) - ev(h, -h) - ev(-h, h) + ev(-h, -h)
-        ) / (4.0 * h * h)
-    except LatticeDomainError:
-        # fall back to a forward cross stencil
-        dxy = (ev(h, h) - ev(h, 0.0) - ev(0.0, h) + e0) / (h * h)
+    h = step * (1.0 + abs(L.y))
+    d = np.array([-h, 0.0, h])
+    dx, dy = np.meshgrid(d, d, indexing="ij")
+    e = np.broadcast_to(np.asarray(E(L.x + dx, L.y + dy), dtype=float),
+                        dx.shape)  # e[i, j] = E(x + d[i], y + d[j])
+    gx = (e[2, 1] - e[0, 1]) / (2.0 * h)
+    gy = (e[1, 2] - e[1, 0]) / (2.0 * h)
+    dxx = (e[2, 1] - 2.0 * e[1, 1] + e[0, 1]) / (h * h)
+    dyy = (e[1, 2] - 2.0 * e[1, 1] + e[1, 0]) / (h * h)
+    dxy = (e[2, 2] - e[2, 0] - e[0, 2] + e[0, 0]) / (4.0 * h * h)
     return np.array([gx, gy]), np.array([[dxx, dxy], [dxy, dyy]])
-
-
-def _central_or_onesided(ev, h, axis):
-    d = (h, 0.0) if axis == 0 else (0.0, h)
-    try:
-        return (ev(*d) - ev(-d[0], -d[1])) / (2.0 * h)
-    except LatticeDomainError:
-        pass
-    # second-order one-sided, trying both directions
-    for sgn in (1.0, -1.0):
-        try:
-            s = (sgn * d[0], sgn * d[1])
-            return sgn * (
-                -3.0 * ev(0.0, 0.0) + 4.0 * ev(*s) - ev(2 * s[0], 2 * s[1])
-            ) / (2.0 * h)
-        except LatticeDomainError:
-            continue
-    raise LatticeDomainError("no admissible finite-difference stencil at L")
-
-
-def _second_or_onesided(ev, e0, h, axis):
-    d = (h, 0.0) if axis == 0 else (0.0, h)
-    try:
-        return (ev(*d) - 2.0 * e0 + ev(-d[0], -d[1])) / (h * h)
-    except LatticeDomainError:
-        pass
-    for sgn in (1.0, -1.0):
-        try:
-            s = (sgn * d[0], sgn * d[1])
-            return (
-                2.0 * e0 - 5.0 * ev(*s) + 4.0 * ev(2 * s[0], 2 * s[1])
-                - ev(3 * s[0], 3 * s[1])
-            ) / (h * h)
-        except LatticeDomainError:
-            continue
-    raise LatticeDomainError("no admissible finite-difference stencil at L")
 
 
 def stability_report(P: RadialPotential, mu: RadialMeasure, eps: float,
@@ -248,7 +186,7 @@ def stability_report(P: RadialPotential, mu: RadialMeasure, eps: float,
                      hess_step: float = 1e-4) -> StabilityReport:
     """Analytic T plus finite-difference diagnostics at the triangular point."""
     T = t_coefficient_diffuse(P, mu, eps)
-    E = diffuse_point_energy(P, mu, eps)
+    E = diffuse_energy_fn(P, scale(mu, eps), rtol=1e-12)
     grad, _ = fd_gradient_hessian(E, TRIANGULAR, step=grad_step)
     _, hess = fd_gradient_hessian(E, TRIANGULAR, step=hess_step)
     if T > _CLASSIFY_TOL:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from latticeforge import LatticeParams
 
@@ -12,6 +13,14 @@ def random_lattice(rng: np.random.Generator, y_max: float = 3.0) -> LatticeParam
     y_lo = math.sqrt(max(1.0 - x * x, 0.0))
     y = rng.uniform(y_lo + 1e-6, y_max)
     return LatticeParams(x, y)
+
+
+def disk_psi_nodes(R: float, n: int = 256):
+    """Gauss-Legendre (s, weight) nodes of the disk's psi density 2s/R^2."""
+    u, w = roots_legendre(n)
+    s = 0.5 * R * (u + 1.0)
+    ws = 0.5 * R * w * 2.0 * s / (R * R)
+    return tuple(zip(s.tolist(), ws.tolist()))
 
 
 @pytest.fixture

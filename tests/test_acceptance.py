@@ -146,7 +146,7 @@ def test_criterion_6_criticality_and_isotropy():
     ok = True
     details = []
     for eps in (0.0, 0.3, 1.0):
-        E = stab.diffuse_point_energy(P, mu, eps)
+        E = en.diffuse_energy_fn(P, msr.scale(mu, eps), rtol=1e-12)
         T = stab.t_coefficient_diffuse(P, mu, eps)
         grad, _ = stab.fd_gradient_hessian(E, TRIANGULAR, step=1e-5)
         _, hess = stab.fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
@@ -172,7 +172,7 @@ def test_criterion_7_t_coefficient_vs_fd_hessian():
             lambda q: -c * np.exp(-c * q), lambda q: c * c * np.exp(-c * q)
         )
         P = pot.from_atoms([(math.pi / t, 1.0 / t)])
-        E = stab.diffuse_point_energy(P, msr.dirac(), 0.0, rtol=1e-12)
+        E = en.diffuse_energy_fn(P, msr.dirac(), rtol=1e-12)
         _, hess = stab.fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
         gap = max(abs(hess[0, 0] / T - 1.0), abs(hess[1, 1] / T - 1.0))
         gaps.append(gap)

@@ -198,6 +198,28 @@ class TestExitCodeContract:
         (["scan"] + _GAUSS + ["--y-steps", "-3"], 2, "--y-steps"),
         (["minimize"] + _GAUSS + ["--y-max", "nan"], 2, "--y-max"),
         (["scan"] + _GAUSS + ["--y-max", "0.2"], 2, "--y-max"),
+        (["energy", "--potential", "gaussian:alpha=inf", "--lattice", "0,1"],
+         2, "gaussian alpha"),
+        (["energy", "--potential", "invpower:a=1,s=inf", "--lattice", "0,1"],
+         2, "s=inf"),
+        (["energy", "--potential", "invpower:a=nan,s=2", "--lattice", "0,1"],
+         2, "a=nan"),
+        (["energy", "--potential", "laplace:atoms=[(1,inf)]",
+          "--lattice", "0,1"], 2, "node weight"),
+        (["energy", "--potential", "laplace:atoms=[(1,nan)]",
+          "--lattice", "0,1"], 2, "node weight"),
+        (["energy", "--potential", "laplace:atoms=[(inf,1)]",
+          "--lattice", "0,1"], 2, "node position"),
+        (["theta", "--lattice", "0,1", "--t", "inf"], 2, "--t:"),
+        (["theta", "--lattice", "0,1", "--t", "nan"], 2, "--t:"),
+        (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "inf,0"],
+         2, "--z:"),
+        (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "nan,0"],
+         2, "--z:"),
+        (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "1"],
+         2, "--z:"),
+        (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "1,2,3"],
+         2, "--z:"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code
@@ -205,6 +227,18 @@ class TestExitCodeContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert needle in captured.err
+
+    @pytest.mark.parametrize("rows", [
+        "0,0\n0.5,1\ninf,0\n",
+        "0,0\n0.5,nan\n1,0\n",
+        "0,0\n0.5,inf\n1,0\n",
+    ], ids=["inf-radius", "nan-density", "inf-density"])
+    def test_bad_profile(self, rows, tmp_path, capsys):
+        prof = tmp_path / "profile.csv"
+        prof.write_text(rows)
+        self.test_bad_input(["energy"] + _GAUSS + [
+            "--measure", f"profile:file={prof}", "--lattice", "0,1",
+        ], 2, "must be finite", capsys)
 
 
 def test_cli_import_leaves_out_quadrature():

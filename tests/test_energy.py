@@ -4,12 +4,12 @@ from functools import partial
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import j1
 
 import latticeforge.energy as en
 import latticeforge.lattice as lat
 import latticeforge.measure as msr
 import latticeforge.potential as pot
-import latticeforge.stability as stab
 from latticeforge import Basis2D, LatticeParams, TRIANGULAR
 
 from conftest import random_lattice
@@ -125,6 +125,31 @@ class TestDiffuseEnergy:
             L = random_lattice(rng)
             assert e_tri <= en.diffuse_energy(P, mu, L).value + 1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 0.6, 2.5])
+    def test_disk_vs_brute_force_dual_sum(self, rng, scale):
+        # sum'_{p in L*} fhat(p) g(|p|)^2 over the inverse-transpose basis,
+        # for exp(-alpha r^2) (fhat = (pi/alpha) exp(-pi^2 |p|^2 / alpha))
+        # and the disk of radius r0 (g = 2 J1(2 pi r0 |p|) / (2 pi r0 |p|))
+        alpha, r0 = 2.0, 0.8
+        n = np.arange(-60, 61)
+        ms, ns = (a.ravel() for a in np.meshgrid(n, n, indexing="ij"))
+        nonzero = (ms != 0) | (ns != 0)
+        ms, ns = ms[nonzero], ns[nonzero]
+        for L in [TRIANGULAR, LatticeParams(0.0, 1.0)] + [
+            random_lattice(rng) for _ in range(3)
+        ]:
+            L = LatticeParams(L.x, L.y, scale=scale)
+            dual = np.linalg.inv(lat.basis_matrix(L.x, L.y) * math.sqrt(scale)).T
+            p = np.outer(ms, dual[0]) + np.outer(ns, dual[1])
+            r = np.sqrt((p * p).sum(axis=1))
+            X = 2.0 * math.pi * r0 * r
+            terms = (math.pi / alpha) * np.exp(-math.pi**2 * r * r / alpha) \
+                * (2.0 * j1(X) / X) ** 2
+            brute = np.sort(terms).sum()
+            rep = en.diffuse_energy(pot.gaussian(alpha), msr.uniform_disk(r0), L)
+            assert abs(rep.lattice_part - brute) <= (
+                rep.tail_bound + 1e-13 * abs(brute))
+
     def test_fast_callable_matches_report(self, rng):
         P = pot.gaussian(2.0)
         mu = msr.radial_gaussian(0.8)
@@ -235,8 +260,8 @@ class TestBatchedEngine:
     def test_batched_theta_square(self, rng):
         # gaussian exp(-pi r^2) is its own Fourier transform, so the dirac
         # point energy is theta(1) - 1 on every lattice of the batch
-        E = stab.diffuse_point_energy(
-            pot.from_atoms([(math.pi, 1.0)]), msr.dirac(), 0.0, rtol=1e-12
+        E = en.diffuse_energy_fn(
+            pot.from_atoms([(math.pi, 1.0)]), msr.dirac(), rtol=1e-12
         )
         Ls = [LatticeParams(0.0, 1.0)] + [random_lattice(rng) for _ in range(6)]
         got = E(np.array([L.x for L in Ls]), np.array([L.y for L in Ls]))

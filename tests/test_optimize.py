@@ -19,9 +19,8 @@ def _theta_fn():
         # theta-like lattice sum without the origin term, defined for any y > 0
         nonlocal E
         if E is None:
-            import latticeforge.stability as stab
-            E = stab.diffuse_point_energy(
-                pot.from_atoms([(math.pi, 1.0)]), msr.dirac(), 0.0, rtol=1e-10
+            E = en.diffuse_energy_fn(
+                pot.from_atoms([(math.pi, 1.0)]), msr.dirac(), rtol=1e-10
             )
         return E(x, y)
 

@@ -7,6 +7,9 @@ import latticeforge.measure as msr
 import latticeforge.potential as pot
 import latticeforge.stability as stab
 from latticeforge import TRIANGULAR, LatticeParams
+from latticeforge.energy import diffuse_energy_fn
+
+from conftest import disk_psi_nodes
 
 
 def _gaussian_theta_T(t: float) -> float:
@@ -21,10 +24,10 @@ def _theta_lattice_energy(t: float):
     """E(x, y) = theta-like sum over the lattice itself, origin excluded.
 
     Built from a potential whose Fourier transform is exactly e^(-pi t r),
-    so diffuse_point_energy sums that summand directly.
+    so diffuse_energy_fn sums that summand directly.
     """
     P = pot.from_atoms([(math.pi / t, 1.0 / t)])
-    return stab.diffuse_point_energy(P, msr.dirac(), 0.0, rtol=1e-12)
+    return diffuse_energy_fn(P, msr.dirac(), rtol=1e-12)
 
 
 def _rings_by_loop(M: int):
@@ -131,17 +134,12 @@ class TestStabilityCurve:
         # disk of total mass pi versus probability normalization
         P = pot.gaussian(math.pi)
         mu1 = msr.uniform_disk(1.0)
-        mu_pi = msr.RadialMeasure(
-            kind=mu1.kind, param=mu1.param, psi_atoms=mu1.psi_atoms,
-            psi_nodes=tuple((s, math.pi * w) for s, w in mu1.psi_nodes),
-        )
+        pi_nodes = tuple((s, math.pi * w) for s, w in disk_psi_nodes(1.0))
         for eps in (0.3, 0.7, 1.0):
             t1 = stab.t_coefficient_diffuse(P, mu1, eps)
-            # closed-form moment path keyed on kind ignores weights; force
-            # the quadrature path by retagging
-            mu_q = msr.RadialMeasure(
-                kind="profile", psi_nodes=mu_pi.psi_nodes
-            )
+            # the closed-form disk carries no nodes; the mass-pi node set
+            # goes through the quadrature path under the profile tag
+            mu_q = msr.RadialMeasure(kind="profile", psi_nodes=pi_nodes)
             tq = stab.t_coefficient_diffuse(P, mu_q, eps)
             assert tq == pytest.approx(math.pi**2 * t1, rel=1e-6)
             assert math.copysign(1.0, tq) == math.copysign(1.0, t1)
@@ -174,6 +172,16 @@ class TestFdGradientHessian:
             [2.0 * (L.x - 0.2), 6.0 * (L.y - 1.6)], rel=1e-6
         )
         assert hess == pytest.approx(np.diag([2.0, 6.0]), abs=1e-5)
+
+    def test_one_call_on_the_stencil(self):
+        shapes = []
+
+        def E(xs, ys):
+            shapes.append((np.shape(xs), np.shape(ys)))
+            return (xs - 0.2) ** 2 + 3.0 * (ys - 1.6) ** 2
+
+        stab.fd_gradient_hessian(E, LatticeParams(0.25, 1.4))
+        assert shapes == [((3, 3), (3, 3))]
 
 
 class TestStabilityReport:
