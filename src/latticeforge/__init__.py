@@ -36,13 +36,11 @@ from .energy import (
     diffuse_energy,
     diffuse_energy_direct,
     diffuse_energy_fn,
-    point_energy,
     poisson_check,
     theta,
 )
 from .stability import (
     StabilityReport,
-    diffuse_h_derivatives,
     fd_gradient_hessian,
     sign_changes,
     stability_curve,

@@ -81,10 +81,13 @@ def _write_svg(path: str, xs, ys, width: int = 800, height: int = 400,
 
 
 def _parse_lattice(text: str) -> LatticeParams:
-    x_str, sep, y_str = text.partition(",")
-    if not sep:
-        raise LatticeDomainError(f"expected 'x,y', got '{text}'")
-    return LatticeParams(float(x_str), float(y_str))
+    try:
+        x, y = (float(p) for p in text.split(","))
+    except ValueError:
+        raise LatticeDomainError(
+            f"--lattice: expected two finite numbers 'x,y', got '{text}'"
+        ) from None
+    return LatticeParams(x, y)
 
 
 def _parse_shift(text: str) -> tuple[float, float]:
@@ -106,6 +109,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise ValueError(f"--eps: bounds and step must be finite in '{text}'")
     if step <= 0:
         raise ValueError(f"--eps: step must be positive in '{text}'")
+    if lo < 0:
+        raise ValueError(f"--eps: eps must be >= 0 in '{text}'")
     if hi < lo:
         raise ValueError(f"--eps: empty range '{text}' (hi < lo)")
     n = int(round((hi - lo) / step))
@@ -232,13 +237,13 @@ def run(args) -> int:
 
     if cmd == "stability":
         eps_grid = _parse_range(args.eps)
-        curve = stability.stability_curve(P, mu, eps_grid)
+        curve = stability.stability_curve(P, mu, eps_grid, rtol=args.rtol)
         fmt = args.format or "csv"
         if fmt == "svg":
             _write_svg(args.output, [e for e, _ in curve],
                        [t for _, t in curve])
         elif fmt == "json":
-            zeros = stability.sign_changes(P, mu, curve)
+            zeros = stability.sign_changes(P, mu, curve, rtol=args.rtol)
             _write_json(args.output, {
                 "command": "stability",
                 "curve": [[e, t] for e, t in curve],

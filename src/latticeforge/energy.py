@@ -1,4 +1,4 @@
-"""Lattice sums: theta functions, point energies, diffuse energies.
+"""Lattice sums: theta functions and diffuse energies.
 
 The diffuse energy of a potential f and particle shape mu on a lattice L
 is evaluated on the Fourier side as
@@ -25,20 +25,20 @@ from scipy.special import erfc
 
 from . import lattice as lat
 from .lattice import LatticeParams
-from .measure import RadialMeasure, hankel, self_convolution_at_zero
+from .measure import (
+    RadialMeasure, hankel, hankel_moments, self_convolution_at_zero,
+)
 from .potential import RadialPotential, fourier
 
 __all__ = [
     "EnergyReport",
     "NonconvergenceError",
     "theta",
-    "point_energy",
     "diffuse_energy",
     "diffuse_energy_fn",
     "diffuse_energy_direct",
     "poisson_check",
     "mixture_tail",
-    "power_tail",
 ]
 
 
@@ -97,21 +97,6 @@ def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho, offset: float = 0.0):
         # int_a^inf (u + rho + offset) exp(-t u^2) du, then * 2 / rho^2
         vals = ws * (np.exp(-ts * a * a) / two_ts + shift * erfc(sqrt_ts * a))
         return vals.sum(axis=-1) * 2.0 / rho2
-
-    return bound
-
-
-def power_tail(C: float, eta: float, rho):
-    """Tail-bound closure for phi(r) = C (1 + r)^(-2-eta); arrays as in
-    ``mixture_tail``."""
-    rho = np.asarray(rho, dtype=float)
-
-    def bound(R):
-        a = np.maximum(R - 2.0 * rho, 0.0)
-        v = 1.0 + a
-        # int_a^inf (u + rho) (1 + u)^(-2-eta) du
-        integral = (rho - 1.0) * v ** (-1.0 - eta) / (1.0 + eta) + v ** (-eta) / eta
-        return C * integral * 2.0 / (rho * rho)
 
     return bound
 
@@ -203,13 +188,32 @@ def _basis(L: LatticeParams) -> np.ndarray:
 
 
 def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure):
-    """h(p) = Phi(|p|^2) g(|p|)^2 and its tail factory (|g| <= 1)."""
+    """The summand H(q) = Phi(q) g(sqrt q)^2 at squared dual radius q.
+
+    Returns (h_eval, tail_of, derivatives): h_eval(pts, q) gives H for the
+    engine, tail_of its tail factory (|g| <= 1, so H <= Phi), and
+    derivatives(q) gives (H', H'') in q, for q > 0, from the J0/J1/J2
+    moments of mu combined with Phi's by the Leibniz rule.  A dilated
+    particle is passed as ``scale(mu, eps)``.
+    """
 
     def h_eval(pts, q):
         g = hankel(mu, np.sqrt(q))
         return Phi.eval(q) * g * g
 
-    return h_eval, partial(mixture_tail, *Phi.rep.nodes())
+    def derivatives(q):
+        A0, A1, A2 = hankel_moments(mu, 1.0, q)
+        P0, P1, P2 = (Phi.derivative(q, k) for k in range(3))
+        G2 = A0 * A0
+        dG2 = -(2.0 * math.pi / np.sqrt(q)) * A1 * A0
+        d2G2 = (
+            (math.pi / q**1.5) * A0 * A1
+            + (2.0 * math.pi**2 / q) * A1 * A1
+            + (math.pi**2 / q) * A0 * A2
+        )
+        return P1 * G2 + P0 * dG2, P2 * G2 + 2.0 * P1 * dG2 + P0 * d2G2
+
+    return h_eval, partial(mixture_tail, *Phi.rep.nodes()), derivatives
 
 
 def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
@@ -222,33 +226,14 @@ def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
     ).value
 
 
-def point_energy(h_eval, L: LatticeParams, rtol: float, tail=None,
-                 decay: tuple[float, float] | None = None) -> EnergyReport:
-    """Truncated sum'_{p in L} h(p) with a certified tail bound.
-
-    ``h_eval(points, sq_norms)`` must evaluate h vectorized over lattice
-    points.  Supply either a ``tail`` closure (R -> bound) or power-decay
-    constants ``decay = (C, eta)``.
-    """
-    if tail is not None:
-        def tail_of(rho):  # ``tail`` takes the float R of one lattice
-            return lambda R: np.array([tail(float(R[0]))], dtype=float)
-    elif decay is not None:
-        tail_of = partial(power_tail, *decay)
-    else:
-        raise NonconvergenceError(
-            "no tail control: pass tail= or decay=(C, eta)"
-        )
-    return _report(h_eval, tail_of, _basis(L), rtol)
-
-
 def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
                    rtol: float = 1e-10) -> EnergyReport:
     """Fourier-side energy: dual-lattice sum of fhat(p) g(|p|)^2 plus the
     lattice-independent constant fhat(0) - (f*mu*mu)(0)."""
     Phi = fourier(P)
+    h_eval, tail_of, _ = _fourier_summand(Phi, mu)
     # L* is L turned by 90 degrees and scaled by 1/covolume
-    part = _report(*_fourier_summand(Phi, mu), _basis(L) / L.scale, rtol)
+    part = _report(h_eval, tail_of, _basis(L) / L.scale, rtol)
     const = Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
     return replace(part, value=part.lattice_part + const, constant_part=const)
 
@@ -264,7 +249,7 @@ def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
     a float.
     """
     Phi = fourier(P)
-    h_eval, tail_of = _fourier_summand(Phi, mu)
+    h_eval, tail_of, _ = _fourier_summand(Phi, mu)
     const = (
         Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
         if include_constant

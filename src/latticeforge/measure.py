@@ -1,8 +1,8 @@
 """Rotationally symmetric probability measures and their Hankel transforms.
 
 A measure is stored through its radial mass distribution psi (the measure
-of t -> mu(B_t)): atoms at radii s >= 0 plus quadrature nodes for an
-absolutely continuous part.  The order-0 Hankel transform
+of t -> mu(B_t)): one set of (radius, weight) nodes at radii s >= 0, a
+node at s = 0 holding any mass at the centre.  The order-0 Hankel transform
 
     g(t) = int J0(2 pi s t) dpsi(s)
 
@@ -23,7 +23,6 @@ from .potential import RadialPotential, fourier
 
 __all__ = [
     "RadialMeasure",
-    "DivergentMomentError",
     "MeasureSpecError",
     "bessel_j",
     "dirac",
@@ -36,10 +35,6 @@ __all__ = [
     "self_convolution_at_zero",
     "parse_measure",
 ]
-
-
-class DivergentMomentError(ValueError):
-    """Raised when a second radial moment required by moments() diverges."""
 
 
 class MeasureSpecError(ValueError):
@@ -77,22 +72,16 @@ class RadialMeasure:
 
     kind: str  # "dirac" | "disk" | "gaussian" | "profile"
     param: float = 0.0  # disk radius R or gaussian width sigma
-    psi_atoms: tuple[tuple[float, float], ...] = ()
     psi_nodes: tuple[tuple[float, float], ...] = ()
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        items = list(self.psi_atoms) + list(self.psi_nodes)
-        ss = np.array([s for s, _ in items])
-        ws = np.array([w for _, w in items])
+        ss = np.array([s for s, _ in self.psi_nodes])
+        ws = np.array([w for _, w in self.psi_nodes])
         return ss, ws
-
-    def second_moment(self) -> float:
-        ss, ws = self.nodes()
-        return float((ws * ss * ss).sum())
 
 
 def dirac() -> RadialMeasure:
-    return RadialMeasure(kind="dirac", psi_atoms=((0.0, 1.0),))
+    return RadialMeasure(kind="dirac")
 
 
 def uniform_disk(R: float) -> RadialMeasure:
@@ -132,28 +121,25 @@ def profile(samples) -> RadialMeasure:
     if mass <= 0:
         raise MeasureSpecError("profile has zero mass")
     w = w / mass
-    keep = (w > 0) & (s > 0)
-    nodes = tuple(zip(s[keep].tolist(), w[keep].tolist()))
-    atoms = ((0.0, float(w[(s == 0)].sum())),) if np.any((s == 0) & (w > 0)) else ()
-    return RadialMeasure(kind="profile", psi_atoms=atoms, psi_nodes=nodes)
+    keep = w > 0
+    return RadialMeasure(kind="profile",
+                         psi_nodes=tuple(zip(s[keep].tolist(), w[keep].tolist())))
 
 
 def scale(mu: RadialMeasure, eps: float) -> RadialMeasure:
     """Dilate the measure so its Hankel transform becomes t -> g(eps t).
 
-    Radial atoms move s -> eps s (spatial support shrinks with eps);
+    Radial nodes move s -> eps s (spatial support shrinks with eps);
     eps = 0 collapses to the point mass.
     """
     if eps < 0:
         raise MeasureSpecError(f"scale factor must be >= 0, got {eps}")
     if eps == 0 or mu.kind == "dirac":
         return dirac()
-    sc = lambda items: tuple((eps * s, w) for s, w in items)
     return RadialMeasure(
         kind=mu.kind,
         param=eps * mu.param,
-        psi_atoms=sc(mu.psi_atoms),
-        psi_nodes=sc(mu.psi_nodes),
+        psi_nodes=tuple((eps * s, w) for s, w in mu.psi_nodes),
     )
 
 
@@ -199,8 +185,6 @@ def hankel_moments(mu: RadialMeasure, eps: float, r):
     elif mu.kind == "gaussian":
         A = _gaussian_moments(mu.param, c)
     else:
-        if not np.isfinite(mu.second_moment()):
-            raise DivergentMomentError("second radial moment diverges")
         ss, ws = mu.nodes()
         cs = np.multiply.outer(c, ss)
         J0 = bessel_j(0, cs)

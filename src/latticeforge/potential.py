@@ -66,13 +66,9 @@ class LaplaceMeasure:
 
 @dataclass(frozen=True)
 class RadialPotential:
-    """Completely monotone F(r^2) with decay constants for tail bounds.
-
-    ``decay_constants = (C, eta)`` certify F(|x|^2) <= C (1+|x|)^(-2-eta).
-    """
+    """Completely monotone F(r^2) given by its Laplace measure."""
 
     rep: LaplaceMeasure
-    decay_constants: tuple[float, float]
 
     def eval(self, r2):
         """F at squared radius r2 (scalar or array)."""
@@ -85,33 +81,12 @@ class RadialPotential:
         return self.rep.total_mass()
 
 
-def _power_decay_bound(ts: np.ndarray, ws: np.ndarray, eta: float) -> float:
-    """C with sum_i w_i exp(-t_i r^2) <= C (1+r)^(-2-eta) for all r >= 0.
-
-    Per node, (1+r)^(2+eta) exp(-t r^2) is maximized where
-    (2+eta)/(1+r) = 2 t r; solve the quadratic and take the larger root.
-    """
-    p = 2.0 + eta
-    C = 0.0
-    for t, w in zip(ts, ws):
-        # 2 t r^2 + 2 t r - p = 0
-        r_star = (-2 * t + math.sqrt(4 * t * t + 8 * t * p)) / (4 * t)
-        C += w * (1.0 + r_star) ** p * math.exp(-t * r_star * r_star)
-    return C
-
-
-def _build(measure: LaplaceMeasure, eta: float) -> RadialPotential:
-    ts, ws = measure.nodes()
-    C = _power_decay_bound(ts, ws, eta)
-    return RadialPotential(measure, (C, eta))
-
-
 def gaussian(alpha: float) -> RadialPotential:
     """exp(-alpha |x|^2): a single Laplace atom at t = alpha."""
     if not 0 < alpha < math.inf:
         raise PotentialSpecError(
             f"gaussian alpha must be finite and > 0, got {alpha}")
-    return _build(LaplaceMeasure(atoms=((float(alpha), 1.0),)), eta=2.0)
+    return RadialPotential(LaplaceMeasure(atoms=((float(alpha), 1.0),)))
 
 
 def from_atoms(atoms) -> RadialPotential:
@@ -119,7 +94,7 @@ def from_atoms(atoms) -> RadialPotential:
     measure = LaplaceMeasure(atoms=tuple((float(t), float(w)) for t, w in atoms))
     if not measure.atoms:
         raise PotentialSpecError("at least one atom required")
-    return _build(measure, eta=2.0)
+    return RadialPotential(measure)
 
 
 def inverse_power(
@@ -144,8 +119,8 @@ def inverse_power(
     h = xs[1] - xs[0]
     t = np.exp(xs)
     w = h * t**s * np.exp(-a * t - gammaln(s))
-    measure = LaplaceMeasure(density_nodes=tuple(zip(t.tolist(), w.tolist())))
-    return _build(measure, eta=2.0 * s - 2.0)
+    return RadialPotential(
+        LaplaceMeasure(density_nodes=tuple(zip(t.tolist(), w.tolist()))))
 
 
 def eval_derivatives(P: RadialPotential, r2, order: int):
@@ -169,10 +144,8 @@ def fourier(P: RadialPotential) -> RadialPotential:
     def _map(items):
         return tuple((pi * pi / t, w * pi / t) for t, w in items)
 
-    measure = LaplaceMeasure(
-        atoms=_map(P.rep.atoms), density_nodes=_map(P.rep.density_nodes)
-    )
-    return _build(measure, eta=P.decay_constants[1])
+    return RadialPotential(LaplaceMeasure(
+        atoms=_map(P.rep.atoms), density_nodes=_map(P.rep.density_nodes)))
 
 
 def check_completely_monotone(F, r_samples, max_order: int) -> bool:

@@ -14,16 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import NonconvergenceError, diffuse_energy_fn
+from .energy import NonconvergenceError, _fourier_summand, diffuse_energy_fn
 from .lattice import TRIANGULAR, LatticeParams
-from .measure import RadialMeasure, hankel_moments, scale
+from .measure import RadialMeasure, scale
 from .potential import RadialPotential, fourier
 
 __all__ = [
     "StabilityReport",
     "t_coefficient",
     "t_coefficient_diffuse",
-    "diffuse_h_derivatives",
     "stability_curve",
     "sign_changes",
     "fd_gradient_hessian",
@@ -83,49 +82,16 @@ def t_coefficient(F1, F2, rtol: float = 1e-10, max_box: int = 80) -> float:
     raise NonconvergenceError("triangular double sum did not converge")
 
 
-def diffuse_h_derivatives(P: RadialPotential, mu: RadialMeasure, eps: float, r):
-    """(H', H'') for H(r) = Phi(r) G_eps(r)^2 at squared dual radius r.
-
-    Phi is the Fourier transform of the potential, G_eps(r) = g(eps sqrt r)
-    the Hankel profile; the G-side derivatives come from the closed
-    J0/J1/J2 moment formulas, combined with Phi by the Leibniz rule.
-    """
-    Phi = fourier(P)
-    return _h_derivatives(Phi, mu, eps, r)
-
-
-def _h_derivatives(Phi: RadialPotential, mu: RadialMeasure, eps: float, r):
-    ra = np.atleast_1d(np.asarray(r, dtype=float))
-    scalar = np.ndim(r) == 0
-    P0 = np.atleast_1d(Phi.eval(ra))
-    P1 = np.atleast_1d(Phi.derivative(ra, 1))
-    P2 = np.atleast_1d(Phi.derivative(ra, 2))
-    A0, A1, A2 = hankel_moments(mu, eps, ra)
-    sqr = np.sqrt(ra)
-    G2 = A0 * A0
-    dG2 = -(2.0 * math.pi * eps / sqr) * A1 * A0
-    d2G2 = (
-        (math.pi * eps / ra**1.5) * A0 * A1
-        + (2.0 * math.pi**2 * eps**2 / ra) * A1 * A1
-        + (math.pi**2 * eps**2 / ra) * A0 * A2
-    )
-    H1 = P1 * G2 + P0 * dG2
-    H2 = P2 * G2 + 2.0 * P1 * dG2 + P0 * d2G2
-    if scalar:
-        return float(H1[0]), float(H2[0])
-    return H1, H2
-
-
 def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps: float,
                           rtol: float = 1e-10) -> float:
     """T of the diffuse energy E_{h_eps} at the triangular lattice."""
-    Phi = fourier(P)
+    derivatives = _fourier_summand(fourier(P), scale(mu, eps))[2]
     cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def both(q):
         key = q.tobytes()
         if key not in cache:
-            cache[key] = _h_derivatives(Phi, mu, eps, q)
+            cache[key] = derivatives(q)
         return cache[key]
 
     return t_coefficient(
@@ -141,7 +107,7 @@ def stability_curve(P: RadialPotential, mu: RadialMeasure, eps_grid,
 
 
 def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
-                 xtol: float = 0.01) -> list[float]:
+                 xtol: float = 0.01, rtol: float = 1e-10) -> list[float]:
     """Bisection-refined zero locations of T along a precomputed curve."""
     zeros = []
     for (e0, t0), (e1, t1) in zip(curve, curve[1:]):
@@ -152,7 +118,7 @@ def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
             lo, hi, flo = e0, e1, t0
             while hi - lo > xtol:
                 mid = 0.5 * (lo + hi)
-                fm = t_coefficient_diffuse(P, mu, mid)
+                fm = t_coefficient_diffuse(P, mu, mid, rtol=rtol)
                 if flo * fm <= 0.0:
                     hi = mid
                 else:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from latticeforge import cli, lattice
+from latticeforge import cli, lattice, measure, potential, stability
 
 
 def run_cli(args):
@@ -87,6 +87,23 @@ class TestStability:
         assert svg.startswith("<svg")
         assert "<polyline" in svg
         assert "<line" in svg  # zero axis
+
+    def test_rtol_reaches_the_curve(self, capsys):
+        # alpha = 20 keeps Phi wide enough that the ring loop's stop, and so
+        # T's last digits, depend on rtol
+        args = ["stability", "--potential", "gaussian:alpha=20",
+                "--measure", "disk:r=1", "--eps", "0.5:0.7:0.1",
+                "--format", "json"]
+        assert run_cli(args + ["--rtol", "1e-3"]) == 0
+        loose = json.loads(capsys.readouterr().out)
+        assert run_cli(args) == 0
+        assert json.loads(capsys.readouterr().out)["curve"] != loose["curve"]
+        P, mu = potential.gaussian(20.0), measure.uniform_disk(1.0)
+        curve = stability.stability_curve(
+            P, mu, cli._parse_range("0.5:0.7:0.1"), rtol=1e-3)
+        assert loose["curve"] == [[e, t] for e, t in curve]
+        assert loose["sign_changes"] == stability.sign_changes(
+            P, mu, curve, rtol=1e-3)
 
     def test_json_with_sign_changes(self, tmp_path):
         out = tmp_path / "curve.json"
@@ -220,6 +237,9 @@ class TestExitCodeContract:
          2, "--z:"),
         (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "1,2,3"],
          2, "--z:"),
+        (["energy"] + _GAUSS + ["--lattice", "a,b"], 2,
+         "--lattice: expected two finite numbers 'x,y', got 'a,b'"),
+        (_CURVE + ["--eps=-0.2:0.2:0.2"], 2, "--eps: eps must be >= 0"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code

@@ -48,42 +48,6 @@ class TestTheta:
 
 
 class TestPointEnergy:
-    def test_gaussian_matches_theta(self):
-        L = LatticeParams(0.0, 1.0)
-        ts = np.array([math.pi])
-        ws = np.array([1.0])
-        rep = en.point_energy(
-            lambda pts, q: np.exp(-math.pi * q), L, rtol=1e-12,
-            tail=en.mixture_tail(ts, ws, 0.5),
-        )
-        assert rep.value == pytest.approx(_theta_z2_oracle(1.0) - 1.0, rel=1e-11)
-
-    def test_zero_summand(self):
-        rep = en.point_energy(
-            lambda pts, q: np.zeros(len(pts)), TRIANGULAR, rtol=1e-10,
-            decay=(0.0, 2.0),
-        )
-        assert rep.value == 0.0
-
-    def test_power_summand_vs_brute_force(self):
-        L = LatticeParams(0.0, 1.0)
-        rep = en.point_energy(
-            lambda pts, q: (1.0 + np.sqrt(q)) ** -4.0, L, rtol=5e-6,
-            decay=(1.0, 2.0),
-        )
-        n = np.arange(-3000, 3001)
-        ms, ns = np.meshgrid(n, n, indexing="ij")
-        q = (ms * ms + ns * ns).astype(float).ravel()
-        q = q[q > 0]
-        brute = ((1.0 + np.sqrt(q)) ** -4.0).sum()
-        # brute-force box tail is below 4e-7; the truncated sum is certified
-        # to rep.tail_bound
-        assert abs(rep.value - brute) <= rep.tail_bound + 1e-6
-
-    def test_no_tail_control(self):
-        with pytest.raises(en.NonconvergenceError):
-            en.point_energy(lambda pts, q: np.ones(len(pts)), TRIANGULAR, 1e-8)
-
     def test_report_consistency(self):
         rep = en.diffuse_energy(
             pot.gaussian(math.pi), msr.radial_gaussian(1.0), TRIANGULAR
@@ -242,7 +206,7 @@ class TestBatchedEngine:
         # lattices spread over x in [0, 1/2], y in [1, 4] stop at different
         # rounds; each must get exactly what it gets when summed alone
         Phi = pot.fourier(pot.gaussian(math.pi))
-        h, tail_of = en._fourier_summand(Phi, msr.uniform_disk(1.0))
+        h, tail_of, _ = en._fourier_summand(Phi, msr.uniform_disk(1.0))
         xs, ys = np.meshgrid(np.linspace(0.0, 0.5, 4), np.linspace(1.0, 4.0, 5))
         bases = np.linalg.inv(lat.basis_matrix(xs.ravel(), ys.ravel()))
         bases = bases.transpose(0, 2, 1)

@@ -252,6 +252,36 @@ class TestHankelMomentsArray:
                                np.array([1.0, 0.0]))
 
 
+class TestMassAtCentre:
+    # flat psi density on [0, 1]: the trapezoid rule puts weight h/2 at s = 0
+    S = np.linspace(0.0, 1.0, 11)
+
+    def _measure_and_weights(self):
+        mu = msr.profile(zip(self.S, np.ones_like(self.S)))
+        w = np.full(len(self.S), 0.1)
+        w[[0, -1]] = 0.05
+        return mu, w / w.sum()
+
+    def test_hankel_counts_the_centre(self):
+        mu, w = self._measure_and_weights()
+        t = np.linspace(0.0, 6.0, 13)
+        want = (w * jv(0, 2.0 * math.pi * np.outer(t, self.S))).sum(axis=1)
+        np.testing.assert_allclose(msr.hankel(mu, t), want, rtol=1e-14,
+                                   atol=1e-16)
+
+    def test_moments_count_the_centre(self):
+        mu, w = self._measure_and_weights()
+        eps, r = 0.8, np.array([0.3, 1.0, 4.0])
+        cs = np.outer(2.0 * math.pi * eps * np.sqrt(r), self.S)
+        want = (
+            (w * jv(0, cs)).sum(axis=1),
+            (w * self.S * jv(1, cs)).sum(axis=1),
+            (w * self.S**2 * (jv(2, cs) - jv(0, cs))).sum(axis=1),
+        )
+        for got, ref in zip(msr.hankel_moments(mu, eps, r), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-16)
+
+
 class TestSelfConvolution:
     def test_dirac_collapses(self):
         P = pot.gaussian(2.0)

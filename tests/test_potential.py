@@ -96,8 +96,6 @@ class TestFourier:
             assert pot.check_completely_monotone(
                 lambda t: Phi.eval(t), r, max_order=4
             )
-            C, eta = Phi.decay_constants
-            assert np.all(Phi.eval(r * r) <= C * (1.0 + r) ** (-2.0 - eta) + 1e-12)
 
 
 class TestMonotoneAndDecay:
@@ -112,9 +110,6 @@ class TestMonotoneAndDecay:
         v = P.eval(r2)
         assert np.all(v > 0.0)
         assert np.all(np.diff(v) <= 0.0)
-        C, eta = P.decay_constants
-        r = np.sqrt(r2)
-        assert np.all(v <= C * (1.0 + r) ** (-2.0 - eta) * (1.0 + 1e-12))
 
 
 class TestCheckCompletelyMonotone:

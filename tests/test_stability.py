@@ -7,7 +7,7 @@ import latticeforge.measure as msr
 import latticeforge.potential as pot
 import latticeforge.stability as stab
 from latticeforge import TRIANGULAR, LatticeParams
-from latticeforge.energy import diffuse_energy_fn
+from latticeforge.energy import _fourier_summand, diffuse_energy_fn
 
 from conftest import disk_psi_nodes
 
@@ -28,6 +28,11 @@ def _theta_lattice_energy(t: float):
     """
     P = pot.from_atoms([(math.pi / t, 1.0 / t)])
     return diffuse_energy_fn(P, msr.dirac(), rtol=1e-12)
+
+
+def _h_derivatives(P, mu, eps, r):
+    """(H', H'') of the Fourier summand for mu dilated by eps, at r."""
+    return _fourier_summand(pot.fourier(P), msr.scale(mu, eps))[2](r)
 
 
 def _rings_by_loop(M: int):
@@ -73,7 +78,7 @@ class TestDiffuseHDerivatives:
         P = pot.gaussian(2.0)
         Phi = pot.fourier(P)
         for r in (0.5, 1.0, 3.0):
-            H1, H2 = stab.diffuse_h_derivatives(P, msr.dirac(), 0.8, r)
+            H1, H2 = _h_derivatives(P, msr.dirac(), 0.8, r)
             assert H1 == pytest.approx(Phi.derivative(r, 1), rel=1e-12)
             assert H2 == pytest.approx(Phi.derivative(r, 2), rel=1e-12)
 
@@ -84,7 +89,7 @@ class TestDiffuseHDerivatives:
         r = 2.0
         gaps = []
         for eps in (0.1, 0.05, 0.025):
-            H1, _ = stab.diffuse_h_derivatives(P, mu, eps, r)
+            H1, _ = _h_derivatives(P, mu, eps, r)
             gaps.append(abs(H1 - Phi.derivative(r, 1)))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-3
@@ -103,7 +108,7 @@ class TestDiffuseHDerivatives:
             return Phi.eval(rr) * g * g
 
         h = 1e-5
-        H1, H2 = stab.diffuse_h_derivatives(P, mu, eps, r)
+        H1, H2 = _h_derivatives(P, mu, eps, r)
         fd1 = (H(r + h) - H(r - h)) / (2.0 * h)
         fd2 = (H(r + h) - 2.0 * H(r) + H(r - h)) / (h * h)
         assert H1 == pytest.approx(fd1, rel=1e-5)
