@@ -36,6 +36,7 @@ from .energy import (
     diffuse_energy,
     diffuse_energy_direct,
     diffuse_energy_fn,
+    diffuse_energy_jet,
     poisson_check,
     theta,
 )

@@ -254,9 +254,10 @@ def run(args) -> int:
         return 0
 
     if cmd == "minimize":
-        E = energy.diffuse_energy_fn(P, mu, rtol=args.rtol)
         best, candidates = optimize.global_minimize(
-            E, x_steps=args.x_steps, y_steps=args.y_steps,
+            energy.diffuse_energy_fn(P, mu, rtol=args.rtol),
+            energy.diffuse_energy_jet(P, mu, rtol=args.rtol),
+            x_steps=args.x_steps, y_steps=args.y_steps,
             y_max=args.y_max, tol=args.tol,
         )
         _write_json(args.output, {

@@ -17,7 +17,7 @@ bound derived from a disk-packing estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "theta",
     "diffuse_energy",
     "diffuse_energy_fn",
+    "diffuse_energy_jet",
     "diffuse_energy_direct",
     "poisson_check",
     "mixture_tail",
@@ -56,14 +57,7 @@ class EnergyReport:
     terms_used: int
 
     def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "lattice_part": self.lattice_part,
-            "constant_part": self.constant_part,
-            "cutoff_R": self.cutoff_R,
-            "tail_bound": self.tail_bound,
-            "terms_used": self.terms_used,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +117,34 @@ def _packing_radius(bases: np.ndarray) -> np.ndarray:
 def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray):
     """Sum of h over each lattice's points within its R, and their count.
 
-    Each lattice's terms are summed on their own, in ascending order, so a
-    sum does not depend on the other lattices of the batch.
+    ``h_eval(pts, q)`` gives one value per point, or c columns of them.
+    Each lattice's terms are summed on their own, in ascending order of the
+    first column, so no sum depends on the rest of the batch or on how the
+    box is sliced into chunks.
     """
     box = lat.enumerate_points(bases, R)
-    m, n = box[:, :1], box[:, 1:]
-    sums, counts = np.zeros(len(bases)), np.zeros(len(bases), dtype=int)
-    step = max(1, _CHUNK_CANDIDATES // len(box))
+    sums, counts = None, np.zeros(len(bases), dtype=int)
+    rows = min(len(box), _CHUNK_CANDIDATES)  # box rows per slice
+    step = max(1, _CHUNK_CANDIDATES // len(box))  # lattices per chunk
     for lo in range(0, len(bases), step):
         b, r = bases[lo:lo + step, None], R[lo:lo + step, None]
-        pts = m * b[..., 0, :] + n * b[..., 1, :]  # (lattices, box, 2)
-        q = pts[..., 0] * pts[..., 0] + pts[..., 1] * pts[..., 1]
-        keep = q <= r * r * (1.0 + 1e-12)
-        count = counts[lo:lo + step] = keep.sum(axis=1)
-        vals = h_eval(pts[keep], q[keep])
-        order = np.lexsort((vals, np.nonzero(keep)[0]))
+        vals, owner = [], []
+        for at in range(0, len(box), rows):
+            m, n = box[at:at + rows, :1], box[at:at + rows, 1:]
+            pts = m * b[..., 0, :] + n * b[..., 1, :]  # (lattices, rows, 2)
+            q = pts[..., 0] * pts[..., 0] + pts[..., 1] * pts[..., 1]
+            keep = q <= r * r * (1.0 + 1e-12)
+            vals.append(np.asarray(h_eval(pts[keep], q[keep])))
+            owner.append(np.nonzero(keep)[0])
+        vals, owner = np.concatenate(vals, axis=-1), np.concatenate(owner)
+        sums = np.zeros(vals.shape[:-1] + (len(bases),)) if sums is None else sums
+        count = counts[lo:lo + len(b)] = np.bincount(owner, minlength=len(b))
+        cols = np.atleast_2d(vals)
+        order = np.lexsort((cols[0], owner))
         some = count > 0
-        sums[lo + np.flatnonzero(some)] = np.add.reduceat(
-            vals[order], (np.cumsum(count) - count)[some])
+        starts = (np.cumsum(count) - count)[some]
+        for col, out in zip(cols, np.atleast_2d(sums)):
+            out[lo + np.flatnonzero(some)] = np.add.reduceat(col[order], starts)
     return sums, counts
 
 
@@ -151,8 +155,9 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float,
     ``bases`` is a (k, 2, 2) stack of basis rows (or one (2, 2) basis);
     ``tail_of(rho)`` builds the tail bound R -> bound for packing radii rho.
     Each lattice starts at R = max(6 rho, 2) and grows R by 1.5x until its
-    tail bound is within ``rtol`` of its sum, then leaves the batch.
-    Returns arrays (sums, R, bounds, terms), one entry per lattice.
+    tail bound is within ``rtol`` of its sum (of its first column, for a
+    summand of c columns), then leaves the batch.  Returns arrays (sums,
+    R, bounds, terms), one entry per lattice; sums are (c, k) for c columns.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be finite and > 0, got {rtol}")
@@ -160,13 +165,16 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float,
     rho = _packing_radius(bases)
     tail = tail_of(rho)
     R = np.maximum(6.0 * rho, 2.0)
-    total, bound = np.zeros(len(bases)), np.zeros(len(bases))
+    total, bound = None, np.zeros(len(bases))
     terms = np.zeros(len(bases), dtype=int)
     active = np.arange(len(bases))
     for _ in range(40):
         bound[active] = tail(R)[active]
-        total[active], terms[active] = _round_sums(h_eval, bases[active], R[active])
-        done = bound[active] <= rtol * np.maximum(np.abs(total[active]), floor)
+        sums, terms[active] = _round_sums(h_eval, bases[active], R[active])
+        total = sums if total is None else total  # round 1 holds every lattice
+        total[..., active] = sums
+        head = np.atleast_2d(total)[0, active]
+        done = bound[active] <= rtol * np.maximum(np.abs(head), floor)
         active = active[~done]
         if not active.size:
             return total, R, bound, terms
@@ -263,6 +271,35 @@ def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
         return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
     return E
+
+
+def diffuse_energy_jet(P: RadialPotential, mu: RadialMeasure,
+                       rtol: float = 1e-10):
+    """(E, gradient, Hessian) in (x, y): arrays x, y of shape (k,) give
+    (k,), (k, 2) and (k, 2, 2) from one engine pass, with E bit for bit
+    ``diffuse_energy_fn(P, mu, rtol)``'s.
+
+    grad E = sum H' grad q and Hessian = sum H'' grad q grad q^T + H' Hessian(q),
+    with q_x = 2 a / y, q_y = b / y and y^2 (q_xx, q_xy, q_yy) = (2 p1^2,
+    -2 a, 2 p0^2) for a = p0 p1, b = p1^2 - p0^2 at the points p of the
+    lattice (x, y).  These sums share E's cutoff; their tails are not certified.
+    """
+    h_eval, tail_of, derivatives = _fourier_summand(fourier(P), mu)
+
+    def cols(pts, q):
+        d1, d2 = derivatives(q)
+        a, b = pts[:, 0] * pts[:, 1], pts[:, 1] ** 2 - pts[:, 0] ** 2
+        return np.stack([h_eval(pts, q), d1 * a, d1 * b, d1 * q,
+                         d2 * a * a, d2 * a * b, d2 * b * b])
+
+    def jet(x, y):
+        E, a, b, q, aa, ab, bb = _summed(cols, tail_of, lat.basis_matrix(x, y), rtol)[0]
+        y = np.asarray(y, dtype=float)[:, None]
+        hxy = 2.0 * (ab - a)
+        hess = np.stack([4.0 * aa + q + b, hxy, hxy, bb + q - b], axis=-1) / (y * y)
+        return E, np.stack([2.0 * a, b], axis=-1) / y, hess.reshape(-1, 2, 2)
+
+    return jet
 
 
 def _convolve_gaussians(c1, a1, c2, a2):

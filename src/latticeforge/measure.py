@@ -147,6 +147,8 @@ def hankel(mu: RadialMeasure, t):
     """g(t) = int J0(2 pi s t) dpsi(s); closed forms for tagged families."""
     ta = np.asarray(t, dtype=float)
     scalar = ta.ndim == 0
+    if (float(ta) if scalar else ta.min(initial=0.0)) < 0:  # quad passes floats
+        raise ValueError(f"t must be >= 0, got {ta.min()}")
     ta = np.atleast_1d(ta)
     if mu.kind == "dirac":
         out = np.ones_like(ta)
@@ -177,6 +179,8 @@ def hankel_moments(mu: RadialMeasure, eps: float, r):
     ra = np.asarray(r, dtype=float)
     if not np.all(ra > 0):
         raise ValueError(f"r must be positive, got {r}")
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     c = 2.0 * math.pi * eps * np.sqrt(ra)
     if mu.kind == "dirac":
         A = (np.ones_like(c), np.zeros_like(c), np.zeros_like(c))

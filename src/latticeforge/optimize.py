@@ -1,8 +1,10 @@
 """Minimization of lattice energies over the fundamental domain.
 
-A coarse grid scan over D seeds a derivative-free (Nelder-Mead) local
-refinement whose iterates are projected back into D.  Everything is
-deterministic: fixed tie-breaking, no randomness.
+A coarse grid scan over D seeds a projected Newton refinement on the
+analytic gradient and Hessian of E: all seeds step together, one jet
+call per step, with a backtracking (Armijo) line search whose trials are
+projected into D.  Everything is deterministic: fixed tie-breaking, no
+randomness.
 """
 
 from __future__ import annotations
@@ -46,18 +48,19 @@ class MinimizeResult:
     converged: bool
 
 
-def _y_min(x: float) -> float:
-    return math.sqrt(max(1.0 - x * x, 0.0))
+# longest Newton step in (x, y), and the Armijo sufficient-decrease factor
+_MAX_STEP = 0.5
+_ARMIJO = 1e-4
 
 
 def _project(p: np.ndarray) -> np.ndarray:
-    x = min(max(p[0], 0.0), 0.5)
-    y = max(p[1], _y_min(x))
-    return np.array([x, y])
+    """Points (rows x, y) moved into D: x clipped, then y raised to the arc."""
+    x = np.clip(p[:, 0], 0.0, 0.5)
+    return np.stack([x, np.maximum(p[:, 1], np.sqrt(1.0 - x * x))], axis=1)
 
 
 def grid_scan(E, x_steps: int, y_steps: int, y_max: float) -> Landscape:
-    """Uniform scan of [0, 1/2] x [y_min(x), y_max]; ties break on (x, y).
+    """Uniform scan of [0, 1/2] x [sqrt(1 - x^2), y_max]; ties break on (x, y).
 
     ``E(xs, ys)`` is called once per grid column with arrays of one shape
     and must return an array of that shape (or a value broadcast to it).
@@ -67,7 +70,7 @@ def grid_scan(E, x_steps: int, y_steps: int, y_max: float) -> Landscape:
     j = np.arange(y_steps)
     for i in range(x_steps):
         x = 0.5 * i / (x_steps - 1) if x_steps > 1 else 0.0
-        y_lo = _y_min(x)
+        y_lo = math.sqrt(1.0 - x * x)
         ys = (y_lo + (y_max - y_lo) * j / (y_steps - 1) if y_steps > 1
               else np.full(y_steps, y_lo))
         es = np.broadcast_to(np.asarray(E(np.full(y_steps, x), ys), dtype=float),
@@ -85,85 +88,74 @@ def grid_scan(E, x_steps: int, y_steps: int, y_max: float) -> Landscape:
     )
 
 
-def local_minimize(E, start, tol: float = 1e-7, max_iter: int = 2000,
-                   initial_step: float = 0.05) -> MinimizeResult:
-    """Nelder-Mead on (x, y), reflections clipped to D."""
-    p0 = _project(np.asarray(start, dtype=float))
+def _newton_directions(p: np.ndarray, g: np.ndarray, H: np.ndarray):
+    """Newton steps on an eigenvalue-floored Hessian, x held at a bound of
+    [0, 1/2] where the gradient points out of D; no step exceeds _MAX_STEP."""
+    fixed = ((p[:, 0] <= 0.0) & (g[:, 0] > 0.0)) | ((p[:, 0] >= 0.5) & (g[:, 0] < 0.0))
+    g, H = g.copy(), H.copy()
+    g[fixed, 0] = H[fixed, 0, 1] = H[fixed, 1, 0] = 0.0
+    lam, V = np.linalg.eigh(H)
+    floor = np.maximum(1e-6 * np.abs(lam).max(axis=1),
+                       np.linalg.norm(g, axis=1) / _MAX_STEP)
+    c = np.einsum("kji,kj->ki", V, g) / np.maximum(lam, floor[:, None] + 1e-300)
+    d = -np.einsum("kij,kj->ki", V, c)
+    d[fixed, 0] = 0.0
+    return d
 
-    simplex = [p0]
-    for k in range(2):
-        q = p0.copy()
-        q[k] += initial_step
-        simplex.append(_project(q))
-    vals = [float(E(*p)) for p in simplex]
 
-    n_iter = 0
-    converged = False
-    while n_iter < max_iter:
-        order = sorted(range(3), key=lambda i: (vals[i], simplex[i][0], simplex[i][1]))
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
-        diam = max(
-            np.linalg.norm(simplex[i] - simplex[0]) for i in (1, 2)
-        )
-        if diam < tol:
-            converged = True
+def _refine(jet, starts, tol: float, max_iter: int) -> list[MinimizeResult]:
+    """Projected Newton from every start at once, one jet call per step.
+
+    Each call evaluates the trial point of every seed still running; a
+    trial that passes the Armijo test moves its seed and brings the
+    gradient and Hessian of its next step, a failed one halves the step.
+    A seed stops when its (projected) step is shorter than ``tol``.
+    """
+    p = _project(np.asarray(starts, dtype=float))
+    f, g, H = (np.array(v, dtype=float) for v in jet(p[:, 0], p[:, 1]))
+    d = _newton_directions(p, g, H)
+    iters, run = np.zeros(len(p), dtype=int), np.arange(len(p))
+    while True:
+        trial = _project(p[run] + d[run])
+        move = trial - p[run]
+        going = np.hypot(move[:, 0], move[:, 1]) >= tol
+        run, trial, move = run[going], trial[going], move[going]
+        if not run.size:
             break
-        n_iter += 1
-        centroid = 0.5 * (simplex[0] + simplex[1])
-        worst = simplex[2]
-        refl = _project(centroid + (centroid - worst))
-        f_refl = float(E(*refl))
-        if f_refl < vals[0]:
-            exp = _project(centroid + 2.0 * (centroid - worst))
-            f_exp = float(E(*exp))
-            if f_exp < f_refl:
-                simplex[2], vals[2] = exp, f_exp
-            else:
-                simplex[2], vals[2] = refl, f_refl
-        elif f_refl < vals[1]:
-            simplex[2], vals[2] = refl, f_refl
-        else:
-            contr = _project(centroid + 0.5 * (worst - centroid))
-            f_contr = float(E(*contr))
-            if f_contr < vals[2]:
-                simplex[2], vals[2] = contr, f_contr
-            else:  # shrink toward the best vertex
-                for i in (1, 2):
-                    simplex[i] = _project(
-                        simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    )
-                    vals[i] = float(E(*simplex[i]))
-    if not converged and n_iter >= max_iter:
-        raise MaxIterationsError(f"no convergence within {max_iter} iterations")
-
-    best = min(range(3), key=lambda i: (vals[i], simplex[i][0], simplex[i][1]))
-    x, y = simplex[best]
-    d = metric(LatticeParams(min(x, 0.5), max(y, _y_min(x))), TRIANGULAR)
-    return MinimizeResult(
-        point=(float(x), float(y)),
-        energy=vals[best],
-        dist_to_triangular=d,
-        iterations=n_iter,
-        converged=converged,
-    )
+        if iters[run].max() >= max_iter:
+            raise MaxIterationsError(f"no convergence within {max_iter} iterations")
+        iters[run] += 1
+        ft, gt, Ht = jet(trial[:, 0], trial[:, 1])
+        ok = ft <= f[run] + _ARMIJO * np.minimum((g[run] * move).sum(axis=1), 0.0)
+        d[run[~ok]] *= 0.5
+        new = run[ok]
+        p[new], f[new], g[new], H[new] = trial[ok], ft[ok], gt[ok], Ht[ok]
+        d[new] = _newton_directions(p[new], g[new], H[new])
+    return [MinimizeResult(point=(x, y), energy=e, iterations=n, converged=True,
+                           dist_to_triangular=metric(LatticeParams(x, y), TRIANGULAR))
+            for (x, y), e, n in zip(p.tolist(), f.tolist(), iters.tolist())]
 
 
-def global_minimize(E, x_steps: int = 40, y_steps: int = 40, y_max: float = 4.0,
-                    k_seeds: int = 5, tol: float = 1e-7,
+def local_minimize(jet, start, tol: float = 1e-7,
+                   max_iter: int = 2000) -> MinimizeResult:
+    """Projected Newton over D from one start (see ``global_minimize``)."""
+    return _refine(jet, [start], tol, max_iter)[0]
+
+
+def global_minimize(E, jet, x_steps: int = 40, y_steps: int = 40,
+                    y_max: float = 4.0, k_seeds: int = 5, tol: float = 1e-7,
                     max_iter: int = 2000):
-    """Grid scan followed by local refinement from the best k cells.
+    """Grid scan of ``E`` followed by projected Newton from the best k cells.
 
-    Returns (best_result, candidates) with all refined seeds for audit.
+    ``jet(xs, ys)`` takes arrays of shape (k,) and returns E (k,), its
+    gradient (k, 2) and its Hessian (k, 2, 2) in (x, y), as
+    ``energy.diffuse_energy_jet`` does; all seeds are refined together.
+    A result's ``iterations`` counts the trial points its line search
+    evaluated.  Returns (best_result, candidates) with all refined seeds,
+    in seed order, for audit.
     """
     scan = grid_scan(E, x_steps, y_steps, y_max)
     rows = sorted(map(tuple, scan.grid), key=lambda r: (r[2], r[0], r[1]))
-    candidates = []
-    for x, y, e_seed in rows[:k_seeds]:
-        res = local_minimize(E, (x, y), tol=tol, max_iter=max_iter)
-        candidates.append(res)
-    best = min(
-        candidates,
-        key=lambda r: (r.energy, r.point[0], r.point[1]),
-    )
+    candidates = _refine(jet, [r[:2] for r in rows[:k_seeds]], tol, max_iter)
+    best = min(candidates, key=lambda r: (r.energy, r.point[0], r.point[1]))
     return best, candidates

@@ -251,3 +251,23 @@ class TestBatchedEngine:
         E = en.diffuse_energy_fn(pot.gaussian(50.0), msr.dirac())
         with pytest.raises(lat.ShellCapError):
             E(np.linspace(0.0, 0.5, 8), np.full(8, 2.0))
+
+    def test_box_sliced_to_chunk_size(self, monkeypatch):
+        # a box larger than the chunk is cut into slices, and the kept
+        # values are joined before each lattice's sort, so no sum moves
+        Phi = pot.fourier(pot.gaussian(math.pi))
+        h, tail_of, _ = en._fourier_summand(Phi, msr.uniform_disk(1.0))
+        bases = lat.basis_matrix(np.array([0.5, 0.1, 0.3]), np.array([0.9, 3.0, 1.5]))
+        sizes = []
+
+        def recording(pts, q):
+            sizes.append(len(q))
+            return h(pts, q)
+
+        whole = en._summed(h, tail_of, bases, 1e-12)
+        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 64)
+        sliced = en._summed(recording, tail_of, bases, 1e-12)
+        assert max(sizes) <= 64 and len(sizes) > len(bases)
+        for a, b in zip(whole, sliced):
+            assert np.array_equal(a, b)
+

@@ -105,6 +105,12 @@ class TestHankel:
             t = np.linspace(0.0, 10.0, 200)
             assert np.all(np.abs(msr.hankel(mu, t)) <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("t", [-2.0, np.array([1.0, -1e-9])])
+    def test_negative_argument_rejected(self, t):
+        # the disk's small-X series would otherwise run for every X < 0
+        with pytest.raises(ValueError):
+            msr.hankel(msr.uniform_disk(1.0), t)
+
 
 class TestScale:
     def test_zero_gives_dirac(self):
@@ -144,6 +150,10 @@ class TestScale:
 class TestHankelMoments:
     def test_dirac(self):
         assert msr.hankel_moments(msr.dirac(), 0.7, 2.0) == (1.0, 0.0, 0.0)
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError):
+            msr.hankel_moments(msr.uniform_disk(1.0), -0.5, 2.0)
 
     def test_disk_against_quadrature(self):
         eps, r = 1.0, 1.0

@@ -1,4 +1,4 @@
-"""Public names and the names the bench tracer patches all resolve.
+"""Public names and the names the bench tracer patches (and reads) all resolve.
 
 Both files are read as text with ``ast``: nothing under ``perfbench/`` is
 imported or written.
@@ -8,6 +8,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latticeforge
@@ -53,3 +54,17 @@ def test_package_names_are_exported_by_their_modules():
         for alias in node.names:
             assert alias.name in mod.__all__, f"{node.module}.{alias.name}"
             assert hasattr(latticeforge, alias.asname or alias.name)
+
+
+def test_local_minimize_returns_a_result_with_iterations():
+    # the bench tracer counts the .iterations of what local_minimize returns
+    from latticeforge import optimize
+
+    def bowl(x, y):
+        grad = np.stack([2.0 * (x - 0.3), 2.0 * (y - 1.5)], axis=-1)
+        hess = np.tile(2.0 * np.eye(2), (len(x), 1, 1))
+        return (x - 0.3) ** 2 + (y - 1.5) ** 2, grad, hess
+
+    res = optimize.local_minimize(bowl, (0.1, 2.0))
+    assert isinstance(res, optimize.MinimizeResult)
+    assert isinstance(res.iterations, int) and res.iterations > 0

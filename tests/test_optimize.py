@@ -7,7 +7,7 @@ import latticeforge.energy as en
 import latticeforge.measure as msr
 import latticeforge.optimize as opt
 import latticeforge.potential as pot
-from latticeforge import TRIANGULAR, LatticeParams, metric
+from latticeforge import TRIANGULAR, LatticeParams, lattice, metric
 
 SQ3 = math.sqrt(3.0)
 
@@ -25,6 +25,33 @@ def _theta_fn():
         return E(x, y)
 
     return f
+
+
+def _theta_jet():
+    # gradient and Hessian of the _theta_fn sum
+    return en.diffuse_energy_jet(
+        pot.from_atoms([(math.pi, 1.0)]), msr.dirac(), rtol=1e-10
+    )
+
+
+def _quadratic_jet(a, b):
+    """(x - a)^2 + (y - b)^2 with its gradient and Hessian."""
+
+    def jet(x, y):
+        grad = np.stack([2.0 * (x - a), 2.0 * (y - b)], axis=-1)
+        hess = np.tile(2.0 * np.eye(2), (len(x), 1, 1))
+        return (x - a) ** 2 + (y - b) ** 2, grad, hess
+
+    return jet
+
+
+def _sum_jet(x, y):
+    """x + y with its gradient and Hessian."""
+    return x + y, np.ones((len(x), 2)), np.zeros((len(x), 2, 2))
+
+
+def _energy_and_jet(P, mu):
+    return en.diffuse_energy_fn(P, mu), en.diffuse_energy_jet(P, mu)
 
 
 class TestGridScan:
@@ -71,54 +98,82 @@ class TestGridScan:
 
 class TestLocalMinimize:
     def test_theta_from_interior(self):
-        res = opt.local_minimize(_theta_fn(), (0.3, 1.2))
+        res = opt.local_minimize(_theta_jet(), (0.3, 1.2))
         assert res.converged
         assert abs(res.point[0] - 0.5) <= 1e-4
         assert abs(res.point[1] - 0.5 * SQ3) <= 1e-4
         assert res.dist_to_triangular <= 1e-4
 
     def test_start_at_minimizer(self):
-        f = lambda x, y: (x - 0.25) ** 2 + (y - 1.5) ** 2
+        f = _quadratic_jet(0.25, 1.5)
         res = opt.local_minimize(f, (0.25, 1.5))
         assert res.converged
         assert res.iterations <= 60
         assert res.point == pytest.approx((0.25, 1.5), abs=1e-6)
 
     def test_boundary_respected(self):
-        f = lambda x, y: (x - 0.6) ** 2 + (y - 1.2) ** 2
+        f = _quadratic_jet(0.6, 1.2)
         res = opt.local_minimize(f, (0.2, 1.5))
         assert res.point[0] <= 0.5 + 1e-12
         assert res.point[0] == pytest.approx(0.5, abs=1e-5)
         assert res.point[1] == pytest.approx(1.2, abs=1e-5)
 
     def test_max_iterations(self):
-        f = lambda x, y: x + y  # pushes toward the domain boundary corner
+        f = _sum_jet  # pushes toward the domain boundary corner
         with pytest.raises(opt.MaxIterationsError):
             opt.local_minimize(f, (0.3, 2.0), tol=0.0, max_iter=50)
 
 
 class TestGlobalMinimize:
     def test_dirac_gaussian(self):
-        E = en.diffuse_energy_fn(pot.gaussian(math.pi), msr.dirac())
-        best, cands = opt.global_minimize(E, x_steps=20, y_steps=20)
+        E = _energy_and_jet(pot.gaussian(math.pi), msr.dirac())
+        best, cands = opt.global_minimize(*E, x_steps=20, y_steps=20)
         assert best.dist_to_triangular <= 1e-4
         assert len(cands) == 5
 
     def test_gaussian_gaussian(self):
-        E = en.diffuse_energy_fn(pot.gaussian(math.pi), msr.radial_gaussian(1.0))
-        best, _ = opt.global_minimize(E, x_steps=20, y_steps=20)
+        E = _energy_and_jet(pot.gaussian(math.pi), msr.radial_gaussian(1.0))
+        best, _ = opt.global_minimize(*E, x_steps=20, y_steps=20)
         assert best.dist_to_triangular <= 1e-4
 
     def test_refinement_never_increases_energy(self):
-        E = en.diffuse_energy_fn(pot.gaussian(2.0), msr.dirac())
+        E, jet = _energy_and_jet(pot.gaussian(2.0), msr.dirac())
         scan = opt.grid_scan(E, 20, 20, 4.0)
-        best, cands = opt.global_minimize(E, x_steps=20, y_steps=20)
+        best, cands = opt.global_minimize(E, jet, x_steps=20, y_steps=20)
         seeds = sorted(map(tuple, scan.grid), key=lambda r: (r[2], r[0], r[1]))
         for (x, y, e_seed), res in zip(seeds[:5], cands):
             assert res.energy <= e_seed + 1e-12
 
     def test_deterministic(self):
-        E = en.diffuse_energy_fn(pot.gaussian(math.pi), msr.dirac())
-        a, _ = opt.global_minimize(E, x_steps=15, y_steps=15)
-        b, _ = opt.global_minimize(E, x_steps=15, y_steps=15)
+        E = _energy_and_jet(pot.gaussian(math.pi), msr.dirac())
+        a, _ = opt.global_minimize(*E, x_steps=15, y_steps=15)
+        b, _ = opt.global_minimize(*E, x_steps=15, y_steps=15)
         assert a == b
+
+
+class TestPaperMinimizers:
+    # Gaussian potential alpha = pi; the disk particle's minimizer is not
+    # triangular, the Gaussian particle's is
+    P = pot.gaussian(math.pi)
+
+    def test_disk_particle(self):
+        E, jet = _energy_and_jet(self.P, msr.uniform_disk(1.0))
+        best, _ = opt.global_minimize(E, jet)
+        x, y = best.point
+        assert math.hypot(x - 0.5, y - 2.6909160157) <= 1e-7
+        assert best.energy <= 3.853540226903571e-05 * (1.0 + 1e-10)
+        for h in (1e-3, 1e-5):
+            for dx in (-h, 0.0, h):
+                for dy in (-h, 0.0, h):
+                    a, b = x + dx, y + dy
+                    if (dx or dy) and lattice.in_domain(a, b):
+                        assert E(a, b) >= best.energy * (1.0 - 1e-10)
+
+    def test_gaussian_particle(self):
+        E, jet = _energy_and_jet(self.P, msr.radial_gaussian(1.0))
+        best, _ = opt.global_minimize(E, jet)
+        assert best.dist_to_triangular <= 1e-9
+        # every scan grid holds the triangular point; start off it as well
+        for start in [(0.4, 1.1), (0.1, 1.5), (0.5, 1.3), (0.25, 2.0)]:
+            res = opt.local_minimize(jet, start, tol=1e-9)
+            assert res.dist_to_triangular <= 1e-9

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import latticeforge.measure as msr
 import latticeforge.potential as pot
 import latticeforge.stability as stab
 from latticeforge import TRIANGULAR, LatticeParams
-from latticeforge.energy import _fourier_summand, diffuse_energy_fn
+from latticeforge.energy import (
+    _fourier_summand, diffuse_energy_fn, diffuse_energy_jet,
+)
 
 from conftest import disk_psi_nodes
 
@@ -187,6 +190,50 @@ class TestFdGradientHessian:
 
         stab.fd_gradient_hessian(E, LatticeParams(0.25, 1.4))
         assert shapes == [((3, 3), (3, 3))]
+
+
+class TestEnergyJet:
+    @pytest.mark.parametrize("eps", [0.3, 0.6, 1.0, 2.0])
+    def test_hessian_at_triangular_is_t(self, eps):
+        P, disk = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        T = stab.t_coefficient_diffuse(P, disk, eps)
+        jet = diffuse_energy_jet(P, msr.scale(disk, eps), rtol=1e-12)
+        hess = jet(np.array([TRIANGULAR.x]), np.array([TRIANGULAR.y]))[2][0]
+        assert hess[0, 0] == pytest.approx(T, rel=1e-12)
+        assert hess[1, 1] == pytest.approx(T, rel=1e-12)
+        assert abs(hess[0, 1]) <= 1e-12 * abs(T)
+
+    @pytest.mark.parametrize("P, mu", [
+        (pot.gaussian(math.pi), msr.uniform_disk(1.0)),
+        (pot.gaussian(2.0), msr.radial_gaussian(0.5)),
+        (pot.inverse_power(1.0, 2.0), msr.uniform_disk(0.5)),
+    ])
+    def test_matches_finite_differences(self, P, mu):
+        # truncation error of the step-1e-4 stencil, estimated by doubling
+        # the step, plus what E's own tail bound b can do to the stencil
+        E = diffuse_energy_fn(P, mu, rtol=1e-12)
+        jet = diffuse_energy_jet(P, mu, rtol=1e-12)
+        # (0.62, 0.85) lies outside D
+        for x, y in [(0.1, 1.2), (0.45, 2.2), (0.3, 3.5), (0.62, 0.85), (0.0, 1.0)]:
+            e, grad, hess = (v[0] for v in jet(np.array([x]), np.array([y])))
+            at = SimpleNamespace(x=x, y=y)  # the stencil may leave D
+            g1, h1 = stab.fd_gradient_hessian(E, at, step=1e-4)
+            g2, h2 = stab.fd_gradient_hessian(E, at, step=2e-4)
+            h, b = 1e-4 * (1.0 + y), 1e-12 * abs(e)
+            assert np.all(np.abs(grad - g1) <= np.abs(g2 - g1) + b / h)
+            assert np.all(np.abs(hess - h1) <= np.abs(h2 - h1) + 4.0 * b / h**2)
+            assert np.abs(hess - h1).max() <= 1e-5 * np.abs(h1).max()
+
+    def test_energy_column_is_energy_fn(self):
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        E, jet = diffuse_energy_fn(P, mu), diffuse_energy_jet(P, mu)
+        xs = np.array([0.0, 0.1, 0.25, 0.5, 0.5, 0.3])
+        ys = np.array([1.0, 1.3, 2.0, 2.6909, 3.9, 1.1])
+        mixed = jet(xs, ys)[0]
+        assert np.array_equal(mixed, E(xs, ys))
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            alone = jet(np.array([x]), np.array([y]))[0]
+            assert alone[0] == mixed[i] == E(x, y)
 
 
 class TestStabilityReport:
