@@ -100,6 +100,10 @@ def _parse_shift(text: str) -> tuple[float, float]:
     return z
 
 
+# most eps points, or lattices in one scan column (summed as one batch)
+_MAX_GRID = 10**6
+
+
 def _parse_range(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -113,8 +117,10 @@ def _parse_range(text: str) -> np.ndarray:
         raise ValueError(f"--eps: eps must be >= 0 in '{text}'")
     if hi < lo:
         raise ValueError(f"--eps: empty range '{text}' (hi < lo)")
-    n = int(round((hi - lo) / step))
-    return lo + step * np.arange(n + 1)
+    n = (hi - lo) / step
+    if n > _MAX_GRID:
+        raise ValueError(f"--eps: {n:.3g} steps, more than {_MAX_GRID}, in '{text}'")
+    return lo + step * np.arange(int(round(n)) + 1)
 
 
 # what a numeric argument must satisfy, for the commands that take it
@@ -123,7 +129,7 @@ _NUMBER_RULES = (
     ("tol", "finite and > 0", lambda v: 0 < v < math.inf),
     ("t", "finite and > 0", lambda v: 0 < v < math.inf),
     ("x_steps", ">= 1", lambda v: v >= 1),
-    ("y_steps", ">= 1", lambda v: v >= 1),
+    ("y_steps", f"between 1 and {_MAX_GRID}", lambda v: 1 <= v <= _MAX_GRID),
     ("y_max", "finite and > 1", lambda v: 1 < v < math.inf),
 )
 

@@ -28,7 +28,7 @@ from .lattice import LatticeParams
 from .measure import (
     RadialMeasure, hankel, hankel_moments, self_convolution_at_zero,
 )
-from .potential import RadialPotential, fourier
+from .potential import RadialPotential, eval_derivatives, fourier, from_atoms
 
 __all__ = [
     "EnergyReport",
@@ -198,20 +198,20 @@ def _basis(L: LatticeParams) -> np.ndarray:
 def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure):
     """The summand H(q) = Phi(q) g(sqrt q)^2 at squared dual radius q.
 
-    Returns (h_eval, tail_of, derivatives): h_eval(pts, q) gives H for the
-    engine, tail_of its tail factory (|g| <= 1, so H <= Phi), and
-    derivatives(q) gives (H', H'') in q, for q > 0, from the J0/J1/J2
-    moments of mu combined with Phi's by the Leibniz rule.  A dilated
-    particle is passed as ``scale(mu, eps)``.
+    Returns (H, tail_of): H(q) gives H, and H(q, derivatives=True) gives
+    (H, H', H'') in q, for q > 0, from one transform and one Phi call: the
+    J0/J1/J2 moments of mu combine with Phi, Phi', Phi'' by the Leibniz
+    rule, and this H is bit for bit H(q).  tail_of is the tail factory
+    (|g| <= 1, so H <= Phi).  A dilated particle is passed as
+    ``scale(mu, eps)``.
     """
 
-    def h_eval(pts, q):
-        g = hankel(mu, np.sqrt(q))
-        return Phi.eval(q) * g * g
-
-    def derivatives(q):
+    def H(q, derivatives=False):
+        if not derivatives:
+            g = hankel(mu, np.sqrt(q))
+            return Phi.eval(q) * g * g
         A0, A1, A2 = hankel_moments(mu, 1.0, q)
-        P0, P1, P2 = (Phi.derivative(q, k) for k in range(3))
+        P0, P1, P2 = eval_derivatives(Phi, q, (0, 1, 2))
         G2 = A0 * A0
         dG2 = -(2.0 * math.pi / np.sqrt(q)) * A1 * A0
         d2G2 = (
@@ -219,9 +219,10 @@ def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure):
             + (2.0 * math.pi**2 / q) * A1 * A1
             + (math.pi**2 / q) * A0 * A2
         )
-        return P1 * G2 + P0 * dG2, P2 * G2 + 2.0 * P1 * dG2 + P0 * d2G2
+        return (P0 * A0 * A0, P1 * G2 + P0 * dG2,
+                P2 * G2 + 2.0 * P1 * dG2 + P0 * d2G2)
 
-    return h_eval, partial(mixture_tail, *Phi.rep.nodes()), derivatives
+    return H, partial(mixture_tail, *Phi.rep.nodes())
 
 
 def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
@@ -239,9 +240,9 @@ def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
     """Fourier-side energy: dual-lattice sum of fhat(p) g(|p|)^2 plus the
     lattice-independent constant fhat(0) - (f*mu*mu)(0)."""
     Phi = fourier(P)
-    h_eval, tail_of, _ = _fourier_summand(Phi, mu)
+    H, tail_of = _fourier_summand(Phi, mu)
     # L* is L turned by 90 degrees and scaled by 1/covolume
-    part = _report(h_eval, tail_of, _basis(L) / L.scale, rtol)
+    part = _report(lambda pts, q: H(q), tail_of, _basis(L) / L.scale, rtol)
     const = Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
     return replace(part, value=part.lattice_part + const, constant_part=const)
 
@@ -257,7 +258,7 @@ def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
     a float.
     """
     Phi = fourier(P)
-    h_eval, tail_of, _ = _fourier_summand(Phi, mu)
+    H, tail_of = _fourier_summand(Phi, mu)
     const = (
         Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
         if include_constant
@@ -267,7 +268,7 @@ def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
     def E(x, y):
         x = np.asarray(x, dtype=float)
         bases = lat.basis_matrix(x.ravel(), np.ravel(y))
-        val = _summed(h_eval, tail_of, bases, rtol)[0] + const
+        val = _summed(lambda pts, q: H(q), tail_of, bases, rtol)[0] + const
         return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
     return E
@@ -284,12 +285,12 @@ def diffuse_energy_jet(P: RadialPotential, mu: RadialMeasure,
     -2 a, 2 p0^2) for a = p0 p1, b = p1^2 - p0^2 at the points p of the
     lattice (x, y).  These sums share E's cutoff; their tails are not certified.
     """
-    h_eval, tail_of, derivatives = _fourier_summand(fourier(P), mu)
+    H, tail_of = _fourier_summand(fourier(P), mu)
 
     def cols(pts, q):
-        d1, d2 = derivatives(q)
+        h, d1, d2 = H(q, derivatives=True)
         a, b = pts[:, 0] * pts[:, 1], pts[:, 1] ** 2 - pts[:, 0] ** 2
-        return np.stack([h_eval(pts, q), d1 * a, d1 * b, d1 * q,
+        return np.stack([h, d1 * a, d1 * b, d1 * q,
                          d2 * a * a, d2 * a * b, d2 * b * b])
 
     def jet(x, y):
@@ -307,14 +308,14 @@ def _convolve_gaussians(c1, a1, c2, a2):
     return c1 * c2 * math.pi / (a1 + a2), a1 * a2 / (a1 + a2)
 
 
-def _direct_mixture(P: RadialPotential, mu: RadialMeasure):
-    """Gaussian mixture of f*mu*mu for atom potentials and dirac/gaussian mu."""
+def _direct_mixture(P: RadialPotential, mu: RadialMeasure) -> RadialPotential:
+    """f*mu*mu, a Gaussian mixture for atom potentials and dirac/gaussian mu."""
     if P.rep.density_nodes:
         raise NonconvergenceError(
             "direct-space route needs an atomic (Gaussian-mixture) potential"
         )
     if mu.kind == "dirac":
-        return [(w, t) for t, w in P.rep.atoms]
+        return P
     if mu.kind != "gaussian":
         raise NonconvergenceError(
             "direct-space route supports dirac or gaussian measures only"
@@ -326,21 +327,16 @@ def _direct_mixture(P: RadialPotential, mu: RadialMeasure):
     for t, w in P.rep.atoms:
         c, a = _convolve_gaussians(w, t, c_mu, a_mu)
         c, a = _convolve_gaussians(c, a, c_mu, a_mu)
-        out.append((c, a))
-    return out
+        out.append((a, c))
+    return from_atoms(out)
 
 
 def diffuse_energy_direct(P: RadialPotential, mu: RadialMeasure,
                           L: LatticeParams, rtol: float = 1e-10) -> float:
     """Direct-space sum'_{x in L} (f*mu*mu)(x) for Gaussian families."""
-    mix = _direct_mixture(P, mu)
-    ws = np.array([c for c, _ in mix])
-    ts = np.array([a for _, a in mix])
-
-    def h_eval(pts, q):
-        return (ws * np.exp(-np.multiply.outer(q, ts))).sum(axis=-1)
-
-    return _report(h_eval, partial(mixture_tail, ts, ws), _basis(L), rtol).value
+    f = _direct_mixture(P, mu)
+    return _report(lambda pts, q: f.eval(q),
+                   partial(mixture_tail, *f.rep.nodes()), _basis(L), rtol).value
 
 
 def poisson_check(P: RadialPotential, L: LatticeParams, z,
@@ -351,19 +347,17 @@ def poisson_check(P: RadialPotential, L: LatticeParams, z,
     returns (lhs, rhs, |lhs - rhs|).
     """
     z = np.asarray(z, dtype=float)
-    ts, ws = P.rep.nodes()
     basis = _basis(L)
     # shifted sum: f(x + z) <= phi(|x| - |z|), handled by the tail offset
     zn = float(np.linalg.norm(z))
 
     def f_shift(pts, q):
         d = pts + z
-        qd = np.einsum("ij,ij->i", d, d)
-        return (ws * np.exp(-np.multiply.outer(qd, ts))).sum(axis=-1)
+        return P.eval(np.einsum("ij,ij->i", d, d))
 
-    lhs = _report(f_shift, partial(mixture_tail, ts, ws, offset=zn), basis,
-                  rtol).value
-    lhs += float((ws * np.exp(-ts * (z @ z))).sum())
+    lhs = _report(f_shift, partial(mixture_tail, *P.rep.nodes(), offset=zn),
+                  basis, rtol).value
+    lhs += P.eval(float(z @ z))
 
     Phi = fourier(P)
 

@@ -6,9 +6,11 @@ node at s = 0 holding any mass at the centre.  The order-0 Hankel transform
 
     g(t) = int J0(2 pi s t) dpsi(s)
 
-is the 2D Fourier transform of the measure.  The dirac / uniform-disk /
-radial-Gaussian families are evaluated in closed form from their kind tag
-and parameter, so only profile measures carry quadrature nodes.
+is the 2D Fourier transform of the measure.  Each family's transform is
+written once, in ``_transform``: dirac / uniform disk / radial Gaussian in
+closed form from their kind tag and parameter (only profiles carry nodes);
+``hankel`` gives g, ``hankel_moments`` g with the J1/J2 moments behind the
+derivatives of the energy summand.
 """
 
 from __future__ import annotations
@@ -149,23 +151,8 @@ def hankel(mu: RadialMeasure, t):
     scalar = ta.ndim == 0
     if (float(ta) if scalar else ta.min(initial=0.0)) < 0:  # quad passes floats
         raise ValueError(f"t must be >= 0, got {ta.min()}")
-    ta = np.atleast_1d(ta)
-    if mu.kind == "dirac":
-        out = np.ones_like(ta)
-    elif mu.kind == "disk":
-        X = 2.0 * math.pi * mu.param * ta
-        out = np.where(X > 1e-8, 2.0 * _safe_j1_over(X), 1.0 - X * X / 8.0)
-    elif mu.kind == "gaussian":
-        out = np.exp(-math.pi * mu.param**2 * ta * ta)
-    else:
-        ss, ws = mu.nodes()
-        out = (ws * bessel_j(0, 2.0 * math.pi * np.multiply.outer(ta, ss))).sum(axis=-1)
-    return float(out[0]) if scalar else out
-
-
-def _safe_j1_over(X: np.ndarray) -> np.ndarray:
-    Xs = np.where(X > 1e-8, X, 1.0)
-    return bessel_j(1, Xs) / Xs
+    out = _transform(mu, ta, moments=False)
+    return float(out) if scalar else out
 
 
 def hankel_moments(mu: RadialMeasure, eps: float, r):
@@ -174,54 +161,58 @@ def hankel_moments(mu: RadialMeasure, eps: float, r):
     Returns (A0, A1, A2) with argument c = 2 pi eps sqrt(r):
         A0 = int J0(c s) dpsi,  A1 = int s J1(c s) dpsi,
         A2 = int s^2 (J2 - J0)(c s) dpsi.
-    Floats for a scalar r, arrays shaped like r for an array of r.
+    A0 is ``hankel(mu, eps sqrt(r))``.  Floats for a scalar r, arrays
+    shaped like r for an array of r.
     """
     ra = np.asarray(r, dtype=float)
     if not np.all(ra > 0):
         raise ValueError(f"r must be positive, got {r}")
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    c = 2.0 * math.pi * eps * np.sqrt(ra)
-    if mu.kind == "dirac":
-        A = (np.ones_like(c), np.zeros_like(c), np.zeros_like(c))
-    elif mu.kind == "disk":
-        A = _disk_moments(mu.param, c)
-    elif mu.kind == "gaussian":
-        A = _gaussian_moments(mu.param, c)
-    else:
-        ss, ws = mu.nodes()
-        cs = np.multiply.outer(c, ss)
-        J0 = bessel_j(0, cs)
-        A = (
-            (ws * J0).sum(axis=-1),
-            (ws * ss * bessel_j(1, cs)).sum(axis=-1),
-            (ws * ss * ss * (bessel_j(2, cs) - J0)).sum(axis=-1),
-        )
+    A = _transform(mu, eps * np.sqrt(ra), moments=True)
     if ra.ndim == 0:
         return tuple(float(a) for a in A)
     return A
 
 
-def _disk_moments(R: float, c: np.ndarray):
-    X = c * R
-    # series of J1, J2 around zero below X = 1e-4
-    small = X < 1e-4
-    Xs = np.where(small, 1.0, X)
-    j1 = bessel_j(1, Xs)
-    j2 = bessel_j(2, Xs)
-    A0 = np.where(small, 1.0 - X * X / 8.0, 2.0 * j1 / Xs)
-    A1 = np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * j2 / Xs)
-    A2 = np.where(small, R * R * (-0.5 + X * X / 8.0),
-                  R * R * (12.0 * j2 / (Xs * Xs) - 4.0 * j1 / Xs))
-    return A0, A1, A2
+def _transform(mu: RadialMeasure, t: np.ndarray, moments: bool):
+    """The transform of each family at frequencies t >= 0 (an array, or 0-d).
 
-
-def _gaussian_moments(sigma: float, c: np.ndarray):
-    beta = sigma * sigma / (4.0 * math.pi)
-    A0 = np.exp(-beta * c * c)
-    A1 = 2.0 * beta * c * A0
-    A2 = 2.0 * (4.0 * beta * beta * c * c - 2.0 * beta) * A0
-    return A0, A1, A2
+    A0 = g(t) alone, or with ``moments`` the tuple (A0, A1, A2) of
+    ``hankel_moments`` at c = 2 pi t.
+    """
+    if mu.kind == "dirac":
+        A0 = np.ones_like(t)
+        return (A0, np.zeros_like(t), np.zeros_like(t)) if moments else A0
+    if mu.kind == "gaussian":
+        s2 = mu.param**2
+        A0 = np.exp(-math.pi * s2 * t * t)
+        if not moments:
+            return A0
+        return A0, s2 * t * A0, (2.0 * s2 * s2 * t * t - s2 / math.pi) * A0
+    if mu.kind == "disk":
+        R = mu.param
+        X = 2.0 * math.pi * R * t
+        # series of J1, J2 around zero below X = 1e-4
+        small = X < 1e-4
+        Xs = np.where(small, 1.0, X)
+        j1 = bessel_j(1, Xs)
+        A0 = np.where(small, 1.0 - X * X / 8.0, 2.0 * j1 / Xs)
+        if not moments:
+            return A0
+        j2 = bessel_j(2, Xs)
+        A1 = np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * j2 / Xs)
+        A2 = np.where(small, R * R * (-0.5 + X * X / 8.0),
+                      R * R * (12.0 * j2 / (Xs * Xs) - 4.0 * j1 / Xs))
+        return A0, A1, A2
+    ss, ws = mu.nodes()
+    x = 2.0 * math.pi * np.multiply.outer(t, ss)
+    J0 = bessel_j(0, x)
+    A0 = (ws * J0).sum(axis=-1)
+    if not moments:
+        return A0
+    return (A0, (ws * ss * bessel_j(1, x)).sum(axis=-1),
+            (ws * ss * ss * (bessel_j(2, x) - J0)).sum(axis=-1))
 
 
 def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure,
@@ -235,15 +226,13 @@ def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure,
 
     if Phi is None:
         Phi = fourier(P)
-    ts, ws = Phi.rep.nodes()
-    t_min = float(ts.min())
+    t_min = float(Phi.rep.nodes()[0].min())
     # Phi(r^2) <= Phi(0) exp(-t_min r^2): integrand negligible beyond r_cut
     r_cut = math.sqrt(max(40.0, -math.log(1e-16)) / t_min) + 1.0
 
     def integrand(r):
         g = hankel(mu, r)
-        phi = float((ws * np.exp(-np.multiply.outer(r * r, ts))).sum())
-        return 2.0 * math.pi * r * phi * g * g
+        return 2.0 * math.pi * r * Phi.eval(r * r) * g * g
 
     val, _ = quad(integrand, 0.0, r_cut, epsabs=1e-13, epsrel=1e-10, limit=400)
     return val

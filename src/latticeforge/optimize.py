@@ -51,6 +51,8 @@ class MinimizeResult:
 # longest Newton step in (x, y), and the Armijo sufficient-decrease factor
 _MAX_STEP = 0.5
 _ARMIJO = 1e-4
+# grid cells that seed the refinement
+_K_SEEDS = 5
 
 
 def _project(p: np.ndarray) -> np.ndarray:
@@ -143,9 +145,9 @@ def local_minimize(jet, start, tol: float = 1e-7,
 
 
 def global_minimize(E, jet, x_steps: int = 40, y_steps: int = 40,
-                    y_max: float = 4.0, k_seeds: int = 5, tol: float = 1e-7,
+                    y_max: float = 4.0, tol: float = 1e-7,
                     max_iter: int = 2000):
-    """Grid scan of ``E`` followed by projected Newton from the best k cells.
+    """Grid scan of ``E`` followed by projected Newton from the best cells.
 
     ``jet(xs, ys)`` takes arrays of shape (k,) and returns E (k,), its
     gradient (k, 2) and its Hessian (k, 2, 2) in (x, y), as
@@ -156,6 +158,6 @@ def global_minimize(E, jet, x_steps: int = 40, y_steps: int = 40,
     """
     scan = grid_scan(E, x_steps, y_steps, y_max)
     rows = sorted(map(tuple, scan.grid), key=lambda r: (r[2], r[0], r[1]))
-    candidates = _refine(jet, [r[:2] for r in rows[:k_seeds]], tol, max_iter)
+    candidates = _refine(jet, [r[:2] for r in rows[:_K_SEEDS]], tol, max_iter)
     best = min(candidates, key=lambda r: (r.energy, r.point[0], r.point[1]))
     return best, candidates

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -53,15 +54,19 @@ class LaplaceMeasure:
                     f"node weight must be finite and >= 0, got {w}")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """All (positions, weights) as arrays."""
+        """All (positions, weights) as read-only arrays."""
+        return self._arrays[0], self._arrays[1][0]
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions t and the rows w (-t)^k, k = 0, 1, 2, built once."""
         items = list(self.atoms) + list(self.density_nodes)
         ts = np.array([t for t, _ in items])
         ws = np.array([w for _, w in items])
-        return ts, ws
-
-    def total_mass(self) -> float:
-        _, ws = self.nodes()
-        return float(ws.sum())
+        with np.errstate(over="ignore"):  # inf only where F' or F'' is
+            weights = np.stack([ws * (-ts) ** k for k in range(3)])
+        ts.flags.writeable = weights.flags.writeable = False
+        return ts, weights
 
 
 @dataclass(frozen=True)
@@ -74,11 +79,8 @@ class RadialPotential:
         """F at squared radius r2 (scalar or array)."""
         return eval_derivatives(self, r2, 0)
 
-    def derivative(self, r2, order: int):
-        return eval_derivatives(self, r2, order)
-
     def value_at_origin(self) -> float:
-        return self.rep.total_mass()
+        return float(self.rep.nodes()[1].sum())
 
 
 def gaussian(alpha: float) -> RadialPotential:
@@ -97,19 +99,18 @@ def from_atoms(atoms) -> RadialPotential:
     return RadialPotential(measure)
 
 
-def inverse_power(
-    a: float, s: float, r_max: float = 20.0, spacing: float = 0.2
-) -> RadialPotential:
+def inverse_power(a: float, s: float) -> RadialPotential:
     """(a + |x|^2)^(-s) via its Laplace density t^(s-1) e^(-a t) / Gamma(s).
 
     The density is discretized by the trapezoid rule in log t, which keeps
-    full relative accuracy from r = 0 out to ``r_max`` (Gauss-Laguerre
+    full relative accuracy from r = 0 out to r_max = 20 (Gauss-Laguerre
     quadrature loses all relative accuracy already at moderate radii because
     the integrand concentrates near t = 0 as r grows).
     """
     if not (0 < a < math.inf and 1 < s < math.inf):
         raise PotentialSpecError(
             f"need finite a > 0 and s > 1, got a={a}, s={s}")
+    r_max, spacing = 20.0, 0.2  # accurate out to r_max; node spacing in log t
     # lower cutoff: mass of the density below t=delta/(a+R) is O(delta^s)
     delta = (1e-13 * math.exp(gammaln(s + 1))) ** (1.0 / s)
     x_lo = math.log(delta) - math.log(a + r_max * r_max)
@@ -123,14 +124,24 @@ def inverse_power(
         LaplaceMeasure(density_nodes=tuple(zip(t.tolist(), w.tolist()))))
 
 
-def eval_derivatives(P: RadialPotential, r2, order: int):
-    """k-th derivative of F at r2: sum w (-t)^k exp(-r2 t)."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be in {{0, 1, 2}}, got {order}")
-    ts, ws = P.rep.nodes()
-    r2a = np.asarray(r2, dtype=float)
-    out = (ws * (-ts) ** order * np.exp(-np.multiply.outer(r2a, ts))).sum(axis=-1)
-    return float(out) if np.isscalar(r2) or r2a.ndim == 0 else out
+def eval_derivatives(P: RadialPotential, r2, order):
+    """k-th derivative of F at r2: sum w (-t)^k exp(-r2 t), for k = order.
+
+    The one evaluator of every Laplace mixture.  A tuple of orders gives
+    a tuple of derivatives, all from one exp per node and point.
+    """
+    many = isinstance(order, tuple)
+    orders = order if many else (order,)
+    for k in orders:
+        if k not in (0, 1, 2):
+            raise ValueError(f"order must be in {{0, 1, 2}}, got {order}")
+    ts, weights = P.rep._arrays
+    e = np.exp(-np.multiply.outer(r2, ts))
+    if e.ndim == 1:  # a scalar r2 gives floats
+        out = [float((weights[k] * e).sum()) for k in orders]
+    else:
+        out = [(weights[k] * e).sum(axis=-1) for k in orders]
+    return tuple(out) if many else out[0]
 
 
 def fourier(P: RadialPotential) -> RadialPotential:

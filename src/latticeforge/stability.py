@@ -85,18 +85,15 @@ def t_coefficient(F1, F2, rtol: float = 1e-10, max_box: int = 80) -> float:
 def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps: float,
                           rtol: float = 1e-10) -> float:
     """T of the diffuse energy E_{h_eps} at the triangular lattice."""
-    derivatives = _fourier_summand(fourier(P), scale(mu, eps))[2]
-    cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    H = _fourier_summand(fourier(P), scale(mu, eps))[0]
+    last = [None, None]  # t_coefficient passes one ring's q to F1, then F2
 
-    def both(q):
-        key = q.tobytes()
-        if key not in cache:
-            cache[key] = derivatives(q)
-        return cache[key]
+    def jet(q):
+        if last[0] is not q:
+            last[:] = q, H(q, derivatives=True)
+        return last[1]
 
-    return t_coefficient(
-        lambda q: both(q)[0], lambda q: both(q)[1], rtol=rtol
-    )
+    return t_coefficient(lambda q: jet(q)[1], lambda q: jet(q)[2], rtol=rtol)
 
 
 def stability_curve(P: RadialPotential, mu: RadialMeasure, eps_grid,
@@ -147,14 +144,13 @@ def fd_gradient_hessian(E, L: LatticeParams, step: float = 1e-4):
     return np.array([gx, gy]), np.array([[dxx, dxy], [dxy, dyy]])
 
 
-def stability_report(P: RadialPotential, mu: RadialMeasure, eps: float,
-                     grad_step: float = 1e-5,
-                     hess_step: float = 1e-4) -> StabilityReport:
+def stability_report(P: RadialPotential, mu: RadialMeasure,
+                     eps: float) -> StabilityReport:
     """Analytic T plus finite-difference diagnostics at the triangular point."""
     T = t_coefficient_diffuse(P, mu, eps)
     E = diffuse_energy_fn(P, scale(mu, eps), rtol=1e-12)
-    grad, _ = fd_gradient_hessian(E, TRIANGULAR, step=grad_step)
-    _, hess = fd_gradient_hessian(E, TRIANGULAR, step=hess_step)
+    grad, _ = fd_gradient_hessian(E, TRIANGULAR, step=1e-5)
+    _, hess = fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
     if T > _CLASSIFY_TOL:
         cls = "stable"
     elif T < -_CLASSIFY_TOL:

@@ -240,6 +240,13 @@ class TestExitCodeContract:
         (["energy"] + _GAUSS + ["--lattice", "a,b"], 2,
          "--lattice: expected two finite numbers 'x,y', got 'a,b'"),
         (_CURVE + ["--eps=-0.2:0.2:0.2"], 2, "--eps: eps must be >= 0"),
+        # grids far too large to allocate, rejected before any allocation
+        (["stability", "--potential", "gaussian:alpha=2", "--eps", "0:1e9:1e-9"],
+         2, "--eps"),
+        (_CURVE + ["--eps", "0:1e300:1e-300"], 2, "--eps"),
+        (_CURVE + ["--eps", "0:1e30:1e-10"], 2, "--eps"),
+        (["scan"] + _GAUSS + ["--y-steps", "10000000000000"], 2, "--y-steps"),
+        (["minimize"] + _GAUSS + ["--y-steps", "10000000000000"], 2, "--y-steps"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code

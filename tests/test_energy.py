@@ -150,7 +150,7 @@ class TestDiffuseEnergyDirect:
 
         mix = en._direct_mixture(pot.gaussian(alpha), msr.radial_gaussian(sigma))
         for x1, x2 in ((1.0, 0.0), (0.5, 0.5), (1.2, -0.3)):
-            got = sum(c * math.exp(-a * (x1 * x1 + x2 * x2)) for c, a in mix)
+            got = sum(c * math.exp(-a * (x1 * x1 + x2 * x2)) for a, c in mix.rep.atoms)
             assert got == pytest.approx(triple_1d(x1) * triple_1d(x2), abs=1e-7)
 
     def test_rotation_invariance(self):
@@ -206,7 +206,8 @@ class TestBatchedEngine:
         # lattices spread over x in [0, 1/2], y in [1, 4] stop at different
         # rounds; each must get exactly what it gets when summed alone
         Phi = pot.fourier(pot.gaussian(math.pi))
-        h, tail_of, _ = en._fourier_summand(Phi, msr.uniform_disk(1.0))
+        H, tail_of = en._fourier_summand(Phi, msr.uniform_disk(1.0))
+        h = lambda pts, q: H(q)
         xs, ys = np.meshgrid(np.linspace(0.0, 0.5, 4), np.linspace(1.0, 4.0, 5))
         bases = np.linalg.inv(lat.basis_matrix(xs.ravel(), ys.ravel()))
         bases = bases.transpose(0, 2, 1)
@@ -256,7 +257,8 @@ class TestBatchedEngine:
         # a box larger than the chunk is cut into slices, and the kept
         # values are joined before each lattice's sort, so no sum moves
         Phi = pot.fourier(pot.gaussian(math.pi))
-        h, tail_of, _ = en._fourier_summand(Phi, msr.uniform_disk(1.0))
+        H, tail_of = en._fourier_summand(Phi, msr.uniform_disk(1.0))
+        h = lambda pts, q: H(q)
         bases = lat.basis_matrix(np.array([0.5, 0.1, 0.3]), np.array([0.9, 3.0, 1.5]))
         sizes = []
 

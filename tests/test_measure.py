@@ -262,6 +262,28 @@ class TestHankelMomentsArray:
                                np.array([1.0, 0.0]))
 
 
+class TestOneTransformPerFamily:
+    # X = 2 pi R t from 1e-9 to 10 for the unit disk: both sides of the
+    # small-X series switch at 1e-4, and every family at the same t
+    X = np.logspace(-9.0, 1.0, 41)
+
+    @pytest.mark.parametrize("kind", ["dirac", "disk", "gauss", "profile"])
+    def test_hankel_is_the_a0_of_the_moments(self, kind):
+        mu = {
+            "dirac": msr.dirac(),
+            "disk": msr.uniform_disk(1.0),
+            "gauss": msr.radial_gaussian(0.7),
+            "profile": TestHankelMomentsArray._ring_profile(),
+        }[kind]
+        t = self.X / (2.0 * math.pi)
+        assert (self.X < 1e-4).any() and (self.X > 1e-4).any()
+        # eps = 1 and r = t^2 put the moments at frequency sqrt(t^2) = t
+        A0 = msr.hankel_moments(mu, 1.0, t * t)[0]
+        np.testing.assert_array_equal(msr.hankel(mu, t), A0)
+        for ti, a0 in zip(t.tolist(), A0.tolist()):
+            assert msr.hankel(mu, ti) == msr.hankel_moments(mu, 1.0, ti * ti)[0] == a0
+
+
 class TestMassAtCentre:
     # flat psi density on [0, 1]: the trapezoid rule puts weight h/2 at s = 0
     S = np.linspace(0.0, 1.0, 11)

@@ -6,6 +6,7 @@ imported or written.
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,3 +69,87 @@ def test_local_minimize_returns_a_result_with_iterations():
     res = optimize.local_minimize(bowl, (0.1, 2.0))
     assert isinstance(res, optimize.MinimizeResult)
     assert isinstance(res.iterations, int) and res.iterations > 0
+
+
+def _spans_function(name: str) -> ast.FunctionDef:
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    return next(n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _record_calls(monkeypatch, module: str, attr: str) -> list[tuple]:
+    """Wrap module.attr in every latticeforge namespace that holds it, as the
+    bench tracer does, and return the list its calls' arguments go to."""
+    orig = getattr(importlib.import_module(f"latticeforge.{module}"), attr)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "latticeforge" or name.startswith("latticeforge."):
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, recording)
+    return calls
+
+
+def _run_every_path():
+    from latticeforge import TRIANGULAR, energy, measure, potential, stability
+
+    for P in (potential.gaussian(np.pi), potential.inverse_power(1.0, 2.0)):
+        for mu in (measure.uniform_disk(1.0), measure.radial_gaussian(0.7)):
+            energy.diffuse_energy(P, mu, TRIANGULAR)
+            energy.diffuse_energy_jet(P, mu)(np.array([0.2]), np.array([1.3]))
+            stability.t_coefficient_diffuse(P, mu, 0.8)
+    energy.poisson_check(potential.gaussian(2.0), TRIANGULAR, (0.1, 0.2))
+
+
+def test_t_coefficient_takes_f1_f2_and_calls_f1_on_q_arrays(monkeypatch):
+    # the tracer wraps the first argument of t_coefficient to count rings
+    traced = next(n for n in ast.walk(_spans_function("_wrapper"))
+                  if isinstance(n, ast.FunctionDef) and n.args.args
+                  and n.args.args[0].arg == "F1")
+    assert [a.arg for a in traced.args.args] == ["F1", "F2"]
+    from latticeforge import stability
+
+    orig, f1_args = stability.t_coefficient, []
+
+    def recording(F1, F2, *args, **kwargs):
+        def ring(q):
+            f1_args.append(q)
+            return F1(q)
+        return orig(ring, F2, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "t_coefficient", recording)
+    _run_every_path()
+    assert f1_args
+    assert all(isinstance(q, np.ndarray) and q.ndim == 1 for q in f1_args)
+
+
+def test_eval_derivatives_calls_carry_what_the_tracer_reads(monkeypatch):
+    # potential.eval's work count is np.size(args[1]) times the node count
+    # of args[0].rep
+    text = ast.unparse(_spans_function("_node_evals"))
+    for read in ("args[0].rep", "rep.atoms", "rep.density_nodes",
+                 "np.size(args[1])"):
+        assert read in text
+    calls = _record_calls(monkeypatch, "potential", "eval_derivatives")
+    _run_every_path()
+    assert calls
+    from latticeforge.potential import RadialPotential
+
+    for P, r2, *_ in calls:
+        assert isinstance(P, RadialPotential)
+        assert len(P.rep.atoms) + len(P.rep.density_nodes) > 0
+        assert np.size(r2) >= 1
+
+
+def test_bessel_j_is_called_as_order_then_argument(monkeypatch):
+    # measure.bessel_j's work count is np.size(args[1])
+    assert "np.size(args[1])" in ast.unparse(_spans_function("_size"))
+    calls = _record_calls(monkeypatch, "measure", "bessel_j")
+    _run_every_path()
+    assert calls
+    assert all(args[0] in (0, 1, 2) and np.size(args[1]) >= 1 for args in calls)

@@ -61,14 +61,41 @@ class TestDerivatives:
         for r2 in (0.1, 1.0, 4.0):
             h = 1e-5 * (1.0 + r2)
             fd1 = (P.eval(r2 + h) - P.eval(r2 - h)) / (2.0 * h)
-            d1 = P.derivative(r2, 1)
+            d1 = pot.eval_derivatives(P, r2, 1)
             assert d1 == pytest.approx(fd1, rel=1e-6)
             fd2 = (P.eval(r2 + h) - 2.0 * P.eval(r2) + P.eval(r2 - h)) / (h * h)
-            assert P.derivative(r2, 2) == pytest.approx(fd2, rel=1e-4)
+            assert pot.eval_derivatives(P, r2, 2) == pytest.approx(fd2, rel=1e-4)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
             pot.eval_derivatives(pot.gaussian(1.0), 0.0, 3)
+        with pytest.raises(ValueError):
+            pot.eval_derivatives(pot.gaussian(1.0), 0.0, (0, 3))
+
+    @pytest.mark.parametrize("r2", [0.7, np.array([0.0, 0.3, 2.0, 9.0])])
+    def test_orders_together_match_each_alone(self, r2):
+        P = pot.inverse_power(1.0, 1.5)
+        together = pot.eval_derivatives(P, r2, (0, 1, 2))
+        assert len(together) == 3
+        for k, got in enumerate(together):
+            alone = pot.eval_derivatives(P, r2, k)
+            assert type(got) is type(alone)
+            np.testing.assert_array_equal(got, alone)
+        np.testing.assert_array_equal(together[0], P.eval(r2))
+
+    def test_order_zero_unaffected_by_overflowing_higher_orders(self):
+        # w t^2 overflows at t = 1e200, but F itself is finite and no
+        # RuntimeWarning (an error in this suite) may escape
+        P = pot.from_atoms([(1e200, 1.0), (1.0, 1.0)])
+        assert P.eval(1.0) == pytest.approx(math.exp(-1.0))
+
+    def test_node_arrays_built_once(self):
+        P = pot.from_atoms([(0.5, 1.0), (3.0, 0.2)])
+        ts, ws = P.rep.nodes()
+        again = P.rep.nodes()
+        assert again[0] is ts and np.shares_memory(again[1], ws)
+        assert ts.tolist() == [0.5, 3.0] and ws.tolist() == [1.0, 0.2]
+        assert not ts.flags.writeable and not ws.flags.writeable
 
 
 class TestFourier:
