@@ -100,7 +100,8 @@ def _parse_shift(text: str) -> tuple[float, float]:
     return z
 
 
-# most eps points, or lattices in one scan column (summed as one batch)
+# most eps points, scan columns, or lattices in one scan column (summed as
+# one batch)
 _MAX_GRID = 10**6
 
 
@@ -128,7 +129,7 @@ _NUMBER_RULES = (
     ("rtol", "finite and > 0", lambda v: 0 < v < math.inf),
     ("tol", "finite and > 0", lambda v: 0 < v < math.inf),
     ("t", "finite and > 0", lambda v: 0 < v < math.inf),
-    ("x_steps", ">= 1", lambda v: v >= 1),
+    ("x_steps", f"between 1 and {_MAX_GRID}", lambda v: 1 <= v <= _MAX_GRID),
     ("y_steps", f"between 1 and {_MAX_GRID}", lambda v: 1 <= v <= _MAX_GRID),
     ("y_max", "finite and > 1", lambda v: 1 < v < math.inf),
 )

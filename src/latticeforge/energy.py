@@ -84,12 +84,16 @@ def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho, offset: float = 0.0):
     rho = np.asarray(rho, dtype=float)
     two_rho, rho2 = 2.0 * rho[..., None], rho * rho
     shift = (rho + offset)[..., None] * 0.5 * np.sqrt(math.pi / ts)
-    sqrt_ts, two_ts = np.sqrt(ts), 2.0 * ts
+    # t near the float limit: 2 t and t a^2 may overflow to inf, and then
+    # exp(-t a^2) / (2 t) is 0, its limit
+    with np.errstate(over="ignore"):
+        sqrt_ts, two_ts = np.sqrt(ts), 2.0 * ts
 
     def bound(R):
         a = np.maximum(np.asarray(R)[..., None] - two_rho - offset, 0.0)
         # int_a^inf (u + rho + offset) exp(-t u^2) du, then * 2 / rho^2
-        vals = ws * (np.exp(-ts * a * a) / two_ts + shift * erfc(sqrt_ts * a))
+        with np.errstate(over="ignore"):
+            vals = ws * (np.exp(-ts * a * a) / two_ts + shift * erfc(sqrt_ts * a))
         return vals.sum(axis=-1) * 2.0 / rho2
 
     return bound
@@ -229,9 +233,13 @@ def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
     """Lattice theta function sum_{x in L} exp(-pi t |x|^2), origin included."""
     if not 0 < t < math.inf:
         raise ValueError(f"t must be finite and > 0, got {t}")
+
+    def summand(pts, q):
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 for t near the float limit
+            return np.exp(-math.pi * t * q)
+
     return 1.0 + _report(
-        lambda pts, q: np.exp(-math.pi * t * q),
-        partial(mixture_tail, [math.pi * t], [1.0]), _basis(L), rtol,
+        summand, partial(mixture_tail, [math.pi * t], [1.0]), _basis(L), rtol,
     ).value
 
 

@@ -10,16 +10,17 @@ is the 2D Fourier transform of the measure.  Each family's transform is
 written once, in ``_transform``: dirac / uniform disk / radial Gaussian in
 closed form from their kind tag and parameter (only profiles carry nodes);
 ``hankel`` gives g, ``hankel_moments`` g with the J1/J2 moments behind the
-derivatives of the energy summand.
+derivatives of the energy summand, all from J0 and J1 (``_j2`` gives J2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
-from scipy.special import j0, j1, jv
+from scipy.special import j0, j1
 
 from .potential import RadialPotential, fourier
 
@@ -47,13 +48,26 @@ class MeasureSpecError(ValueError):
 # Bessel functions J0, J1, J2
 # ---------------------------------------------------------------------------
 
-_BESSEL = (j0, j1, lambda x: jv(2, x))
+# c_k = (-1)^k / (k! (k+2)!), highest k first: J2(x) = u sum_k c_k u^k, u = x^2/4
+_J2_SERIES = [(-1) ** k / (math.factorial(k) * math.factorial(k + 2))
+              for k in range(7, -1, -1)]
+
+
+def _j2(x, J0, J1):
+    """J2(x) = 2 J1/x - J0 from x = 1 on; below it, where that difference
+    cancels, the series to k = 7 (it errs by under 1e-16 there)."""
+    u = np.minimum(x, 1.0) ** 2 / 4.0
+    series = reduce(lambda acc, c: acc * u + c, _J2_SERIES)  # Horner
+    return np.where(x < 1.0, u * series, 2.0 * J1 / np.maximum(x, 1.0) - J0)
+
+
+_BESSEL = (j0, j1, lambda x: _j2(x, j0(x), j1(x)))
 
 
 def bessel_j(n: int, x):
     """J_n(x) for n in {0, 1, 2} and x >= 0 (scalar or array).
 
-    Thin wrapper over ``scipy.special``; the name is kept for callers.
+    J0 and J1 from ``scipy.special``; J2 from those two (``_j2``).
     """
     if n not in (0, 1, 2):
         raise ValueError(f"order must be in {{0, 1, 2}}, got {n}")
@@ -77,8 +91,15 @@ class RadialMeasure:
     psi_nodes: tuple[tuple[float, float], ...] = ()
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(radii, weights) of the psi nodes as read-only arrays."""
+        return self._arrays
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The psi node arrays, built once per measure."""
         ss = np.array([s for s, _ in self.psi_nodes])
         ws = np.array([w for _, w in self.psi_nodes])
+        ss.flags.writeable = ws.flags.writeable = False
         return ss, ws
 
 
@@ -196,14 +217,14 @@ def _transform(mu: RadialMeasure, t: np.ndarray, moments: bool):
         # series of J1, J2 around zero below X = 1e-4
         small = X < 1e-4
         Xs = np.where(small, 1.0, X)
-        j1 = bessel_j(1, Xs)
-        A0 = np.where(small, 1.0 - X * X / 8.0, 2.0 * j1 / Xs)
+        J1 = bessel_j(1, Xs)
+        A0 = np.where(small, 1.0 - X * X / 8.0, 2.0 * J1 / Xs)
         if not moments:
             return A0
-        j2 = bessel_j(2, Xs)
-        A1 = np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * j2 / Xs)
+        J2 = _j2(Xs, bessel_j(0, Xs), J1)
+        A1 = np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * J2 / Xs)
         A2 = np.where(small, R * R * (-0.5 + X * X / 8.0),
-                      R * R * (12.0 * j2 / (Xs * Xs) - 4.0 * j1 / Xs))
+                      R * R * (12.0 * J2 / (Xs * Xs) - 4.0 * J1 / Xs))
         return A0, A1, A2
     ss, ws = mu.nodes()
     x = 2.0 * math.pi * np.multiply.outer(t, ss)
@@ -211,8 +232,12 @@ def _transform(mu: RadialMeasure, t: np.ndarray, moments: bool):
     A0 = (ws * J0).sum(axis=-1)
     if not moments:
         return A0
-    return (A0, (ws * ss * bessel_j(1, x)).sum(axis=-1),
-            (ws * ss * ss * (bessel_j(2, x) - J0)).sum(axis=-1))
+    A1 = (ws * ss * bessel_j(1, x)).sum(axis=-1)
+    # J2 - J0 = 2 J1(x)/x - 2 J0(x): A2 = 2 A1/c - 2 int s^2 J0(c s) dpsi,
+    # where A1/c -> int s^2/2 dpsi as c -> 0
+    c, m2 = 2.0 * math.pi * t, ws * ss * ss
+    A1_c = np.divide(A1, c, out=np.full(np.shape(c), 0.5 * m2.sum()), where=c > 0)
+    return A0, A1, 2.0 * (A1_c - (m2 * J0).sum(axis=-1))
 
 
 def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure,

@@ -1,21 +1,22 @@
 """Stability analysis at the triangular lattice.
 
 At the triangular point the Hessian of any radial-summand lattice energy
-is a multiple T of the identity.  T is computed from the closed double
-sum over the triangular shells and checked against a finite-difference
-Hessian of E(x, y) on a 3x3 stencil.
+is a multiple T of the identity.  T is d^2E/dx^2 there, summed by the
+lattice-sum engine of ``energy`` next to E itself: the engine stops on E's
+certified tail, so ``rtol`` is relative to E and T shares E's cutoff
+without a tail bound of its own.  A finite-difference Hessian of E(x, y)
+on a 3x3 stencil checks it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
-from .energy import NonconvergenceError, _fourier_summand, diffuse_energy_fn
-from .lattice import TRIANGULAR, LatticeParams
+from .energy import _fourier_summand, _summed, diffuse_energy_fn
+from .lattice import TRIANGULAR, LatticeParams, basis_matrix
 from .measure import RadialMeasure, scale
 from .potential import RadialPotential, fourier
 
@@ -40,60 +41,31 @@ class StabilityReport:
     classification: str  # "stable" | "unstable" | "marginal"
 
 
-@lru_cache(maxsize=None)
-def _triangular_rings(M: int):
-    """(n^2, n^4, q) for the ring max(|m|,|n|) = M of the triangular sum."""
-    side = np.arange(-M, M + 1)
-    m, n = np.meshgrid(side, side, indexing="ij")
-    on_ring = np.maximum(np.abs(m), np.abs(n)) == M
-    m = m[on_ring].astype(float)
-    n = n[on_ring].astype(float)
-    q = (2.0 / math.sqrt(3.0)) * (m * m + m * n + n * n)
-    out = (n * n, n**4, q)
-    for a in out:
-        a.flags.writeable = False  # shared by every call through the cache
-    return out
+def t_coefficient(H, tail_of, rtol: float = 1e-10) -> float:
+    """T = d^2E/dx^2 of E = sum' H(|p|^2) at the triangular lattice (x, y).
 
-
-def t_coefficient(F1, F2, rtol: float = 1e-10, max_box: int = 80) -> float:
-    """Hessian coefficient at the triangular lattice.
-
-    T = (4/sqrt 3) sum' n^2 F'(q) + (4/3) sum' n^4 F''(q) with
-    q = (2/sqrt 3)(m^2 + m n + n^2).  F1, F2 evaluate F' and F''
-    (vectorized over numpy arrays of q values).
+    ``H(q)`` gives (H, H', H'') on a 1-D array q; ``tail_of`` is H's tail
+    factory.  With a = p0 p1, q_x = 2 a / y and q_xx = 2 p1^2 / y^2, so
+    y^2 T = sum' 4 H'' a^2 + 2 H' p1^2 (the (0, 0) entry of
+    ``diffuse_energy_jet``'s Hessian), summed in one engine call next to
+    H, whose tail stops both sums at ``rtol`` relative to E.
     """
-    total = 0.0
-    peak = 0.0
-    quiet = 0
-    for M in range(1, max_box + 1):
-        n2, n4, q = _triangular_rings(M)
-        ring = float(
-            (4.0 / math.sqrt(3.0)) * (n2 * F1(q)).sum()
-            + (4.0 / 3.0) * (n4 * F2(q)).sum()
-        )
-        total += ring
-        peak = max(peak, abs(total))
-        if abs(ring) <= rtol * max(peak, 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
-    raise NonconvergenceError("triangular double sum did not converge")
+
+    def cols(pts, q):
+        h, d1, d2 = H(q)
+        a = pts[:, 0] * pts[:, 1]
+        return np.stack([h, 4.0 * d2 * a * a + 2.0 * d1 * pts[:, 1] ** 2])
+
+    x, y = TRIANGULAR.x, TRIANGULAR.y
+    sums = _summed(cols, tail_of, basis_matrix(x, y), rtol)[0]
+    return float(sums[1, 0]) / (y * y)
 
 
 def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps: float,
                           rtol: float = 1e-10) -> float:
     """T of the diffuse energy E_{h_eps} at the triangular lattice."""
-    H = _fourier_summand(fourier(P), scale(mu, eps))[0]
-    last = [None, None]  # t_coefficient passes one ring's q to F1, then F2
-
-    def jet(q):
-        if last[0] is not q:
-            last[:] = q, H(q, derivatives=True)
-        return last[1]
-
-    return t_coefficient(lambda q: jet(q)[1], lambda q: jet(q)[2], rtol=rtol)
+    H, tail_of = _fourier_summand(fourier(P), scale(mu, eps))
+    return t_coefficient(partial(H, derivatives=True), tail_of, rtol)
 
 
 def stability_curve(P: RadialPotential, mu: RadialMeasure, eps_grid,

@@ -2,6 +2,7 @@
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -170,7 +171,8 @@ def test_criterion_7_t_coefficient_vs_fd_hessian():
     for t in (0.5, 1.0, 2.0):
         c = math.pi * t
         T = stab.t_coefficient(
-            lambda q: -c * np.exp(-c * q), lambda q: c * c * np.exp(-c * q)
+            lambda q: (np.exp(-c * q), -c * np.exp(-c * q), c * c * np.exp(-c * q)),
+            partial(en.mixture_tail, [c], [1.0]),
         )
         P = pot.from_atoms([(math.pi / t, 1.0 / t)])
         E = en.diffuse_energy_fn(P, msr.dirac(), rtol=1e-12)

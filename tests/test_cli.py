@@ -21,6 +21,13 @@ class TestTheta:
         assert payload["value"] == pytest.approx(1.1803406, abs=1e-6)
         assert payload["lattice"] == [0.0, 1.0]
 
+    def test_huge_t_is_one_without_overflow(self, capsys):
+        # pi t q and the tail bound's 2 t overflow to inf: exp(-inf) = 0
+        assert run_cli(["theta", "--lattice", "0,1", "--t", "5e307"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["value"] == 1.0
+        assert captured.err == ""
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "theta.json"
         assert run_cli(
@@ -247,6 +254,7 @@ class TestExitCodeContract:
         (_CURVE + ["--eps", "0:1e30:1e-10"], 2, "--eps"),
         (["scan"] + _GAUSS + ["--y-steps", "10000000000000"], 2, "--y-steps"),
         (["minimize"] + _GAUSS + ["--y-steps", "10000000000000"], 2, "--y-steps"),
+        (["scan"] + _GAUSS + ["--x-steps", "10000000000000"], 2, "--x-steps"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code

@@ -314,6 +314,57 @@ class TestMassAtCentre:
             np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-16)
 
 
+class TestMomentsFromJ0J1:
+    """The moments against the formulas that took J2 from ``jv(2, .)``."""
+
+    X = np.concatenate([np.logspace(-9.0, -3.0, 25), np.linspace(1e-3, 60.0, 4001)])
+
+    @staticmethod
+    def _disk_by_jv(R, X):
+        small = X < 1e-4
+        Xs = np.where(small, 1.0, X)
+        J1, J2 = jv(1, Xs), jv(2, Xs)
+        return (np.where(small, 1.0 - X * X / 8.0, 2.0 * J1 / Xs),
+                np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * J2 / Xs),
+                np.where(small, R * R * (-0.5 + X * X / 8.0),
+                         R * R * (12.0 * J2 / (Xs * Xs) - 4.0 * J1 / Xs)))
+
+    @pytest.mark.parametrize("R", [1.0, 2.5])
+    def test_disk_across_the_switch(self, R):
+        # X = 2 pi R t on [0, 60]: both sides of the J2 series switch at 1
+        # and of the moments' series switch at 1e-4
+        assert (self.X < 1e-4).any() and ((self.X > 0.5) & (self.X < 1.5)).sum() > 50
+        t = self.X / (2.0 * math.pi * R)
+        got = msr.hankel_moments(msr.uniform_disk(R), 1.0, t * t)
+        for k, (a, b) in enumerate(zip(got, self._disk_by_jv(R, self.X))):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14 * R**k)
+        at_zero = msr.hankel_moments(msr.uniform_disk(R), 0.0, 1.0)
+        assert at_zero == (1.0, 0.0, -0.5 * R * R)
+
+    def test_profile_of_40_nodes(self):
+        s = np.linspace(0.0, 1.2, 40)
+        mu = msr.profile(zip(s, s * np.exp(-(((s - 0.6) / 0.2) ** 2))))
+        ss, ws = mu.nodes()
+        R = ss.max()
+        t = self.X / (2.0 * math.pi * R)
+        cs = 2.0 * math.pi * np.outer(t, ss)
+        want = ((ws * jv(0, cs)).sum(axis=1),
+                (ws * ss * jv(1, cs)).sum(axis=1),
+                (ws * ss * ss * (jv(2, cs) - jv(0, cs))).sum(axis=1))
+        got = msr.hankel_moments(mu, 1.0, t * t)
+        for k, (a, b) in enumerate(zip(got, want)):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14 * R**k)
+        # c = 0: the moments of the measure itself
+        assert msr.hankel_moments(mu, 0.0, 1.0) == pytest.approx(
+            (1.0, 0.0, -(ws * ss * ss).sum()), abs=1e-15)
+
+    def test_profile_nodes_are_built_once(self):
+        mu = TestHankelMomentsArray._ring_profile()
+        first, again = mu.nodes(), mu.nodes()
+        assert all(a is b for a, b in zip(first, again))
+        assert not any(a.flags.writeable for a in first)
+
+
 class TestSelfConvolution:
     def test_dirac_collapses(self):
         P = pot.gaussian(2.0)

@@ -1,26 +1,35 @@
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import latticeforge.lattice as lat
 import latticeforge.measure as msr
 import latticeforge.potential as pot
 import latticeforge.stability as stab
 from latticeforge import TRIANGULAR, LatticeParams
 from latticeforge.energy import (
-    _fourier_summand, diffuse_energy_fn, diffuse_energy_jet,
+    _fourier_summand, diffuse_energy_fn, diffuse_energy_jet, mixture_tail,
 )
 
 from conftest import disk_psi_nodes
 
 
+def _exp_summand(c: float):
+    """(H, H', H'') of H(q) = e^(-c q), and its tail factory."""
+
+    def H(q):
+        e = np.exp(-c * q)
+        return e, -c * e, c * c * e
+
+    return H, partial(mixture_tail, [c], [1.0])
+
+
 def _gaussian_theta_T(t: float) -> float:
-    """T for the summand e^(-pi t q) via the closed double sum."""
-    c = math.pi * t
-    return stab.t_coefficient(
-        lambda q: -c * np.exp(-c * q), lambda q: c * c * np.exp(-c * q)
-    )
+    """T for the summand e^(-pi t q), from its closed-form q-derivatives."""
+    return stab.t_coefficient(*_exp_summand(math.pi * t))
 
 
 def _theta_lattice_energy(t: float):
@@ -39,26 +48,11 @@ def _h_derivatives(P, mu, eps, r):
     return H(r, derivatives=True)[1:]
 
 
-def _rings_by_loop(M: int):
-    """Reference ring of the triangular sum: double loop over the box."""
-    pairs = [(m, n) for m in range(-M, M + 1) for n in range(-M, M + 1)
-             if max(abs(m), abs(n)) == M]
-    m = np.array([p[0] for p in pairs], dtype=float)
-    n = np.array([p[1] for p in pairs], dtype=float)
-    return n * n, n**4, (2.0 / math.sqrt(3.0)) * (m * m + m * n + n * n)
-
-
-@pytest.mark.parametrize("M", [1, 2, 5, 17])
-def test_triangular_rings_match_loop(M):
-    for got, want in zip(stab._triangular_rings(M), _rings_by_loop(M)):
-        assert np.array_equal(got, want)
-        assert not got.flags.writeable
-
-
 class TestTCoefficient:
     def test_zero_for_constant(self):
-        z = lambda q: np.zeros_like(q)
-        assert stab.t_coefficient(z, z) == 0.0
+        z = lambda q: (np.zeros_like(q),) * 3
+        # the zero summand is the mixture with weight 0: its tail bound is 0
+        assert stab.t_coefficient(z, partial(mixture_tail, [1.0], [0.0])) == 0.0
 
     def test_gaussian_positive(self):
         assert _gaussian_theta_T(1.0) > 0.0
@@ -71,10 +65,13 @@ class TestTCoefficient:
         assert hess[0, 0] == pytest.approx(T, rel=1e-4)
         assert hess[1, 1] == pytest.approx(T, rel=1e-4)
 
-    def test_nonconvergent_sum_raises(self):
-        one = lambda q: np.ones_like(q)
-        with pytest.raises(Exception):
-            stab.t_coefficient(one, one, max_box=5)
+    def test_nonconvergent_sum_raises(self, monkeypatch):
+        # e^(-1e-9 q) needs a cutoff near 10^5 to close its tail; a
+        # 10^4-candidate cap stops the growing cutoff after a few rounds
+        monkeypatch.setattr(lat, "enumerate_points",
+                            partial(lat.enumerate_points, cap=10**4))
+        with pytest.raises(lat.ShellCapError):
+            stab.t_coefficient(*_exp_summand(1e-9))
 
 
 class TestDiffuseHDerivatives:
