@@ -2,10 +2,8 @@
 
 from .lattice import (
     TRIANGULAR,
-    Basis2D,
     LatticeParams,
     dual,
-    from_params,
     metric,
     reduce,
 )

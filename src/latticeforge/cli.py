@@ -44,13 +44,19 @@ def _write_json(path: str, payload: dict) -> None:
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--output: cannot write '{path}': {exc.strerror}") from None
 
 
-def _write_svg(path: str, xs, ys, width: int = 800, height: int = 400,
-               margin: int = 40) -> None:
+# SVG canvas size and plot margin, in pixels
+_WIDTH, _HEIGHT, _MARGIN = 800, 400, 40
+
+
+def _write_svg(path: str, xs, ys) -> None:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x0, x1 = float(xs.min()), float(xs.max())
@@ -61,17 +67,17 @@ def _write_svg(path: str, xs, ys, width: int = 800, height: int = 400,
         y1 = y0 + 1.0
 
     def sx(x):
-        return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
+        return _MARGIN + (x - x0) / (x1 - x0) * (_WIDTH - 2 * _MARGIN)
 
     def sy(y):
-        return height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
+        return _HEIGHT - _MARGIN - (y - y0) / (y1 - y0) * (_HEIGHT - 2 * _MARGIN)
 
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
     zero_y = sy(0.0)
     svg = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}">\n'
-        f'<line x1="{margin}" y1="{zero_y:.2f}" x2="{width - margin}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}">\n'
+        f'<line x1="{_MARGIN}" y1="{zero_y:.2f}" x2="{_WIDTH - _MARGIN}" '
         f'y2="{zero_y:.2f}" stroke="#888" stroke-width="1"/>\n'
         f'<polyline points="{pts}" fill="none" stroke="#1460aa" '
         f'stroke-width="1.5"/>\n'

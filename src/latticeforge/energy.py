@@ -7,11 +7,13 @@ is evaluated on the Fourier side as
 
 For a planar lattice L of covolume s, the dual L* is L turned by 90
 degrees and scaled by 1/s.  The summand is radial, so the sum runs over
-the points of L / s, with no dual basis and no reduction; only the
-Poisson check, whose phase p.z depends on the frame, uses the dual basis.
-A direct-space summation is available for Gaussian families as a
-cross-check.  All sums are truncated at a radius with a certified tail
-bound derived from a disk-packing estimate.
+the points of L / s, with no dual basis; only the Poisson check, whose
+phase p.z depends on the frame, uses the dual basis.  A direct-space
+summation is available for Gaussian families as a cross-check.  All sums
+run over the basis they are given and are truncated at a radius with a
+certified tail bound derived from a disk-packing estimate.  The packing
+radius comes from the Lagrange-Gauss reduced basis, so the bound is
+certified for any (x, y) with y > 0, not only near D.
 """
 
 from __future__ import annotations
@@ -108,12 +110,13 @@ _CHUNK_CANDIDATES = 1 << 18
 
 
 def _packing_radius(bases: np.ndarray) -> np.ndarray:
-    """Half the shortest of u1, u2, u1 + u2 and u1 - u2, per basis.
+    """Half the shortest lattice vector, per basis of a (k, 2, 2) stack.
 
-    For a reduced basis (any (x, y) near D) this is half the shortest
-    lattice vector.
+    The shortest of u1, u2, u1 + u2 and u1 - u2 for the Lagrange-Gauss
+    reduced rows u1, u2, which holds a shortest vector for any basis.
     """
-    u1, u2 = bases[..., 0, :], bases[..., 1, :]
+    reduced = lat._reduced(bases)
+    u1, u2 = reduced[:, 0], reduced[:, 1]
     vs = np.stack([u1, u2, u1 + u2, u1 - u2])
     return 0.5 * np.sqrt(np.einsum("...i,...i->...", vs, vs).min(axis=0))
 
@@ -152,8 +155,7 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray):
     return sums, counts
 
 
-def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float,
-            floor: float = 1e-300):
+def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float):
     """Adaptive truncated sums of h over the nonzero points of each lattice.
 
     ``bases`` is a (k, 2, 2) stack of basis rows (or one (2, 2) basis);
@@ -178,7 +180,7 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float,
         total = sums if total is None else total  # round 1 holds every lattice
         total[..., active] = sums
         head = np.atleast_2d(total)[0, active]
-        done = bound[active] <= rtol * np.maximum(np.abs(head), floor)
+        done = bound[active] <= rtol * np.maximum(np.abs(head), 1e-300)
         active = active[~done]
         if not active.size:
             return total, R, bound, terms
@@ -193,10 +195,6 @@ def _report(h_eval, tail_of, basis: np.ndarray, rtol: float) -> EnergyReport:
         value=float(total), lattice_part=float(total), constant_part=0.0,
         cutoff_R=float(R), tail_bound=float(bound), terms_used=int(n),
     )
-
-
-def _basis(L: LatticeParams) -> np.ndarray:
-    return lat.basis_matrix(L.x, L.y) * math.sqrt(L.scale)
 
 
 def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure):
@@ -239,7 +237,7 @@ def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
             return np.exp(-math.pi * t * q)
 
     return 1.0 + _report(
-        summand, partial(mixture_tail, [math.pi * t], [1.0]), _basis(L), rtol,
+        summand, partial(mixture_tail, [math.pi * t], [1.0]), L.basis(), rtol,
     ).value
 
 
@@ -250,8 +248,8 @@ def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
     Phi = fourier(P)
     H, tail_of = _fourier_summand(Phi, mu)
     # L* is L turned by 90 degrees and scaled by 1/covolume
-    part = _report(lambda pts, q: H(q), tail_of, _basis(L) / L.scale, rtol)
-    const = Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
+    part = _report(lambda pts, q: H(q), tail_of, L.basis() / L.scale, rtol)
+    const = Phi.value_at_origin() - self_convolution_at_zero(P, mu)
     return replace(part, value=part.lattice_part + const, constant_part=const)
 
 
@@ -268,7 +266,7 @@ def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
     Phi = fourier(P)
     H, tail_of = _fourier_summand(Phi, mu)
     const = (
-        Phi.value_at_origin() - self_convolution_at_zero(P, mu, Phi=Phi)
+        Phi.value_at_origin() - self_convolution_at_zero(P, mu)
         if include_constant
         else 0.0
     )
@@ -344,7 +342,7 @@ def diffuse_energy_direct(P: RadialPotential, mu: RadialMeasure,
     """Direct-space sum'_{x in L} (f*mu*mu)(x) for Gaussian families."""
     f = _direct_mixture(P, mu)
     return _report(lambda pts, q: f.eval(q),
-                   partial(mixture_tail, *f.rep.nodes()), _basis(L), rtol).value
+                   partial(mixture_tail, *f.rep.nodes()), L.basis(), rtol).value
 
 
 def poisson_check(P: RadialPotential, L: LatticeParams, z,
@@ -355,7 +353,7 @@ def poisson_check(P: RadialPotential, L: LatticeParams, z,
     returns (lhs, rhs, |lhs - rhs|).
     """
     z = np.asarray(z, dtype=float)
-    basis = _basis(L)
+    basis = L.basis()
     # shifted sum: f(x + z) <= phi(|x| - |z|), handled by the tail offset
     zn = float(np.linalg.norm(z))
 

@@ -1,7 +1,8 @@
 """Unit-density 2D Bravais lattices and their fundamental-domain coordinates.
 
-A lattice is handled either as an explicit basis (two independent vectors)
-or as a point (x, y) of the fundamental domain
+A lattice is handled either as a basis, a (2, 2) array with rows u1 and u2
+(or a (k, 2, 2) stack of them), or as a point (x, y) of the fundamental
+domain
 
     D = { (x, y) : 0 <= x <= 1/2, y > 0, x^2 + y^2 >= 1 },
 
@@ -18,13 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "Basis2D",
     "LatticeParams",
     "TRIANGULAR",
     "LatticeDomainError",
     "DegenerateBasisError",
     "ShellCapError",
-    "from_params",
     "basis_matrix",
     "reduce",
     "dual",
@@ -48,24 +47,6 @@ class ShellCapError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Basis2D:
-    """Basis of a planar lattice, rows u1 and u2."""
-
-    u1: tuple[float, float]
-    u2: tuple[float, float]
-
-    def matrix(self) -> np.ndarray:
-        return np.array([self.u1, self.u2], dtype=float)
-
-    def covolume(self) -> float:
-        return abs(self.u1[0] * self.u2[1] - self.u1[1] * self.u2[0])
-
-    def gram(self) -> np.ndarray:
-        b = self.matrix()
-        return b @ b.T
-
-
-@dataclass(frozen=True)
 class LatticeParams:
     """Point of the fundamental domain D plus the original covolume."""
 
@@ -85,15 +66,16 @@ class LatticeParams:
         if not self.scale > 0:
             raise LatticeDomainError(f"scale must be positive, got {self.scale}")
 
-    def basis(self) -> Basis2D:
-        return from_params(self.x, self.y)
+    def basis(self) -> np.ndarray:
+        """Basis rows of this lattice, of covolume ``scale``."""
+        return basis_matrix(self.x, self.y) * math.sqrt(self.scale)
 
 
-def in_domain(x: float, y: float, tol: float = _DOMAIN_TOL) -> bool:
+def in_domain(x: float, y: float) -> bool:
     return (
-        -tol <= x <= 0.5 + tol
+        -_DOMAIN_TOL <= x <= 0.5 + _DOMAIN_TOL
         and y > 0
-        and x * x + y * y >= 1.0 - tol
+        and x * x + y * y >= 1.0 - _DOMAIN_TOL
     )
 
 
@@ -112,76 +94,62 @@ def basis_matrix(x, y) -> np.ndarray:
     return rows.reshape(x.shape + (2, 2))
 
 
-def from_params(x: float, y: float) -> Basis2D:
-    """Unit-covolume basis ((1/sqrt(y), 0), (x/sqrt(y), sqrt(y)))."""
-    if not in_domain(x, y):
-        raise LatticeDomainError(f"({x}, {y}) outside fundamental domain")
-    m = basis_matrix(x, y)
-    return Basis2D((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1]))
+def _reduced(bases) -> np.ndarray:
+    """Lagrange-Gauss reduced rows of each basis in a (k, 2, 2) stack.
 
-
-def _gauss_reduce(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange-Gauss reduction to a shortest basis pair, |v1| <= |v2|."""
-    a, b = v1.copy(), v2.copy()
-    if a @ a > b @ b:
-        a, b = b, a
-    while True:
-        mu = round((a @ b) / (a @ a))
-        b = b - mu * a
-        if b @ b >= a @ a:
-            break
-        a, b = b, a
-    return a, b
-
-
-def _params_from_reduced(a: np.ndarray, b: np.ndarray, covol: float):
-    """Map a Gauss-reduced pair to ((x, y), rotation angle)."""
-    la2 = float(a @ a)
-    y = covol / la2
-    x = (a @ b) / la2
-    # reflect across the axis of u1 so that x >= 0
-    if x < 0:
-        x = -x
-    if x > 0.5:  # |x| == 1/2 up to roundoff
-        x = 1.0 - x
-    rotation = math.atan2(a[1], a[0])
-    return x, y, rotation
-
-
-def reduce(b: Basis2D) -> tuple[LatticeParams, float]:
-    """Canonical D coordinates of the lattice spanned by ``b``.
-
-    Returns (params, rotation) where rotation is the angle of the shortest
-    reduced vector in the input frame.  ``params.scale`` records the input
-    covolume; the stored (x, y) always describes the unit-density rescaling.
+    Row u1 is a shortest lattice vector and u2 one shortest independent of
+    it: |u1| <= |u2| and |u1 . u2| <= |u1|^2 / 2.  Each basis is reduced
+    on its own, so no result depends on the rest of the stack.
     """
-    m = b.matrix()
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    norm_scale = math.sqrt(float(m[0] @ m[0]) * float(m[1] @ m[1]))
-    if abs(det) <= 1e-12 * norm_scale:
-        raise DegenerateBasisError(f"basis {b} is numerically degenerate")
-    covol = abs(det)
-    a, v = _gauss_reduce(m[0], m[1])
+    b = np.array(bases, dtype=float).reshape(-1, 2, 2)
+    u, v = b[:, 0], b[:, 1]  # views: the swaps below move rows of b
+    going = np.ones(len(b), dtype=bool)
+    while True:
+        uu = (u * u).sum(axis=1)
+        # a finished basis steps by 0, so it stays as it was
+        v -= np.round((u * v).sum(axis=1) / uu * going)[:, None] * u
+        going = (v * v).sum(axis=1) < uu  # v shorter than u: swap, reduce again
+        if not going.any():
+            return b
+        b[going] = b[going, ::-1]
 
-    candidates = [_params_from_reduced(a, v, covol)]
-    if abs(float(a @ a) - float(v @ v)) <= 1e-12 * float(v @ v):
+
+def reduce(basis) -> LatticeParams:
+    """Canonical D coordinates of the lattice spanned by the rows of ``basis``.
+
+    ``params.scale`` records the input covolume; the stored (x, y) always
+    describes the unit-density rescaling.
+    """
+    b = np.asarray(basis, dtype=float)
+    if b.shape != (2, 2):
+        raise ValueError(f"basis must be a (2, 2) array of rows, got shape {b.shape}")
+    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    norm_scale = math.sqrt(float(b[0] @ b[0]) * float(b[1] @ b[1]))
+    if abs(det) <= 1e-12 * norm_scale:
+        raise DegenerateBasisError(f"basis {b.tolist()} is numerically degenerate")
+    covol = abs(float(det))
+    u, v = _reduced(b)[0]
+    pairs = [(u, v)]
+    if abs(float(u @ u) - float(v @ v)) <= 1e-12 * float(v @ v):
         # equal-length pair: ordering is ambiguous, keep the smaller x
-        candidates.append(_params_from_reduced(v, a, covol))
-    x, y, rotation = min(candidates, key=lambda c: (c[0], c[1]))
+        pairs.append((v, u))
+    coords = []
+    for a, c in pairs:
+        la2 = float(a @ a)
+        x = abs(float(a @ c)) / la2  # reflect across the axis of a
+        coords.append((1.0 - x if x > 0.5 else x, covol / la2))
+    x, y = min(coords)
 
     x = min(max(x, 0.0), 0.5)
     if x * x + y * y < 1.0:
         # roundoff below the unit circle; project back onto the boundary
         y = math.sqrt(max(1.0 - x * x, 0.0))
-    return LatticeParams(x, y, scale=covol), rotation
+    return LatticeParams(x, y, scale=covol)
 
 
 def dual(L: LatticeParams) -> LatticeParams:
     """Fundamental-domain coordinates of the dual lattice."""
-    m = basis_matrix(L.x, L.y) * math.sqrt(L.scale)
-    md = np.linalg.inv(m).T
-    params, _ = reduce(Basis2D(tuple(md[0]), tuple(md[1])))
-    return params
+    return reduce(np.linalg.inv(L.basis()).T)
 
 
 def _dx_corrected(x1: float, x2: float) -> float:

@@ -240,17 +240,15 @@ def _transform(mu: RadialMeasure, t: np.ndarray, moments: bool):
     return A0, A1, 2.0 * (A1_c - (m2 * J0).sum(axis=-1))
 
 
-def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure,
-                             Phi: RadialPotential | None = None) -> float:
+def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure) -> float:
     """(f * mu * mu)(0) via the radial Plancherel identity.
 
     Equals 2 pi int_0^inf Phi(r^2) g(r)^2 r dr with Phi the Fourier
-    transform of the potential; pass ``Phi`` when the caller has it.
+    transform of the potential.
     """
     from scipy.integrate import quad  # slow to import; only energies need it
 
-    if Phi is None:
-        Phi = fourier(P)
+    Phi = fourier(P)
     t_min = float(Phi.rep.nodes()[0].min())
     # Phi(r^2) <= Phi(0) exp(-t_min r^2): integrand negligible beyond r_cut
     r_cut = math.sqrt(max(40.0, -math.log(1e-16)) / t_min) + 1.0
@@ -293,12 +291,17 @@ def parse_measure(spec: str) -> RadialMeasure:
 
 
 def _read_profile_csv(path: str) -> list[tuple[float, float]]:
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise MeasureSpecError(
+            f"cannot read profile file '{path}': {exc.strerror}") from None
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            s_str, _, d_str = line.partition(",")
-            rows.append((float(s_str), float(d_str)))
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        s_str, _, d_str = line.partition(",")
+        rows.append((float(s_str), float(d_str)))
     return rows

@@ -33,8 +33,6 @@ class MaxIterationsError(RuntimeError):
 @dataclass(frozen=True)
 class Landscape:
     grid: np.ndarray = field(repr=False)  # rows (x, y, E)
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
     resolution: tuple[int, int]
     argmin: tuple[float, float, float]
 
@@ -83,8 +81,6 @@ def grid_scan(E, x_steps: int, y_steps: int, y_max: float) -> Landscape:
                 best = (x, y, e)
     return Landscape(
         grid=np.array(rows),
-        x_range=(0.0, 0.5),
-        y_range=(1.0, y_max),
         resolution=(x_steps, y_steps),
         argmin=best,
     )

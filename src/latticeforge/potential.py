@@ -82,6 +82,17 @@ class RadialPotential:
     def value_at_origin(self) -> float:
         return float(self.rep.nodes()[1].sum())
 
+    @cached_property
+    def _fourier(self) -> RadialPotential:
+        """The 2D Fourier transform, built once per potential (``fourier``)."""
+        pi = math.pi
+
+        def _map(items):
+            return tuple((pi * pi / t, w * pi / t) for t, w in items)
+
+        return RadialPotential(LaplaceMeasure(
+            atoms=_map(self.rep.atoms), density_nodes=_map(self.rep.density_nodes)))
+
 
 def gaussian(alpha: float) -> RadialPotential:
     """exp(-alpha |x|^2): a single Laplace atom at t = alpha."""
@@ -149,14 +160,9 @@ def fourier(P: RadialPotential) -> RadialPotential:
 
     Uses the exact 2D Gaussian integral
     int exp(-t|x|^2) exp(-2 pi i x.p) dx = (pi/t) exp(-pi^2 |p|^2 / t).
+    Built once per potential: every call returns the same object.
     """
-    pi = math.pi
-
-    def _map(items):
-        return tuple((pi * pi / t, w * pi / t) for t, w in items)
-
-    return RadialPotential(LaplaceMeasure(
-        atoms=_map(P.rep.atoms), density_nodes=_map(P.rep.density_nodes)))
+    return P._fourier
 
 
 def check_completely_monotone(F, r_samples, max_order: int) -> bool:

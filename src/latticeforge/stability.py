@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _CLASSIFY_TOL = 1e-9
+# width at which bisection stops refining a sign change of T
+_ZERO_XTOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ def stability_curve(P: RadialPotential, mu: RadialMeasure, eps_grid,
 
 
 def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
-                 xtol: float = 0.01, rtol: float = 1e-10) -> list[float]:
+                 rtol: float = 1e-10) -> list[float]:
     """Bisection-refined zero locations of T along a precomputed curve."""
     zeros = []
     for (e0, t0), (e1, t1) in zip(curve, curve[1:]):
@@ -85,7 +87,7 @@ def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
             continue
         if t0 * t1 < 0.0:
             lo, hi, flo = e0, e1, t0
-            while hi - lo > xtol:
+            while hi - lo > _ZERO_XTOL:
                 mid = 0.5 * (lo + hi)
                 fm = t_coefficient_diffuse(P, mu, mid, rtol=rtol)
                 if flo * fm <= 0.0:

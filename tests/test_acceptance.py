@@ -95,7 +95,7 @@ def figure_curve():
     start = time.perf_counter()
     grid = np.arange(0.05, 5.0001, 0.05)
     curve = stab.stability_curve(P, mu, grid)
-    zeros = stab.sign_changes(P, mu, curve, xtol=0.01)
+    zeros = stab.sign_changes(P, mu, curve)
     elapsed = time.perf_counter() - start
     return P, mu, zeros, elapsed
 

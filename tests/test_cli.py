@@ -255,6 +255,14 @@ class TestExitCodeContract:
         (["scan"] + _GAUSS + ["--y-steps", "10000000000000"], 2, "--y-steps"),
         (["minimize"] + _GAUSS + ["--y-steps", "10000000000000"], 2, "--y-steps"),
         (["scan"] + _GAUSS + ["--x-steps", "10000000000000"], 2, "--x-steps"),
+        # unreadable profile files and an unwritable output path
+        (["energy", "--potential", "gaussian:alpha=2", "--measure",
+          "profile:file=/nonexistent/profile.csv", "--lattice", "0,1"],
+         2, "/nonexistent/profile.csv"),
+        (["energy", "--potential", "gaussian:alpha=2", "--measure",
+          "profile:file=.", "--lattice", "0,1"], 2, "profile file '.'"),
+        (["theta", "--lattice", "0,1", "--t", "1",
+          "--output", "/nonexistent/dir/x.json"], 2, "--output: "),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code

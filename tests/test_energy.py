@@ -10,7 +10,7 @@ import latticeforge.energy as en
 import latticeforge.lattice as lat
 import latticeforge.measure as msr
 import latticeforge.potential as pot
-from latticeforge import Basis2D, LatticeParams, TRIANGULAR
+from latticeforge import LatticeParams, TRIANGULAR
 
 from conftest import random_lattice
 
@@ -161,8 +161,7 @@ class TestDiffuseEnergyDirect:
         rot = np.array(
             [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
         )
-        m = L.basis().matrix() @ rot.T
-        L2, _ = lat.reduce(Basis2D(tuple(m[0]), tuple(m[1])))
+        L2 = lat.reduce(L.basis() @ rot.T)
         assert en.diffuse_energy_direct(P, mu, L) == pytest.approx(
             en.diffuse_energy_direct(P, mu, L2), rel=1e-10
         )
@@ -199,6 +198,23 @@ class TestPoissonCheck:
             z = tuple(rng.uniform(-0.5, 0.5, size=2))
             _, _, diff = en.poisson_check(P, L, z)
             assert diff <= 1e-9
+
+
+class TestPackingRadius:
+    @pytest.mark.parametrize("x, y", [
+        (0.45, 0.011), (0.49, 0.004), (0.3, 0.02), (2.7, 0.5),
+    ])
+    def test_half_the_shortest_vector(self, x, y):
+        # (x, y) far from D: the basis rows and their sum and difference
+        # are all much longer than the lattice's shortest vector
+        basis = lat.basis_matrix(x, y)
+        k = np.arange(-60, 61)
+        ms, ns = np.meshgrid(k, k, indexing="ij")
+        pts = np.outer(ms.ravel(), basis[0]) + np.outer(ns.ravel(), basis[1])
+        lengths = np.linalg.norm(pts, axis=1)
+        shortest = lengths[lengths > 0].min()
+        rho = en._packing_radius(basis[None])
+        assert rho[0] == pytest.approx(0.5 * shortest, rel=1e-12)
 
 
 class TestBatchedEngine:

@@ -5,69 +5,78 @@ import pytest
 
 import latticeforge.energy as en
 import latticeforge.lattice as lat
-from latticeforge import Basis2D, LatticeParams, TRIANGULAR
+from latticeforge import LatticeParams, TRIANGULAR
 
 from conftest import random_lattice
 
 SQ3 = math.sqrt(3.0)
 
 
-def triangular_basis() -> Basis2D:
+def triangular_basis() -> np.ndarray:
     # unit-density rescaling of ((1,0),(1/2,sqrt3/2))
     c = math.sqrt(2.0 / SQ3)
-    return Basis2D((c, 0.0), (0.5 * c, 0.5 * SQ3 * c))
+    return np.array([[c, 0.0], [0.5 * c, 0.5 * SQ3 * c]])
+
+
+def covolume(b: np.ndarray) -> float:
+    return abs(np.linalg.det(b))
 
 
 class TestFromParams:
     def test_square(self):
-        b = lat.from_params(0.0, 1.0)
-        assert b.matrix() == pytest.approx(np.eye(2))
+        b = LatticeParams(0.0, 1.0).basis()
+        assert b == pytest.approx(np.eye(2))
 
     def test_triangular_gram(self):
-        got = lat.from_params(0.5, 0.5 * SQ3).gram()
-        want = triangular_basis().gram()
-        assert got == pytest.approx(want, abs=1e-14)
+        b, t = LatticeParams(0.5, 0.5 * SQ3).basis(), triangular_basis()
+        assert b @ b.T == pytest.approx(t @ t.T, abs=1e-14)
 
     def test_half_two(self):
-        b = lat.from_params(0.5, 2.0)
+        b = LatticeParams(0.5, 2.0).basis()
         r2 = math.sqrt(2.0)
-        assert b.u1 == pytest.approx((1.0 / r2, 0.0))
-        assert b.u2 == pytest.approx((1.0 / (2.0 * r2), r2))
-        assert b.covolume() == pytest.approx(1.0, abs=1e-14)
+        assert b[0] == pytest.approx((1.0 / r2, 0.0))
+        assert b[1] == pytest.approx((1.0 / (2.0 * r2), r2))
+        assert covolume(b) == pytest.approx(1.0, abs=1e-14)
 
     def test_covolume_unit(self, rng):
         for _ in range(50):
             L = random_lattice(rng)
-            assert abs(L.basis().covolume() - 1.0) <= 1e-14
+            assert abs(covolume(L.basis()) - 1.0) <= 1e-14
+
+    def test_scaled_basis_spans_the_lattice(self):
+        L = LatticeParams(0.3, 1.4, scale=9.0)
+        assert covolume(L.basis()) == pytest.approx(9.0, rel=1e-14)
+        got = lat.reduce(L.basis())
+        assert (got.x, got.y, got.scale) == pytest.approx((0.3, 1.4, 9.0))
 
     def test_outside_domain_rejected(self):
         with pytest.raises(lat.LatticeDomainError):
-            lat.from_params(0.3, 0.5)
+            LatticeParams(0.3, 0.5)
         with pytest.raises(lat.LatticeDomainError):
-            lat.from_params(0.7, 2.0)
+            LatticeParams(0.7, 2.0)
         with pytest.raises(lat.LatticeDomainError):
             LatticeParams(-0.1, 2.0)
 
 
 class TestReduce:
     def test_identity_basis(self):
-        params, _ = lat.reduce(Basis2D((1.0, 0.0), (0.0, 1.0)))
+        params = lat.reduce(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert (params.x, params.y) == pytest.approx((0.0, 1.0))
         assert params.scale == pytest.approx(1.0)
 
     def test_rectangular(self):
-        params, _ = lat.reduce(Basis2D((2.0, 0.0), (0.0, 0.5)))
+        params = lat.reduce(np.array([[2.0, 0.0], [0.0, 0.5]]))
         assert (params.x, params.y) == pytest.approx((0.0, 4.0))
         assert params.scale == pytest.approx(1.0)
 
     def test_triangular(self):
-        params, _ = lat.reduce(triangular_basis())
+        params = lat.reduce(triangular_basis())
         assert (params.x, params.y) == pytest.approx((0.5, 0.5 * SQ3))
 
     def test_roundtrip_on_domain(self, rng):
         for _ in range(100):
             L = random_lattice(rng)
-            got, _ = lat.reduce(L.basis())
+            got = lat.reduce(L.basis())
             assert got.x == pytest.approx(L.x, abs=1e-12)
             assert got.y == pytest.approx(L.y, abs=1e-12)
 
@@ -75,25 +84,46 @@ class TestReduce:
         # rotating and unimodularly remixing a basis must not change (x, y)
         for _ in range(30):
             L = random_lattice(rng)
-            m = L.basis().matrix()
+            m = L.basis()
             phi = rng.uniform(0.0, 2.0 * math.pi)
             rot = np.array(
                 [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
             )
             U = np.array([[1.0, 0.0], [rng.integers(-3, 4), 1.0]])
             m2 = (U @ m) @ rot.T
-            got, _ = lat.reduce(Basis2D(tuple(m2[0]), tuple(m2[1])))
+            got = lat.reduce(m2)
             assert got.x == pytest.approx(L.x, abs=1e-9)
             assert got.y == pytest.approx(L.y, abs=1e-9)
 
     def test_scale_recorded(self):
-        params, _ = lat.reduce(Basis2D((3.0, 0.0), (0.0, 3.0)))
+        params = lat.reduce(np.array([[3.0, 0.0], [0.0, 3.0]]))
         assert params.scale == pytest.approx(9.0)
         assert (params.x, params.y) == pytest.approx((0.0, 1.0))
 
     def test_degenerate_rejected(self):
         with pytest.raises(lat.DegenerateBasisError):
-            lat.reduce(Basis2D((1.0, 2.0), (2.0, 4.0)))
+            lat.reduce(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(ValueError):
+            lat.reduce(np.eye(3))
+
+    def test_stack_matches_each_basis_alone(self, rng):
+        # bases on D, remixed and rotated ones, long-skewed ones needing
+        # many reduction steps, and equal-length pairs, in one stack
+        bases = [random_lattice(rng).basis() for _ in range(5)]
+        bases += [np.array([[1.0, 0.0], [k + 0.3, 0.02]]) for k in (7, 40)]
+        bases += [triangular_basis(), np.array([[3.0, 0.0], [0.0, 3.0]])]
+        for b in bases[:5]:
+            U = np.array([[1.0, 0.0], [rng.integers(-9, 10), 1.0]])
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            rot = np.array([[math.cos(phi), -math.sin(phi)],
+                            [math.sin(phi), math.cos(phi)]])
+            bases.append(U @ b @ rot.T)
+        stack = lat._reduced(np.array(bases))
+        for b, got in zip(bases, stack):
+            assert np.array_equal(got, lat._reduced(b)[0])
+            u, v = got
+            assert u @ u <= v @ v and abs(u @ v) <= 0.5 * (u @ u)
+            assert covolume(got) == pytest.approx(covolume(b), rel=1e-12)
 
 
 class TestDual:
@@ -182,7 +212,7 @@ class TestEnumerateShells:
             L = random_lattice(rng)
             R = rng.uniform(0.5, 5.0)
             pts = engine_points(L, R)
-            m = L.basis().matrix()
+            m = L.basis()
             box = 60
             ms, ns = np.meshgrid(
                 np.arange(-box, box + 1), np.arange(-box, box + 1), indexing="ij"

@@ -111,6 +111,10 @@ class TestFourier:
             r2 = np.linspace(0.0, 9.0, 25)
             assert Q.eval(r2) == pytest.approx(P.eval(r2), rel=1e-10)
 
+    def test_built_once_per_potential(self):
+        for P in (pot.gaussian(2.0), pot.inverse_power(1.0, 2.0)):
+            assert pot.fourier(P) is pot.fourier(P)
+
     def test_value_at_origin(self):
         for alpha in (0.5, 1.0, math.pi, 5.0):
             Phi = pot.fourier(pot.gaussian(alpha))

@@ -130,7 +130,7 @@ class TestStabilityCurve:
         mu = msr.uniform_disk(1.0)
         grid = [0.4, 0.55, 0.7, 0.85]
         curve = stab.stability_curve(P, mu, grid)
-        zeros = stab.sign_changes(P, mu, curve, xtol=0.01)
+        zeros = stab.sign_changes(P, mu, curve)
         assert len(zeros) == 2
         # refined zeros stay inside their grid brackets
         assert 0.55 < zeros[0] < 0.7
