@@ -9,7 +9,6 @@ from .lattice import (
 )
 from .potential import (
     RadialPotential,
-    check_completely_monotone,
     eval_derivatives,
     fourier,
     gaussian,
@@ -39,11 +38,8 @@ from .energy import (
     theta,
 )
 from .stability import (
-    StabilityReport,
-    fd_gradient_hessian,
     sign_changes,
     stability_curve,
-    stability_report,
     t_coefficient,
     t_coefficient_diffuse,
 )

@@ -3,7 +3,8 @@
 Subcommands: energy, theta, scan, stability, minimize, poisson-check.
 Outputs are JSON (reports), CSV (tables, 17 significant digits, header
 line "# lattice-forge v1") or a minimal SVG polyline for the stability
-curve.  Exit codes: 0 success, 2 bad input (spec, lattice or range),
+curve; ``--format`` offers only what a command writes, its first choice
+by default.  Exit codes: 0 success, 2 bad input (spec, lattice or range),
 3 numeric nonconvergence (including a lattice sum too wide to enumerate).
 """
 
@@ -13,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -127,7 +129,9 @@ def _parse_range(text: str) -> np.ndarray:
     n = (hi - lo) / step
     if n > _MAX_GRID:
         raise ValueError(f"--eps: {n:.3g} steps, more than {_MAX_GRID}, in '{text}'")
-    return lo + step * np.arange(int(round(n)) + 1)
+    # the grid stops at or before hi; the 1e-9 keeps hi itself when roundoff
+    # puts n just below a whole number of steps
+    return lo + step * np.arange(math.floor(n + 1e-9) + 1)
 
 
 # what a numeric argument must satisfy, for the commands that take it
@@ -155,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, potential=True, measure=True, lattice_arg=False):
+    def add_common(p, formats, potential=True, measure=True, lattice_arg=False):
         if potential:
             p.add_argument("--potential", required=True,
                            help="gaussian:alpha=<f> | invpower:a=<f>,s=<f> | "
@@ -168,37 +172,37 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--lattice", required=True, help="x,y in D")
         p.add_argument("--rtol", type=float, default=1e-10)
         p.add_argument("--output", default="-", help="file path or - for stdout")
-        p.add_argument("--format", choices=["json", "csv", "svg"], default=None)
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("energy", help="diffuse lattice energy")
-    add_common(p, lattice_arg=True)
+    add_common(p, ["json"], lattice_arg=True)
 
     p = sub.add_parser("theta", help="lattice theta function")
     p.add_argument("--lattice", required=True, help="x,y in D")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--rtol", type=float, default=1e-12)
     p.add_argument("--output", default="-")
-    p.add_argument("--format", choices=["json"], default=None)
+    p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("scan", help="energy landscape over D")
-    add_common(p)
+    add_common(p, ["csv", "json"])
     p.add_argument("--x-steps", type=int, default=40)
     p.add_argument("--y-steps", type=int, default=40)
     p.add_argument("--y-max", type=float, default=4.0)
 
     p = sub.add_parser("stability", help="T coefficient vs concentration")
-    add_common(p)
+    add_common(p, ["csv", "json", "svg"])
     p.add_argument("--eps", required=True, help="lo:hi:step grid")
 
     p = sub.add_parser("minimize", help="global minimization over D")
-    add_common(p)
+    add_common(p, ["json"])
     p.add_argument("--x-steps", type=int, default=40)
     p.add_argument("--y-steps", type=int, default=40)
     p.add_argument("--y-max", type=float, default=4.0)
     p.add_argument("--tol", type=float, default=1e-7)
 
     p = sub.add_parser("poisson-check", help="Poisson summation residual")
-    add_common(p, measure=False, lattice_arg=True)
+    add_common(p, ["json"], measure=False, lattice_arg=True)
     p.add_argument("--z", default="0,0", help="shift vector a,b")
 
     return ap
@@ -230,7 +234,7 @@ def run(args) -> int:
         L = _parse_lattice(args.lattice)
         report = energy.diffuse_energy(P, mu, L, rtol=args.rtol)
         payload = {"command": "energy", "lattice": [L.x, L.y]}
-        payload.update(report.as_dict())
+        payload.update(asdict(report))
         _write_json(args.output, payload)
         return 0
 
@@ -238,7 +242,7 @@ def run(args) -> int:
         E = energy.diffuse_energy_fn(P, mu, rtol=args.rtol,
                                      include_constant=True)
         scan = optimize.grid_scan(E, args.x_steps, args.y_steps, args.y_max)
-        if (args.format or "csv") == "csv":
+        if args.format == "csv":
             _write_csv(args.output, ["x", "y", "E"], scan.grid)
         else:
             _write_json(args.output, {
@@ -251,11 +255,10 @@ def run(args) -> int:
     if cmd == "stability":
         eps_grid = _parse_range(args.eps)
         curve = stability.stability_curve(P, mu, eps_grid, rtol=args.rtol)
-        fmt = args.format or "csv"
-        if fmt == "svg":
+        if args.format == "svg":
             _write_svg(args.output, [e for e, _ in curve],
                        [t for _, t in curve])
-        elif fmt == "json":
+        elif args.format == "json":
             zeros = stability.sign_changes(P, mu, curve, rtol=args.rtol)
             _write_json(args.output, {
                 "command": "stability",

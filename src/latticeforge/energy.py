@@ -19,7 +19,7 @@ certified for any (x, y) with y > 0, not only near D.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -57,9 +57,6 @@ class EnergyReport:
     cutoff_R: float
     tail_bound: float
     terms_used: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "from_atoms",
     "eval_derivatives",
     "fourier",
-    "check_completely_monotone",
     "parse_potential",
 ]
 
@@ -163,29 +162,6 @@ def fourier(P: RadialPotential) -> RadialPotential:
     Built once per potential: every call returns the same object.
     """
     return P._fourier
-
-
-def check_completely_monotone(F, r_samples, max_order: int) -> bool:
-    """Alternating-sign test of divided differences on a sample grid.
-
-    Returns True iff (-1)^k times every k-th divided difference of F is
-    >= -slack for k = 0..max_order, slack absorbing roundoff.  False is a
-    verdict on the sampled grid, not a proof.
-    """
-    r = np.asarray(r_samples, dtype=float)
-    if r.ndim != 1 or len(r) < max_order + 1:
-        raise ValueError("need at least max_order+1 increasing samples")
-    if not (np.all(np.diff(r) > 0) and r[0] > 0):
-        raise ValueError("samples must be strictly increasing and positive")
-    vals = np.array([float(F(ri)) for ri in r])
-    slack = 1e-12 * max(1.0, float(np.abs(vals).max()))
-    table = vals.copy()
-    for k in range(max_order + 1):
-        if np.any((-1.0) ** k * table < -slack):
-            return False
-        if k < max_order:
-            table = (table[1:] - table[:-1]) / (r[k + 1 :] - r[: len(r) - k - 1])
-    return True
 
 
 def parse_potential(spec: str) -> RadialPotential:

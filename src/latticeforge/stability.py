@@ -4,43 +4,30 @@ At the triangular point the Hessian of any radial-summand lattice energy
 is a multiple T of the identity.  T is d^2E/dx^2 there, summed by the
 lattice-sum engine of ``energy`` next to E itself: the engine stops on E's
 certified tail, so ``rtol`` is relative to E and T shares E's cutoff
-without a tail bound of its own.  A finite-difference Hessian of E(x, y)
-on a 3x3 stencil checks it.
+without a tail bound of its own.  The finite-difference check of T, a
+Hessian of E(x, y) on a 3x3 stencil, lives in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .energy import _fourier_summand, _summed, diffuse_energy_fn
-from .lattice import TRIANGULAR, LatticeParams, basis_matrix
+from .energy import _fourier_summand, _summed
+from .lattice import TRIANGULAR, basis_matrix
 from .measure import RadialMeasure, scale
 from .potential import RadialPotential, fourier
 
 __all__ = [
-    "StabilityReport",
     "t_coefficient",
     "t_coefficient_diffuse",
     "stability_curve",
     "sign_changes",
-    "fd_gradient_hessian",
-    "stability_report",
 ]
 
-_CLASSIFY_TOL = 1e-9
 # width at which bisection stops refining a sign change of T
 _ZERO_XTOL = 0.01
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    T_analytic: float
-    grad_fd: tuple[float, float]
-    hessian_fd: np.ndarray
-    classification: str  # "stable" | "unstable" | "marginal"
 
 
 def t_coefficient(H, tail_of, rtol: float = 1e-10) -> float:
@@ -96,44 +83,3 @@ def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
                     lo, flo = mid, fm
             zeros.append(0.5 * (lo + hi))
     return zeros
-
-
-def fd_gradient_hessian(E, L: LatticeParams, step: float = 1e-4):
-    """Central-difference gradient and Hessian of E on (x, y) at L.
-
-    ``E(xs, ys)`` is called once, on the 3x3 stencil, with arrays of one
-    shape and must return an array of that shape (or a value broadcast to
-    it).  The stencil may step across the boundary of D.
-    """
-    h = step * (1.0 + abs(L.y))
-    d = np.array([-h, 0.0, h])
-    dx, dy = np.meshgrid(d, d, indexing="ij")
-    e = np.broadcast_to(np.asarray(E(L.x + dx, L.y + dy), dtype=float),
-                        dx.shape)  # e[i, j] = E(x + d[i], y + d[j])
-    gx = (e[2, 1] - e[0, 1]) / (2.0 * h)
-    gy = (e[1, 2] - e[1, 0]) / (2.0 * h)
-    dxx = (e[2, 1] - 2.0 * e[1, 1] + e[0, 1]) / (h * h)
-    dyy = (e[1, 2] - 2.0 * e[1, 1] + e[1, 0]) / (h * h)
-    dxy = (e[2, 2] - e[2, 0] - e[0, 2] + e[0, 0]) / (4.0 * h * h)
-    return np.array([gx, gy]), np.array([[dxx, dxy], [dxy, dyy]])
-
-
-def stability_report(P: RadialPotential, mu: RadialMeasure,
-                     eps: float) -> StabilityReport:
-    """Analytic T plus finite-difference diagnostics at the triangular point."""
-    T = t_coefficient_diffuse(P, mu, eps)
-    E = diffuse_energy_fn(P, scale(mu, eps), rtol=1e-12)
-    grad, _ = fd_gradient_hessian(E, TRIANGULAR, step=1e-5)
-    _, hess = fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
-    if T > _CLASSIFY_TOL:
-        cls = "stable"
-    elif T < -_CLASSIFY_TOL:
-        cls = "unstable"
-    else:
-        cls = "marginal"
-    return StabilityReport(
-        T_analytic=T,
-        grad_fd=(float(grad[0]), float(grad[1])),
-        hessian_fd=hess,
-        classification=cls,
-    )

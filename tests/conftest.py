@@ -23,6 +23,49 @@ def disk_psi_nodes(R: float, n: int = 256):
     return tuple(zip(s.tolist(), ws.tolist()))
 
 
+def fd_gradient_hessian(E, L: LatticeParams, step: float = 1e-4):
+    """Central-difference gradient and Hessian of E on (x, y) at L.
+
+    ``E(xs, ys)`` is called once, on the 3x3 stencil, with arrays of one
+    shape and must return an array of that shape (or a value broadcast to
+    it).  The stencil may step across the boundary of D.
+    """
+    h = step * (1.0 + abs(L.y))
+    d = np.array([-h, 0.0, h])
+    dx, dy = np.meshgrid(d, d, indexing="ij")
+    e = np.broadcast_to(np.asarray(E(L.x + dx, L.y + dy), dtype=float),
+                        dx.shape)  # e[i, j] = E(x + d[i], y + d[j])
+    gx = (e[2, 1] - e[0, 1]) / (2.0 * h)
+    gy = (e[1, 2] - e[1, 0]) / (2.0 * h)
+    dxx = (e[2, 1] - 2.0 * e[1, 1] + e[0, 1]) / (h * h)
+    dyy = (e[1, 2] - 2.0 * e[1, 1] + e[1, 0]) / (h * h)
+    dxy = (e[2, 2] - e[2, 0] - e[0, 2] + e[0, 0]) / (4.0 * h * h)
+    return np.array([gx, gy]), np.array([[dxx, dxy], [dxy, dyy]])
+
+
+def check_completely_monotone(F, r_samples, max_order: int) -> bool:
+    """Alternating-sign test of divided differences on a sample grid.
+
+    Returns True iff (-1)^k times every k-th divided difference of F is
+    >= -slack for k = 0..max_order, slack absorbing roundoff.  False is a
+    verdict on the sampled grid, not a proof.
+    """
+    r = np.asarray(r_samples, dtype=float)
+    if r.ndim != 1 or len(r) < max_order + 1:
+        raise ValueError("need at least max_order+1 increasing samples")
+    if not (np.all(np.diff(r) > 0) and r[0] > 0):
+        raise ValueError("samples must be strictly increasing and positive")
+    vals = np.array([float(F(ri)) for ri in r])
+    slack = 1e-12 * max(1.0, float(np.abs(vals).max()))
+    table = vals.copy()
+    for k in range(max_order + 1):
+        if np.any((-1.0) ** k * table < -slack):
+            return False
+        if k < max_order:
+            table = (table[1:] - table[:-1]) / (r[k + 1 :] - r[: len(r) - k - 1])
+    return True
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -17,7 +17,10 @@ import latticeforge.potential as pot
 import latticeforge.stability as stab
 from latticeforge import TRIANGULAR, LatticeParams
 
-from conftest import acceptance_lines, random_lattice
+from conftest import (
+    acceptance_lines, check_completely_monotone, fd_gradient_hessian,
+    random_lattice,
+)
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -150,8 +153,8 @@ def test_criterion_6_criticality_and_isotropy():
     for eps in (0.0, 0.3, 1.0):
         E = en.diffuse_energy_fn(P, msr.scale(mu, eps), rtol=1e-12)
         T = stab.t_coefficient_diffuse(P, mu, eps)
-        grad, _ = stab.fd_gradient_hessian(E, TRIANGULAR, step=1e-5)
-        _, hess = stab.fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
+        grad, _ = fd_gradient_hessian(E, TRIANGULAR, step=1e-5)
+        _, hess = fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
         gn = float(np.linalg.norm(grad))
         off = abs(hess[0, 1])
         diag_gap = abs(hess[0, 0] - hess[1, 1]) / abs(hess[0, 0])
@@ -176,7 +179,7 @@ def test_criterion_7_t_coefficient_vs_fd_hessian():
         )
         P = pot.from_atoms([(math.pi / t, 1.0 / t)])
         E = en.diffuse_energy_fn(P, msr.dirac(), rtol=1e-12)
-        _, hess = stab.fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
+        _, hess = fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
         gap = max(abs(hess[0, 0] / T - 1.0), abs(hess[1, 1] / T - 1.0))
         gaps.append(gap)
         ok = ok and gap <= 1e-4
@@ -232,7 +235,7 @@ def test_criterion_9_complete_monotonicity_closure():
                 g = msr.hankel(mu, math.sqrt(rr))
                 return Phi.eval(rr) * g * g
 
-            verdict = pot.check_completely_monotone(H, r, max_order=6)
+            verdict = check_completely_monotone(H, r, max_order=6)
             ok = ok and verdict
             cases.append(f"{pname} x sigma={sigma}: {verdict}")
     _report(

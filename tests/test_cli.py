@@ -124,6 +124,18 @@ class TestStability:
         assert 0.6 <= payload["sign_changes"][0] <= 0.7
 
 
+    @pytest.mark.parametrize("spec, count, last", [
+        ("0:1.05:0.3", 4, 0.9),  # n = 3.5 steps: no point past hi
+        ("0:0.26:0.1", 3, 0.2),
+        ("0.05:0.45:0.05", 9, 0.45),  # n just off 8 by roundoff keeps hi
+        ("0.7:0.7:0.1", 1, 0.7),
+    ])
+    def test_eps_grid_stops_at_or_before_hi(self, spec, count, last):
+        grid = cli._parse_range(spec)
+        assert len(grid) == count
+        assert grid[-1] == pytest.approx(last, rel=1e-12)
+
+
 class TestMinimize:
     def test_triangular_found(self, capsys):
         assert run_cli(
@@ -282,6 +294,32 @@ class TestExitCodeContract:
         self.test_bad_input(["energy"] + _GAUSS + [
             "--measure", f"profile:file={prof}", "--lattice", "0,1",
         ], 2, "must be finite", capsys)
+
+
+_FORMAT_ARGV = {
+    "energy": ["energy"] + _GAUSS + ["--lattice", "0,1"],
+    "theta": ["theta", "--lattice", "0,1", "--t", "1"],
+    "scan": ["scan"] + _GAUSS,
+    "stability": _CURVE + ["--eps", "0.4:0.8:0.1"],
+    "minimize": ["minimize"] + _GAUSS,
+    "poisson-check": ["poisson-check"] + _GAUSS + ["--lattice", "0,1"],
+}
+# the formats each command writes; the first is its default
+_FORMATS = {"energy": ["json"], "theta": ["json"], "scan": ["csv", "json"],
+            "stability": ["csv", "json", "svg"], "minimize": ["json"],
+            "poisson-check": ["json"]}
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (c, f) for c in _FORMATS for f in ("csv", "json", "svg")
+    if f not in _FORMATS[c]])
+def test_format_a_command_does_not_write_exits_2(command, fmt, capsys):
+    argv = _FORMAT_ARGV[command]
+    assert cli.build_parser().parse_args(argv).format == _FORMATS[command][0]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--format", fmt])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_quadrature():

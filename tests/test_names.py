@@ -6,6 +6,7 @@ imported or written.
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -26,6 +27,29 @@ def _assigned_literal(path: Path, name: str):
                 isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
     raise LookupError(f"{path} assigns no {name}")
+
+
+# every public name of the package; a name added or dropped shows here
+PUBLIC_NAMES = {
+    "TRIANGULAR", "LatticeParams", "dual", "metric", "reduce",
+    "RadialPotential", "eval_derivatives", "fourier", "gaussian",
+    "inverse_power", "parse_potential",
+    "RadialMeasure", "bessel_j", "dirac", "hankel", "hankel_moments",
+    "parse_measure", "profile", "radial_gaussian", "scale",
+    "self_convolution_at_zero", "uniform_disk",
+    "EnergyReport", "diffuse_energy", "diffuse_energy_direct",
+    "diffuse_energy_fn", "diffuse_energy_jet", "poisson_check", "theta",
+    "sign_changes", "stability_curve", "t_coefficient",
+    "t_coefficient_diffuse",
+    "Landscape", "MinimizeResult", "global_minimize", "grid_scan",
+    "local_minimize",
+}
+
+
+def test_public_names():
+    names = {n for n, v in vars(latticeforge).items()
+             if not n.startswith("_") and not inspect.ismodule(v)}
+    assert names == PUBLIC_NAMES
 
 
 def test_traced_targets_exist():

@@ -5,6 +5,8 @@ import pytest
 
 import latticeforge.potential as pot
 
+from conftest import check_completely_monotone
+
 
 class TestGaussian:
     def test_values(self):
@@ -124,7 +126,7 @@ class TestFourier:
         for P in (pot.gaussian(1.5), pot.inverse_power(2.0, 2.5)):
             Phi = pot.fourier(P)
             r = np.linspace(0.05, 10.0, 60)
-            assert pot.check_completely_monotone(
+            assert check_completely_monotone(
                 lambda t: Phi.eval(t), r, max_order=4
             )
 
@@ -146,24 +148,24 @@ class TestMonotoneAndDecay:
 class TestCheckCompletelyMonotone:
     def test_exponential_true(self):
         r = np.linspace(0.1, 10.0, 50)
-        assert pot.check_completely_monotone(lambda t: math.exp(-t), r, 6)
+        assert check_completely_monotone(lambda t: math.exp(-t), r, 6)
 
     def test_shifted_sine_false(self):
         r = np.linspace(0.1, 10.0, 50)
-        assert not pot.check_completely_monotone(
+        assert not check_completely_monotone(
             lambda t: math.sin(t) + 2.0, r, 2
         )
 
     def test_product_of_gaussians_true(self):
         g1, g2 = pot.gaussian(1.0), pot.gaussian(2.0)
         r = np.linspace(0.1, 10.0, 50)
-        assert pot.check_completely_monotone(
+        assert check_completely_monotone(
             lambda t: g1.eval(t) * g2.eval(t), r, 6
         )
 
     def test_bad_samples(self):
         with pytest.raises(ValueError):
-            pot.check_completely_monotone(math.exp, [1.0, 0.5], 1)
+            check_completely_monotone(math.exp, [1.0, 0.5], 1)
 
 
 class TestParse:

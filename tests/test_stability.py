@@ -14,7 +14,7 @@ from latticeforge.energy import (
     _fourier_summand, diffuse_energy_fn, diffuse_energy_jet, mixture_tail,
 )
 
-from conftest import disk_psi_nodes
+from conftest import disk_psi_nodes, fd_gradient_hessian
 
 
 def _exp_summand(c: float):
@@ -61,7 +61,7 @@ class TestTCoefficient:
     def test_matches_fd_hessian_of_theta(self, t):
         T = _gaussian_theta_T(t)
         E = _theta_lattice_energy(t)
-        _, hess = stab.fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
+        _, hess = fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
         assert hess[0, 0] == pytest.approx(T, rel=1e-4)
         assert hess[1, 1] == pytest.approx(T, rel=1e-4)
 
@@ -153,7 +153,7 @@ class TestStabilityCurve:
 
 class TestFdGradientHessian:
     def test_constant_energy(self):
-        grad, hess = stab.fd_gradient_hessian(
+        grad, hess = fd_gradient_hessian(
             lambda x, y: 1.0, LatticeParams(0.2, 1.5)
         )
         assert np.allclose(grad, 0.0)
@@ -161,19 +161,19 @@ class TestFdGradientHessian:
 
     def test_theta_critical_at_triangular(self):
         E = _theta_lattice_energy(1.0)
-        grad, _ = stab.fd_gradient_hessian(E, TRIANGULAR, step=1e-5)
+        grad, _ = fd_gradient_hessian(E, TRIANGULAR, step=1e-5)
         assert np.linalg.norm(grad) <= 1e-7
 
     def test_theta_hessian_isotropic(self):
         E = _theta_lattice_energy(1.0)
         T = _gaussian_theta_T(1.0)
-        _, hess = stab.fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
+        _, hess = fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
         assert hess == pytest.approx(T * np.eye(2), abs=1e-4 * abs(T))
 
     def test_quadratic_bowl(self):
         f = lambda x, y: (x - 0.2) ** 2 + 3.0 * (y - 1.6) ** 2
         L = LatticeParams(0.25, 1.4)
-        grad, hess = stab.fd_gradient_hessian(f, L, step=1e-4)
+        grad, hess = fd_gradient_hessian(f, L, step=1e-4)
         assert grad == pytest.approx(
             [2.0 * (L.x - 0.2), 6.0 * (L.y - 1.6)], rel=1e-6
         )
@@ -186,7 +186,7 @@ class TestFdGradientHessian:
             shapes.append((np.shape(xs), np.shape(ys)))
             return (xs - 0.2) ** 2 + 3.0 * (ys - 1.6) ** 2
 
-        stab.fd_gradient_hessian(E, LatticeParams(0.25, 1.4))
+        fd_gradient_hessian(E, LatticeParams(0.25, 1.4))
         assert shapes == [((3, 3), (3, 3))]
 
 
@@ -215,8 +215,8 @@ class TestEnergyJet:
         for x, y in [(0.1, 1.2), (0.45, 2.2), (0.3, 3.5), (0.62, 0.85), (0.0, 1.0)]:
             e, grad, hess = (v[0] for v in jet(np.array([x]), np.array([y])))
             at = SimpleNamespace(x=x, y=y)  # the stencil may leave D
-            g1, h1 = stab.fd_gradient_hessian(E, at, step=1e-4)
-            g2, h2 = stab.fd_gradient_hessian(E, at, step=2e-4)
+            g1, h1 = fd_gradient_hessian(E, at, step=1e-4)
+            g2, h2 = fd_gradient_hessian(E, at, step=2e-4)
             h, b = 1e-4 * (1.0 + y), 1e-12 * abs(e)
             assert np.all(np.abs(grad - g1) <= np.abs(g2 - g1) + b / h)
             assert np.all(np.abs(hess - h1) <= np.abs(h2 - h1) + 4.0 * b / h**2)
@@ -235,21 +235,25 @@ class TestEnergyJet:
 
 
 class TestStabilityReport:
+    """T with the FD gradient and Hessian of E at the triangular point."""
+
+    @staticmethod
+    def _report(eps: float):
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        T = stab.t_coefficient_diffuse(P, mu, eps)
+        E = diffuse_energy_fn(P, msr.scale(mu, eps), rtol=1e-12)
+        grad, _ = fd_gradient_hessian(E, TRIANGULAR, step=1e-5)
+        _, hess = fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
+        return T, grad, hess
+
     def test_stable_case(self):
-        rep = stab.stability_report(
-            pot.gaussian(math.pi), msr.uniform_disk(1.0), 0.3
-        )
-        assert rep.classification == "stable"
-        assert rep.T_analytic > 0.0
-        assert abs(rep.grad_fd[0]) <= 1e-6
-        assert abs(rep.grad_fd[1]) <= 1e-6
-        T = rep.T_analytic
-        assert abs(rep.hessian_fd[0, 1]) <= 1e-4 * abs(T)
-        assert rep.hessian_fd[0, 0] == pytest.approx(T, rel=1e-4)
+        T, grad, hess = self._report(0.3)
+        assert T > 0.0
+        assert abs(grad[0]) <= 1e-6
+        assert abs(grad[1]) <= 1e-6
+        assert abs(hess[0, 1]) <= 1e-4 * abs(T)
+        assert hess[0, 0] == pytest.approx(T, rel=1e-4)
 
     def test_unstable_case(self):
-        rep = stab.stability_report(
-            pot.gaussian(math.pi), msr.uniform_disk(1.0), 0.7
-        )
-        assert rep.classification == "unstable"
-        assert rep.T_analytic < 0.0
+        T, _, _ = self._report(0.7)
+        assert T < 0.0
