@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,6 +146,15 @@ _NUMBER_RULES = (
 )
 
 
+def _check_finite(name: str, at, values, args) -> None:
+    """Exit 3 rather than write a value that overflowed on its way."""
+    bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
+    if bad.size:
+        raise NonconvergenceError(
+            f"{name} is not finite at {at[bad[0]]}; a scale in "
+            f"{_sum_args(args)} overflows")
+
+
 def _check_numbers(args) -> None:
     for name, rule, ok in _NUMBER_RULES:
         v = getattr(args, name, None)
@@ -152,6 +162,9 @@ def _check_numbers(args) -> None:
             raise ValueError(f"--{name.replace('_', '-')}: must be {rule}, got {v}")
 
 
+# built once per process (about 2 ms): parsing leaves the parser unchanged,
+# so every main() call in one process shares it
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lattice-forge",
@@ -233,6 +246,7 @@ def run(args) -> int:
     if cmd == "energy":
         L = _parse_lattice(args.lattice)
         report = energy.diffuse_energy(P, mu, L, rtol=args.rtol)
+        _check_finite("E", [f"--lattice {args.lattice}"], [report.value], args)
         payload = {"command": "energy", "lattice": [L.x, L.y]}
         payload.update(asdict(report))
         _write_json(args.output, payload)
@@ -255,6 +269,8 @@ def run(args) -> int:
     if cmd == "stability":
         eps_grid = _parse_range(args.eps)
         curve = stability.stability_curve(P, mu, eps_grid, rtol=args.rtol)
+        _check_finite("T", [f"eps = {e!r}" for e, _ in curve],
+                      [t for _, t in curve], args)
         if args.format == "svg":
             _write_svg(args.output, [e for e, _ in curve],
                        [t for _, t in curve])

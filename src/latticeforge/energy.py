@@ -28,7 +28,7 @@ from scipy.special import erfc
 from . import lattice as lat
 from .lattice import LatticeParams
 from .measure import (
-    RadialMeasure, hankel, hankel_moments, self_convolution_at_zero,
+    RadialMeasure, _transform, hankel, self_convolution_at_zero,
 )
 from .potential import RadialPotential, eval_derivatives, fourier, from_atoms
 
@@ -102,7 +102,8 @@ def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho, offset: float = 0.0):
 # The lattice-sum engine
 # ---------------------------------------------------------------------------
 
-# candidates (lattices x box) broadcast at once; larger batches go in chunks
+# candidates (lattices x box x heads) broadcast at once; larger batches go
+# in chunks
 _CHUNK_CANDIDATES = 1 << 18
 
 
@@ -118,18 +119,21 @@ def _packing_radius(bases: np.ndarray) -> np.ndarray:
     return 0.5 * np.sqrt(np.einsum("...i,...i->...", vs, vs).min(axis=0))
 
 
-def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray):
+def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
     """Sum of h over each lattice's points within its R, and their count.
 
-    ``h_eval(pts, q)`` gives one value per point, or c columns of them.
-    Each lattice's terms are summed on their own, in ascending order of the
-    first column, so no sum depends on the rest of the batch or on how the
-    box is sliced into chunks.
+    ``h_eval(pts, q)`` gives one value per point, c columns of them, or
+    (c, heads, n) for c columns of ``heads`` head columns each.  Each
+    (lattice, head) pair's terms are summed on their own, in ascending
+    order of that head's first column, so no sum depends on the rest of
+    the batch, on the other heads or on how the box is sliced into chunks.
+    Sums are shaped like one point's values, with the lattice axis last.
     """
     box = lat.enumerate_points(bases, R)
     sums, counts = None, np.zeros(len(bases), dtype=int)
-    rows = min(len(box), _CHUNK_CANDIDATES)  # box rows per slice
-    step = max(1, _CHUNK_CANDIDATES // len(box))  # lattices per chunk
+    budget = max(1, _CHUNK_CANDIDATES // heads)  # candidates per chunk
+    rows = min(len(box), budget)  # box rows per slice
+    step = max(1, budget // len(box))  # lattices per chunk
     for lo in range(0, len(bases), step):
         b, r = bases[lo:lo + step, None], R[lo:lo + step, None]
         vals, owner = [], []
@@ -142,45 +146,75 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray):
             owner.append(np.nonzero(keep)[0])
         vals, owner = np.concatenate(vals, axis=-1), np.concatenate(owner)
         sums = np.zeros(vals.shape[:-1] + (len(bases),)) if sums is None else sums
-        count = counts[lo:lo + len(b)] = np.bincount(owner, minlength=len(b))
-        cols = np.atleast_2d(vals)
-        order = np.lexsort((cols[0], owner))
+        nb = len(b)
+        count = counts[lo:lo + nb] = np.bincount(owner, minlength=nb)
+        # (columns, heads, points); pair h * nb + j is head h of lattice j,
+        # and its terms sort by that head's first column
+        cols = vals.reshape(math.prod(vals.shape[:-1]) // heads, heads, vals.shape[-1])
+        if heads > 1:
+            owner = (np.arange(heads)[:, None] * nb + owner).ravel()
+            count = np.tile(count, heads)
+        order = np.lexsort((cols[0].ravel(), owner))
         some = count > 0
         starts = (np.cumsum(count) - count)[some]
-        for col, out in zip(cols, np.atleast_2d(sums)):
-            out[lo + np.flatnonzero(some)] = np.add.reduceat(col[order], starts)
+        slot = lo + np.flatnonzero(some)
+        if heads > 1:  # pair h * nb + j -> flat index of (head h, lattice lo + j)
+            slot += (slot - lo) // nb * (len(bases) - nb)
+        for col, out in zip(cols, sums.reshape(len(cols), -1)):
+            out[slot] = np.add.reduceat(col.ravel()[order], starts)
     return sums, counts
 
 
-def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float):
+def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
     """Adaptive truncated sums of h over the nonzero points of each lattice.
 
     ``bases`` is a (k, 2, 2) stack of basis rows (or one (2, 2) basis);
     ``tail_of(rho)`` builds the tail bound R -> bound for packing radii rho.
-    Each lattice starts at R = max(6 rho, 2) and grows R by 1.5x until its
-    tail bound is within ``rtol`` of its sum (of its first column, for a
-    summand of c columns), then leaves the batch.  Returns arrays (sums,
-    R, bounds, terms), one entry per lattice; sums are (c, k) for c columns.
+    Each lattice starts at R = max(6 rho, 2) and grows R by 1.5x.  Each
+    (lattice, head) pair stops once its tail bound is within ``rtol`` of
+    its sum (of its first column, for a summand of c columns) and keeps the
+    sums of that round; a lattice leaves the batch when all its heads have
+    stopped.  Returns arrays (sums, R, bounds, terms): sums are (k,), (c, k)
+    or (c, heads, k) as ``_round_sums`` gives them, and R, bounds and terms
+    (k,), or (heads, k) for a summand with heads, at each pair's stop.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be finite and > 0, got {rtol}")
     bases = np.asarray(bases, dtype=float).reshape(-1, 2, 2)
+    k = len(bases)
     rho = _packing_radius(bases)
     tail = tail_of(rho)
     R = np.maximum(6.0 * rho, 2.0)
-    total, bound = None, np.zeros(len(bases))
-    terms = np.zeros(len(bases), dtype=int)
-    active = np.arange(len(bases))
+    total, bound = None, np.zeros(k)
+    terms = np.zeros(k, dtype=int)
+    running = np.ones((heads, k), dtype=bool)
+    frozen = []  # pairs that stop while other heads of their lattice run on
+    active = np.arange(k)
     for _ in range(40):
         bound[active] = tail(R)[active]
-        sums, terms[active] = _round_sums(h_eval, bases[active], R[active])
+        sums, terms[active] = _round_sums(h_eval, bases[active], R[active], heads)
         total = sums if total is None else total  # round 1 holds every lattice
         total[..., active] = sums
-        head = np.atleast_2d(total)[0, active]
-        done = bound[active] <= rtol * np.maximum(np.abs(head), 1e-300)
-        active = active[~done]
+        pairs = total.reshape(-1, heads, k)
+        done = bound[active] <= rtol * np.maximum(np.abs(pairs[0][:, active]), 1e-300)
+        if heads > 1:
+            run = running[:, active]
+            running[:, active] = left = run & ~done
+            stays = left.any(axis=0)
+            h, j = np.nonzero(run[:, stays] & done[:, stays])
+            lat = active[stays][j]
+            frozen.append((h, lat, pairs[:, h, lat], R[lat], bound[lat], terms[lat]))
+            done = ~stays
+        active = active[~done.reshape(-1)]
         if not active.size:
-            return total, R, bound, terms
+            if total.ndim < 3:
+                return total, R, bound, terms
+            per_pair = [np.tile(v, (heads, 1)) for v in (R, bound, terms)]
+            for h, lat, vals, *at_stop in frozen:
+                pairs[:, h, lat] = vals
+                for out, v in zip(per_pair, at_stop):
+                    out[h, lat] = v
+            return (total, *per_pair)
         R[active] *= 1.5
     raise NonconvergenceError("lattice sum did not meet the tail tolerance")
 
@@ -194,7 +228,7 @@ def _report(h_eval, tail_of, basis: np.ndarray, rtol: float) -> EnergyReport:
     )
 
 
-def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure):
+def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps=None):
     """The summand H(q) = Phi(q) g(sqrt q)^2 at squared dual radius q.
 
     Returns (H, tail_of): H(q) gives H, and H(q, derivatives=True) gives
@@ -202,24 +236,29 @@ def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure):
     J0/J1/J2 moments of mu combine with Phi, Phi', Phi'' by the Leibniz
     rule, and this H is bit for bit H(q).  tail_of is the tail factory
     (|g| <= 1, so H <= Phi).  A dilated particle is passed as
-    ``scale(mu, eps)``.
+    ``scale(mu, eps)``; a 1-D array ``eps`` instead gives the derivative
+    summand of every dilation of mu at once, each of H, H', H'' of shape
+    (k, n) for k eps, row i bit for bit that of ``scale(mu, eps[i])``.
+    All of them share the one Phi pass and the tail factory.
     """
 
     def H(q, derivatives=False):
         if not derivatives:
             g = hankel(mu, np.sqrt(q))
             return Phi.eval(q) * g * g
-        A0, A1, A2 = hankel_moments(mu, 1.0, q)
+        A0, A1, A2 = _transform(mu, np.sqrt(q), True, eps)
         P0, P1, P2 = eval_derivatives(Phi, q, (0, 1, 2))
-        G2 = A0 * A0
-        dG2 = -(2.0 * math.pi / np.sqrt(q)) * A1 * A0
-        d2G2 = (
-            (math.pi / q**1.5) * A0 * A1
-            + (2.0 * math.pi**2 / q) * A1 * A1
-            + (math.pi**2 / q) * A0 * A2
-        )
-        return (P0 * A0 * A0, P1 * G2 + P0 * dG2,
-                P2 * G2 + 2.0 * P1 * dG2 + P0 * d2G2)
+        # an overflowing particle scale leaves inf or nan here, quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            G2 = A0 * A0
+            dG2 = -(2.0 * math.pi / np.sqrt(q)) * A1 * A0
+            d2G2 = (
+                (math.pi / q**1.5) * A0 * A1
+                + (2.0 * math.pi**2 / q) * A1 * A1
+                + (math.pi**2 / q) * A0 * A2
+            )
+            return (P0 * A0 * A0, P1 * G2 + P0 * dG2,
+                    P2 * G2 + 2.0 * P1 * dG2 + P0 * d2G2)
 
     return H, partial(mixture_tail, *Phi.rep.nodes())
 

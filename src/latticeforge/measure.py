@@ -176,68 +176,94 @@ def hankel(mu: RadialMeasure, t):
     return float(out) if scalar else out
 
 
-def hankel_moments(mu: RadialMeasure, eps: float, r):
+def hankel_moments(mu: RadialMeasure, eps, r):
     """The three psi-integrals driving (G_eps^2)' and (G_eps^2)''.
 
     Returns (A0, A1, A2) with argument c = 2 pi eps sqrt(r):
         A0 = int J0(c s) dpsi,  A1 = int s J1(c s) dpsi,
         A2 = int s^2 (J2 - J0)(c s) dpsi.
-    A0 is ``hankel(mu, eps sqrt(r))``.  Floats for a scalar r, arrays
-    shaped like r for an array of r.
+    A0 is ``hankel(mu, eps sqrt(r))``.  Floats for scalars eps and r,
+    arrays shaped like r for an array of r.  A 1-D array of k eps gives
+    (k,) + r.shape arrays: the (eps, r) outer product in one transform,
+    row i bit for bit the call at eps[i].  A1 and A2 are moments of mu
+    itself; the dilated particle ``scale(mu, eps)`` has eps A1 and eps^2 A2,
+    which the energy summand takes from ``_transform``'s eps axis.
     """
     ra = np.asarray(r, dtype=float)
     if not np.all(ra > 0):
         raise ValueError(f"r must be positive, got {r}")
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    A = _transform(mu, eps * np.sqrt(ra), moments=True)
-    if ra.ndim == 0:
+    ea = np.asarray(eps, dtype=float)
+    if ea.ndim > 1 or not np.all(ea >= 0):
+        raise ValueError(f"eps must be >= 0, a scalar or a 1-D array, got {eps}")
+    A = _transform(mu, np.multiply.outer(ea, np.sqrt(ra)), moments=True)
+    if A[0].ndim == 0:
         return tuple(float(a) for a in A)
     return A
 
 
-def _transform(mu: RadialMeasure, t: np.ndarray, moments: bool):
+def _transform(mu: RadialMeasure, t: np.ndarray, moments: bool, eps=None):
     """The transform of each family at frequencies t >= 0 (an array, or 0-d).
 
     A0 = g(t) alone, or with ``moments`` the tuple (A0, A1, A2) of
-    ``hankel_moments`` at c = 2 pi t.
+    ``hankel_moments`` at c = 2 pi t.  A 1-D array ``eps`` first dilates mu
+    by each eps, with the parameter eps R or eps sigma and the nodes eps s
+    formed as ``scale`` forms them, and eps = 0 the point mass: the outputs
+    gain a leading eps axis, row i bit for bit the transform of
+    ``scale(mu, eps[i])``.  A parameter whose square overflows gives inf
+    or nan, quietly; callers check what they output.
     """
+    if eps is None:
+        return _family(mu, t, moments, 1.0)
+    eps = np.asarray(eps, dtype=float).reshape((-1,) + (1,) * np.ndim(t))
+    out = _family(mu, t, moments, eps)
+    # np.where also gives a dirac's t-shaped output its eps axis
+    if not moments:
+        return np.where(eps == 0.0, 1.0, out)
+    return tuple(np.where(eps == 0.0, point, a) for point, a in zip((1.0, 0.0, 0.0), out))
+
+
+def _family(mu: RadialMeasure, t, moments: bool, scale):
+    """``_transform`` of mu dilated by ``scale``: 1.0 (exact), or a column of
+    eps that broadcasts against t and gives the outputs their eps axis."""
     if mu.kind == "dirac":
         A0 = np.ones_like(t)
         return (A0, np.zeros_like(t), np.zeros_like(t)) if moments else A0
-    if mu.kind == "gaussian":
-        s2 = mu.param**2
-        A0 = np.exp(-math.pi * s2 * t * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mu.kind == "gaussian":
+            s2 = np.float_power(scale * mu.param, 2.0)  # C pow, as float ** is
+            A0 = np.exp(-math.pi * s2 * t * t)
+            if not moments:
+                return A0
+            return A0, s2 * t * A0, (2.0 * s2 * s2 * t * t - s2 / math.pi) * A0
+        if mu.kind == "disk":
+            R = scale * mu.param
+            X = 2.0 * math.pi * R * t
+            # series of J1, J2 around zero below X = 1e-4
+            small = X < 1e-4
+            Xs = np.where(small, 1.0, X)
+            J1 = bessel_j(1, Xs)
+            A0 = np.where(small, 1.0 - X * X / 8.0, 2.0 * J1 / Xs)
+            if not moments:
+                return A0
+            J2 = _j2(Xs, bessel_j(0, Xs), J1)
+            A1 = np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * J2 / Xs)
+            A2 = np.where(small, R * R * (-0.5 + X * X / 8.0),
+                          R * R * (12.0 * J2 / (Xs * Xs) - 4.0 * J1 / Xs))
+            return A0, A1, A2
+        ss, ws = mu.nodes()
+        ss = np.multiply.outer(scale, ss)  # (m,), or (k, 1, m) for an eps column
+        x = 2.0 * math.pi * (t[..., None] * ss)  # t.shape + (m,)
+        J0 = bessel_j(0, x)
+        A0 = (ws * J0).sum(axis=-1)
         if not moments:
             return A0
-        return A0, s2 * t * A0, (2.0 * s2 * s2 * t * t - s2 / math.pi) * A0
-    if mu.kind == "disk":
-        R = mu.param
-        X = 2.0 * math.pi * R * t
-        # series of J1, J2 around zero below X = 1e-4
-        small = X < 1e-4
-        Xs = np.where(small, 1.0, X)
-        J1 = bessel_j(1, Xs)
-        A0 = np.where(small, 1.0 - X * X / 8.0, 2.0 * J1 / Xs)
-        if not moments:
-            return A0
-        J2 = _j2(Xs, bessel_j(0, Xs), J1)
-        A1 = np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * J2 / Xs)
-        A2 = np.where(small, R * R * (-0.5 + X * X / 8.0),
-                      R * R * (12.0 * J2 / (Xs * Xs) - 4.0 * J1 / Xs))
-        return A0, A1, A2
-    ss, ws = mu.nodes()
-    x = 2.0 * math.pi * np.multiply.outer(t, ss)
-    J0 = bessel_j(0, x)
-    A0 = (ws * J0).sum(axis=-1)
-    if not moments:
-        return A0
-    A1 = (ws * ss * bessel_j(1, x)).sum(axis=-1)
-    # J2 - J0 = 2 J1(x)/x - 2 J0(x): A2 = 2 A1/c - 2 int s^2 J0(c s) dpsi,
-    # where A1/c -> int s^2/2 dpsi as c -> 0
-    c, m2 = 2.0 * math.pi * t, ws * ss * ss
-    A1_c = np.divide(A1, c, out=np.full(np.shape(c), 0.5 * m2.sum()), where=c > 0)
-    return A0, A1, 2.0 * (A1_c - (m2 * J0).sum(axis=-1))
+        A1 = (ws * ss * bessel_j(1, x)).sum(axis=-1)
+        # J2 - J0 = 2 J1(x)/x - 2 J0(x): A2 = 2 A1/c - 2 int s^2 J0(c s) dpsi,
+        # where A1/c -> int s^2/2 dpsi as c -> 0
+        c, m2 = 2.0 * math.pi * t, ws * ss * ss
+        A1_c = np.divide(A1, c, out=np.full(A1.shape, 0.5 * m2.sum(axis=-1)),
+                         where=c > 0)
+        return A0, A1, 2.0 * (A1_c - (m2 * J0).sum(axis=-1))
 
 
 def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure) -> float:

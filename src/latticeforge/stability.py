@@ -4,8 +4,12 @@ At the triangular point the Hessian of any radial-summand lattice energy
 is a multiple T of the identity.  T is d^2E/dx^2 there, summed by the
 lattice-sum engine of ``energy`` next to E itself: the engine stops on E's
 certified tail, so ``rtol`` is relative to E and T shares E's cutoff
-without a tail bound of its own.  The finite-difference check of T, a
-Hessian of E(x, y) on a 3x3 stencil, lives in the tests.
+without a tail bound of its own.  A curve sums a slice of eps in one
+engine call: the eps share the triangular point set, one Phi pass and the
+tail, and each eps is a head column pair (E, T) that stops on its own E,
+so each T is bit for bit its scalar call.  Sign changes are bisected for
+every bracket at once, one call per level.  The finite-difference check
+of T, a Hessian of E(x, y) on a 3x3 stencil, lives in the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .energy import _fourier_summand, _summed
 from .lattice import TRIANGULAR, basis_matrix
-from .measure import RadialMeasure, scale
+from .measure import MeasureSpecError, RadialMeasure
 from .potential import RadialPotential, fourier
 
 __all__ = [
@@ -29,15 +33,21 @@ __all__ = [
 # width at which bisection stops refining a sign change of T
 _ZERO_XTOL = 0.01
 
+# most eps times particle nodes (1 for a closed form) summed in one engine
+# call: the summand holds a few (eps, point, node) arrays at once
+_SLICE_WORK = 1 << 7
 
-def t_coefficient(H, tail_of, rtol: float = 1e-10) -> float:
+
+def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
     """T = d^2E/dx^2 of E = sum' H(|p|^2) at the triangular lattice (x, y).
 
-    ``H(q)`` gives (H, H', H'') on a 1-D array q; ``tail_of`` is H's tail
-    factory.  With a = p0 p1, q_x = 2 a / y and q_xx = 2 p1^2 / y^2, so
-    y^2 T = sum' 4 H'' a^2 + 2 H' p1^2 (the (0, 0) entry of
-    ``diffuse_energy_jet``'s Hessian), summed in one engine call next to
-    H, whose tail stops both sums at ``rtol`` relative to E.
+    ``H(q)`` gives (H, H', H'') on a 1-D array q, each of shape (n,), or
+    (heads, n) for ``heads`` summands at once (one T each); ``tail_of`` is
+    their shared tail factory.  With a = p0 p1, q_x = 2 a / y and
+    q_xx = 2 p1^2 / y^2, so y^2 T = sum' 4 H'' a^2 + 2 H' p1^2 (the (0, 0)
+    entry of ``diffuse_energy_jet``'s Hessian), summed in one engine call
+    next to H, whose tail stops both sums at ``rtol`` relative to E; each
+    head stops on its own E.  Returns a float, or an array of ``heads``.
     """
 
     def cols(pts, q):
@@ -46,40 +56,62 @@ def t_coefficient(H, tail_of, rtol: float = 1e-10) -> float:
         return np.stack([h, 4.0 * d2 * a * a + 2.0 * d1 * pts[:, 1] ** 2])
 
     x, y = TRIANGULAR.x, TRIANGULAR.y
-    sums = _summed(cols, tail_of, basis_matrix(x, y), rtol)[0]
-    return float(sums[1, 0]) / (y * y)
+    sums = _summed(cols, tail_of, basis_matrix(x, y), rtol, heads or 1)[0]
+    T = sums[1, ..., 0] / (y * y)
+    return T if heads else float(T)
 
 
-def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps: float,
-                          rtol: float = 1e-10) -> float:
-    """T of the diffuse energy E_{h_eps} at the triangular lattice."""
-    H, tail_of = _fourier_summand(fourier(P), scale(mu, eps))
-    return t_coefficient(partial(H, derivatives=True), tail_of, rtol)
+def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
+                          rtol: float = 1e-10):
+    """T of the diffuse energy E_{h_eps} at the triangular lattice.
+
+    A float for a scalar eps; for a 1-D array of eps, an array of T summed
+    in one engine call on the shared triangular point set (each eps bit for
+    bit its scalar call, stopping on its own E).
+    """
+    e = np.asarray(eps, dtype=float)
+    if e.ndim > 1 or not np.all(e >= 0):
+        raise MeasureSpecError(f"scale factor must be >= 0, got {eps}")
+    H, tail_of = _fourier_summand(fourier(P), mu, e.reshape(-1))
+    T = t_coefficient(partial(H, derivatives=True), tail_of, rtol, e.size)
+    return T if e.ndim else float(T[0])
+
+
+def _t_values(P: RadialPotential, mu: RadialMeasure, eps: np.ndarray,
+              rtol: float) -> np.ndarray:
+    """T at each eps, in slices that bound the summand's memory."""
+    per = max(1, _SLICE_WORK // max(1, len(mu.psi_nodes)))
+    return np.concatenate(
+        [t_coefficient_diffuse(P, mu, eps[lo:lo + per], rtol=rtol)
+         for lo in range(0, len(eps), per)] or [np.zeros(0)])
 
 
 def stability_curve(P: RadialPotential, mu: RadialMeasure, eps_grid,
                     rtol: float = 1e-10) -> list[tuple[float, float]]:
-    """T_{h_eps} along a grid of concentration parameters."""
-    return [(float(e), t_coefficient_diffuse(P, mu, float(e), rtol=rtol))
-            for e in eps_grid]
+    """T_{h_eps} along a grid of concentration parameters: one engine call
+    per slice of the grid (``_SLICE_WORK``)."""
+    eps = np.asarray(eps_grid, dtype=float).reshape(-1)
+    return list(zip(eps.tolist(), _t_values(P, mu, eps, rtol).tolist()))
 
 
 def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
                  rtol: float = 1e-10) -> list[float]:
-    """Bisection-refined zero locations of T along a precomputed curve."""
-    zeros = []
-    for (e0, t0), (e1, t1) in zip(curve, curve[1:]):
-        if t0 == 0.0:
-            zeros.append(e0)
-            continue
-        if t0 * t1 < 0.0:
-            lo, hi, flo = e0, e1, t0
-            while hi - lo > _ZERO_XTOL:
-                mid = 0.5 * (lo + hi)
-                fm = t_coefficient_diffuse(P, mu, mid, rtol=rtol)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(0.5 * (lo + hi))
-    return zeros
+    """Zeros of T along a precomputed curve, in grid order.
+
+    A grid point where T is exactly 0 is a zero.  A sign change between two
+    grid points is bisected to width ``_ZERO_XTOL``, every bracket in
+    lockstep: one engine call per level for all midpoints still open.
+    """
+    eps = np.array([e for e, _ in curve], dtype=float)
+    T = np.array([t for _, t in curve], dtype=float)
+    flips = np.flatnonzero(T[:-1] * T[1:] < 0.0)
+    lo, hi, flo = eps[flips], eps[flips + 1], T[flips]
+    while (open_ := np.flatnonzero(hi - lo > _ZERO_XTOL)).size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        fm = _t_values(P, mu, mid, rtol)
+        left = flo[open_] * fm <= 0.0
+        hi[open_[left]] = mid[left]
+        lo[open_[~left]], flo[open_[~left]] = mid[~left], fm[~left]
+    zeros = dict(zip(flips.tolist(), (0.5 * (lo + hi)).tolist()))
+    zeros.update((i, e) for i, e in enumerate(eps.tolist()) if T[i] == 0.0)
+    return [zeros[i] for i in sorted(zeros)]

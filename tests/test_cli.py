@@ -275,6 +275,16 @@ class TestExitCodeContract:
           "profile:file=.", "--lattice", "0,1"], 2, "profile file '.'"),
         (["theta", "--lattice", "0,1", "--t", "1",
           "--output", "/nonexistent/dir/x.json"], 2, "--output: "),
+        # particle scales that overflow on the way to T: exit 3, not a
+        # curve holding inf or nan
+        (["stability"] + _GAUSS + ["--measure", "gauss:sigma=1e200",
+                                   "--eps", "0:1:0.5"], 3, "T is not finite at eps = 0.5"),
+        (["stability"] + _GAUSS + ["--measure", "disk:r=1e300",
+                                   "--eps", "0:1:0.5"], 3, "disk:r=1e300"),
+        (["stability"] + _GAUSS + ["--measure", "disk:r=1e300", "--eps", "0:1:0.5",
+                                   "--format", "json"], 3, "not finite"),
+        (["stability"] + _GAUSS + ["--measure", "disk:r=1e300", "--eps", "0:1:0.5",
+                                   "--format", "svg"], 3, "not finite"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code
@@ -282,6 +292,15 @@ class TestExitCodeContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert needle in captured.err
+
+    def test_overflowing_gaussian_width_gives_the_spread_limit(self, capsys):
+        # sigma^2 overflows to inf: g = 0 at every p != 0, and E is
+        # fhat(0) = 1, the limit of a particle spread over the plane
+        assert run_cli(["energy"] + _GAUSS + ["--measure", "gauss:sigma=1e200",
+                                              "--lattice", "0,1"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["value"] == 1.0
+        assert captured.err == ""
 
     @pytest.mark.parametrize("rows", [
         "0,0\n0.5,1\ninf,0\n",

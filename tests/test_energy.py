@@ -289,3 +289,46 @@ class TestBatchedEngine:
         for a, b in zip(whole, sliced):
             assert np.array_equal(a, b)
 
+
+
+class TestHeads:
+    """A summand of (c, heads, n): each (lattice, head) pair stops alone."""
+
+    @staticmethod
+    def _summand(scales):
+        # head i is scales[i] e^(-q), with a second column q e^(-q) each
+        def h(pts, q):
+            e = np.exp(-q)
+            return np.stack([np.multiply.outer(scales, e),
+                             np.multiply.outer(scales, q * e)])
+        return h
+
+    def test_each_head_as_if_alone(self, monkeypatch):
+        # a head 1e-8 times smaller needs a tail 1e-8 times smaller, so it
+        # runs more rounds than the others and stops at a larger R
+        scales = np.array([1.0, 1e-8, 3.0])
+        tail_of = partial(en.mixture_tail, [1.0], [1.0])
+        bases = lat.basis_matrix(np.array([0.5, 0.0, 0.2]), np.array([0.9, 1.0, 2.5]))
+        total, R, bound, terms = en._summed(self._summand(scales), tail_of, bases,
+                                            1e-10, heads=3)
+        assert total.shape == (2, 3, 3) and R.shape == bound.shape == (3, 3)
+        assert np.all(R[1] > R[0]) and np.array_equal(R[0], R[2])
+        for i, s in enumerate(scales):
+            alone = en._summed(self._summand(np.array([s])), tail_of, bases,
+                               1e-10, heads=1)
+            assert np.array_equal(alone[0][:, 0], total[:, i])
+            for got, want in zip(alone[1:], (R, bound, terms)):
+                assert np.array_equal(got[0], want[i])
+        # the chunk budget counts point x head pairs: a small one slices
+        # the box for three heads into more calls, and no sum moves
+        sizes = []
+
+        def recording(pts, q):
+            sizes.append(len(q))
+            return self._summand(scales)(pts, q)
+
+        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 96)
+        sliced = en._summed(recording, tail_of, bases, 1e-10, heads=3)
+        assert max(sizes) <= 32
+        for a, b in zip((total, R, bound, terms), sliced):
+            assert np.array_equal(a, b)

@@ -228,14 +228,18 @@ class TestHankelMomentsArray:
         s = np.linspace(0.0, 1.0, 41)
         return msr.profile(zip(s, s * np.exp(-(((s - 0.6) / 0.2) ** 2))))
 
-    @pytest.mark.parametrize("kind", ["dirac", "disk", "gauss", "profile"])
-    def test_array_matches_scalar_calls(self, kind):
-        mu = {
+    @classmethod
+    def _measure(cls, kind):
+        return {
             "dirac": msr.dirac(),
             "disk": msr.uniform_disk(1.0),
             "gauss": msr.radial_gaussian(0.7),
-            "profile": self._ring_profile(),
+            "profile": cls._ring_profile(),
         }[kind]
+
+    @pytest.mark.parametrize("kind", ["dirac", "disk", "gauss", "profile"])
+    def test_array_matches_scalar_calls(self, kind):
+        mu = self._measure(kind)
         X = 2.0 * math.pi * self.EPS * np.sqrt(self.R_GRID)
         assert X.min() < 1e-4 and X.max() > 12.0
         arrays = msr.hankel_moments(mu, self.EPS, self.R_GRID)
@@ -247,6 +251,37 @@ class TestHankelMomentsArray:
                 A, [sc[i] for sc in scalars], rtol=1e-15, atol=0.0
             )
         assert all(isinstance(a, float) for a in scalars[0])
+
+    @pytest.mark.parametrize("kind", ["dirac", "disk", "gauss", "profile"])
+    def test_eps_array_rows_are_the_scalar_calls(self, kind):
+        mu = self._measure(kind)
+        eps = np.array([0.0, 1e-4, 0.01, 0.7, 3.0])
+        rows = msr.hankel_moments(mu, eps, self.R_GRID)
+        for i, e in enumerate(eps.tolist()):
+            for A, a in zip(rows, msr.hankel_moments(mu, e, self.R_GRID)):
+                assert A.shape == eps.shape + self.R_GRID.shape
+                np.testing.assert_array_equal(A[i], a)
+        at_one_r = msr.hankel_moments(mu, eps, 2.0)
+        assert all(A.shape == eps.shape for A in at_one_r)
+
+    @pytest.mark.parametrize("kind", ["dirac", "disk", "gauss", "profile"])
+    def test_eps_axis_rows_are_the_scaled_measures(self, kind):
+        # the energy summand's moments: row i is scale(mu, eps[i]) at eps 1,
+        # bit for bit, and eps = 0 is the point mass
+        mu = self._measure(kind)
+        eps = np.array([0.0, 1e-6, 0.01, 0.7, 3.0])
+        t = np.sqrt(self.R_GRID)
+        for moments in (False, True):
+            rows = np.array(msr._transform(mu, t, moments, eps))
+            assert rows.shape[-2:] == eps.shape + t.shape
+            for i, e in enumerate(eps.tolist()):
+                want = np.array(msr._transform(msr.scale(mu, e), t, moments))
+                np.testing.assert_array_equal(rows[..., i, :], want)
+
+    def test_eps_must_be_a_nonnegative_scalar_or_vector(self):
+        for eps in (np.array([0.5, -0.1]), np.ones((2, 2)), math.nan):
+            with pytest.raises(ValueError):
+                msr.hankel_moments(msr.uniform_disk(1.0), eps, 1.0)
 
     def test_disk_closed_form_vs_its_psi_quadrature(self):
         disk = msr.uniform_disk(1.0)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import latticeforge.energy as en
 import latticeforge.lattice as lat
 import latticeforge.measure as msr
 import latticeforge.potential as pot
@@ -257,3 +258,135 @@ class TestStabilityReport:
     def test_unstable_case(self):
         T, _, _ = self._report(0.7)
         assert T < 0.0
+
+
+def _ring_profile():
+    s = np.linspace(0.0, 1.0, 41)
+    return msr.profile(zip(s, s * np.exp(-(((s - 0.6) / 0.2) ** 2))))
+
+
+_PARTICLES = {
+    "dirac": msr.dirac(),
+    "disk": msr.uniform_disk(1.0),
+    "gauss": msr.radial_gaussian(0.7),
+    "profile": _ring_profile(),
+}
+
+
+def _t_by_scaled_measure(P, mu, eps, rtol=1e-10):
+    """T of scale(mu, eps) summed alone, through the summand without an
+    eps axis: the route each eps of a curve took before curves were
+    batched."""
+    H, tail_of = _fourier_summand(pot.fourier(P), msr.scale(mu, eps))
+    return stab.t_coefficient(partial(H, derivatives=True), tail_of, rtol)
+
+
+def _sequential_sign_changes(P, mu, curve, rtol=1e-10):
+    """Sign changes bisected one bracket after another, one T per midpoint."""
+    zeros = []
+    for (e0, t0), (e1, t1) in zip(curve, curve[1:]):
+        if t0 == 0.0:
+            zeros.append(e0)
+            continue
+        if t0 * t1 < 0.0:
+            lo, hi, flo = e0, e1, t0
+            while hi - lo > stab._ZERO_XTOL:
+                mid = 0.5 * (lo + hi)
+                fm = stab.t_coefficient_diffuse(P, mu, mid, rtol=rtol)
+                if flo * fm <= 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            zeros.append(0.5 * (lo + hi))
+    if curve and curve[-1][1] == 0.0:
+        zeros.append(curve[-1][0])
+    return zeros
+
+
+class TestBatchedCurve:
+    """Every eps of a curve slice in one engine call."""
+
+    # eps = 0 is the point mass; at 1e-6 every point of the sum has
+    # X = 2 pi eps R |p| below the disk's 1e-4 series switch, and at 1e-5
+    # the points straddle it
+    EPS = np.array([0.0, 1e-6, 1e-5, 0.05, 0.3, 0.6031, 1.0, 2.5, 5.0])
+
+    @pytest.mark.parametrize("kind", list(_PARTICLES))
+    def test_bit_for_bit_per_eps(self, kind, monkeypatch):
+        P, mu = pot.gaussian(math.pi), _PARTICLES[kind]
+        batched = stab.t_coefficient_diffuse(P, mu, self.EPS)
+        assert batched.shape == self.EPS.shape
+        for e, t in zip(self.EPS.tolist(), batched.tolist()):
+            assert t == stab.t_coefficient_diffuse(P, mu, e)
+            assert t == _t_by_scaled_measure(P, mu, e)
+        # a chunk budget of 64 point x eps pairs slices every round's box
+        # into many summand calls, and a slice budget of 4 splits the curve
+        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 64)
+        monkeypatch.setattr(stab, "_SLICE_WORK", 4)
+        curve = stab.stability_curve(P, mu, self.EPS)
+        assert [e for e, _ in curve] == self.EPS.tolist()
+        assert [t for _, t in curve] == batched.tolist()
+
+    def test_scalar_gives_a_float(self):
+        T = stab.t_coefficient_diffuse(pot.gaussian(math.pi), msr.uniform_disk(1.0), 0.5)
+        assert type(T) is float
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(msr.MeasureSpecError):
+            stab.t_coefficient_diffuse(pot.gaussian(math.pi), msr.uniform_disk(1.0),
+                                       np.array([0.5, -0.1]))
+
+    def test_one_engine_call_per_slice(self, monkeypatch):
+        calls = []
+        orig = stab.t_coefficient_diffuse
+
+        def recording(P, mu, eps, rtol=1e-10):
+            calls.append(len(eps))
+            return orig(P, mu, eps, rtol)
+
+        monkeypatch.setattr(stab, "t_coefficient_diffuse", recording)
+        P, grid = pot.gaussian(math.pi), np.linspace(0.05, 5.0, 100)
+        stab.stability_curve(P, msr.uniform_disk(1.0), grid)
+        assert calls == [100]
+        # a profile's nodes count against the slice: 128 // 40 = 3 eps
+        calls.clear()
+        stab.stability_curve(P, _ring_profile(), grid[:20])
+        assert calls == [3, 3, 3, 3, 3, 3, 2]
+
+
+class TestLockstepSignChanges:
+    @pytest.mark.parametrize("kind", ["disk", "profile"])
+    def test_matches_sequential_bisection(self, kind):
+        P, mu = pot.gaussian(math.pi), _PARTICLES[kind]
+        curve = stab.stability_curve(P, mu, np.linspace(0.3, 3.0, 28))
+        want = _sequential_sign_changes(P, mu, curve)
+        assert len(want) >= 3
+        assert stab.sign_changes(P, mu, curve) == want
+
+    def test_one_call_per_level(self, monkeypatch):
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        curve = stab.stability_curve(P, mu, np.linspace(0.05, 5.0, 100))
+        sizes = []
+        orig = stab.t_coefficient_diffuse
+
+        def recording(P, mu, eps, rtol=1e-10):
+            sizes.append(len(eps))
+            return orig(P, mu, eps, rtol)
+
+        monkeypatch.setattr(stab, "t_coefficient_diffuse", recording)
+        zeros = stab.sign_changes(P, mu, curve)
+        # brackets 0.05 wide: three halvings reach the 0.01 width
+        assert len(zeros) == 19 and sizes == [19, 19, 19]
+
+    @pytest.mark.parametrize("curve, want", [
+        ([(0.0, 2.0), (0.5, 1.0), (1.0, 0.0)], [1.0]),
+        ([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)], [0.0, 1.0]),
+        ([(0.0, 1.0), (0.5, 0.0), (1.0, 1.0)], [0.5]),
+        ([(1.0, 0.0)], [1.0]),
+        ([], []),
+    ])
+    def test_exact_zeros_at_grid_points(self, curve, want):
+        # no sign flips, so no T is evaluated
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        assert stab.sign_changes(P, mu, curve) == want
+        assert _sequential_sign_changes(P, mu, curve) == want
