@@ -5,7 +5,8 @@ Outputs are JSON (reports), CSV (tables, 17 significant digits, header
 line "# lattice-forge v1") or a minimal SVG polyline for the stability
 curve; ``--format`` offers only what a command writes, its first choice
 by default.  Exit codes: 0 success, 2 bad input (spec, lattice or range),
-3 numeric nonconvergence (including a lattice sum too wide to enumerate).
+3 numeric nonconvergence (including a lattice sum that is not finite or
+too wide to enumerate).
 """
 
 from __future__ import annotations

@@ -122,19 +122,21 @@ def _packing_radius(bases: np.ndarray) -> np.ndarray:
 def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
     """Sum of h over each lattice's points within its R, and their count.
 
-    ``h_eval(pts, q)`` gives one value per point, c columns of them, or
-    (c, heads, n) for c columns of ``heads`` head columns each.  Each
-    (lattice, head) pair's terms are summed on their own, in ascending
-    order of that head's first column, so no sum depends on the rest of
-    the batch, on the other heads or on how the box is sliced into chunks.
-    Sums are shaped like one point's values, with the lattice axis last.
+    ``h_eval(pts, q)`` gives (c, heads, n) values for n points: c columns
+    of ``heads`` head columns each, where a 1-D or (c, n) summand has one
+    head.  Each (head, lattice) pair's terms are summed on their own, in
+    ascending order of that head's first column, so no sum depends on the
+    rest of the batch, on the other heads or on how the box is sliced into
+    chunks.  Returns the sums, (c, heads, k) for k lattices, and the point
+    count of each lattice.
     """
     box = lat.enumerate_points(bases, R)
-    sums, counts = None, np.zeros(len(bases), dtype=int)
+    k = len(bases)
+    sums, counts = None, np.zeros(k, dtype=int)
     budget = max(1, _CHUNK_CANDIDATES // heads)  # candidates per chunk
     rows = min(len(box), budget)  # box rows per slice
     step = max(1, budget // len(box))  # lattices per chunk
-    for lo in range(0, len(bases), step):
+    for lo in range(0, k, step):
         b, r = bases[lo:lo + step, None], R[lo:lo + step, None]
         vals, owner = [], []
         for at in range(0, len(box), rows):
@@ -145,38 +147,35 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
             vals.append(np.asarray(h_eval(pts[keep], q[keep])))
             owner.append(np.nonzero(keep)[0])
         vals, owner = np.concatenate(vals, axis=-1), np.concatenate(owner)
-        sums = np.zeros(vals.shape[:-1] + (len(bases),)) if sums is None else sums
+        vals = vals.reshape(math.prod(vals.shape[:-1]) // heads, heads, vals.shape[-1])
         nb = len(b)
-        count = counts[lo:lo + nb] = np.bincount(owner, minlength=nb)
-        # (columns, heads, points); pair h * nb + j is head h of lattice j,
-        # and its terms sort by that head's first column
-        cols = vals.reshape(math.prod(vals.shape[:-1]) // heads, heads, vals.shape[-1])
-        if heads > 1:
-            owner = (np.arange(heads)[:, None] * nb + owner).ravel()
-            count = np.tile(count, heads)
-        order = np.lexsort((cols[0].ravel(), owner))
+        # pair j * heads + h is head h of lattice lo + j, and its terms sort
+        # by that head's first column
+        pair = (owner * heads + np.arange(heads)[:, None]).ravel()
+        order = np.lexsort((vals[0].ravel(), pair))
+        count = np.bincount(pair, minlength=nb * heads)
+        counts[lo:lo + nb] = count[::heads]
         some = count > 0
         starts = (np.cumsum(count) - count)[some]
-        slot = lo + np.flatnonzero(some)
-        if heads > 1:  # pair h * nb + j -> flat index of (head h, lattice lo + j)
-            slot += (slot - lo) // nb * (len(bases) - nb)
-        for col, out in zip(cols, sums.reshape(len(cols), -1)):
-            out[slot] = np.add.reduceat(col.ravel()[order], starts)
-    return sums, counts
+        sums = np.zeros((len(vals), k * heads)) if sums is None else sums
+        for col, out in zip(vals, sums[:, lo * heads:(lo + nb) * heads]):
+            out[some] = np.add.reduceat(col.ravel()[order], starts)
+    return sums.reshape(-1, k, heads).transpose(0, 2, 1), counts
 
 
 def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
     """Adaptive truncated sums of h over the nonzero points of each lattice.
 
     ``bases`` is a (k, 2, 2) stack of basis rows (or one (2, 2) basis);
-    ``tail_of(rho)`` builds the tail bound R -> bound for packing radii rho.
+    ``tail_of(rho)`` builds the tail bound R -> bound for packing radii rho;
+    ``h_eval`` is a summand of ``heads`` heads as ``_round_sums`` takes it.
     Each lattice starts at R = max(6 rho, 2) and grows R by 1.5x.  Each
-    (lattice, head) pair stops once its tail bound is within ``rtol`` of
-    its sum (of its first column, for a summand of c columns) and keeps the
-    sums of that round; a lattice leaves the batch when all its heads have
-    stopped.  Returns arrays (sums, R, bounds, terms): sums are (k,), (c, k)
-    or (c, heads, k) as ``_round_sums`` gives them, and R, bounds and terms
-    (k,), or (heads, k) for a summand with heads, at each pair's stop.
+    (head, lattice) pair stops once its tail bound is within ``rtol`` of
+    its sum (of its first column, the stop column) and keeps the sums, R,
+    bound and terms of that round; a lattice leaves the batch when all its
+    heads have stopped.  A stop column that is not finite raises
+    NonconvergenceError in that round.  Returns arrays (sums, R, bounds,
+    terms): sums (c, heads, k) and the others (heads, k).
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be finite and > 0, got {rtol}")
@@ -184,47 +183,44 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
     k = len(bases)
     rho = _packing_radius(bases)
     tail = tail_of(rho)
-    R = np.maximum(6.0 * rho, 2.0)
-    total, bound = None, np.zeros(k)
-    terms = np.zeros(k, dtype=int)
-    running = np.ones((heads, k), dtype=bool)
-    frozen = []  # pairs that stop while other heads of their lattice run on
+    # rows R, bound and terms of each lattice, and of each pair as of its
+    # last round: a pair takes its lattice's values in every round it runs,
+    # so it keeps those of its stop round
+    at_lattice, at_pair = np.zeros((3, k)), np.zeros((3, heads, k))
+    R, bound, terms = at_lattice
+    R[:] = np.maximum(6.0 * rho, 2.0)
+    run = np.ones((heads, k), dtype=bool)  # the pairs still summing
+    total = kept = None
     active = np.arange(k)
     for _ in range(40):
-        bound[active] = tail(R)[active]
+        bound[:] = tail(R)
         sums, terms[active] = _round_sums(h_eval, bases[active], R[active], heads)
-        total = sums if total is None else total  # round 1 holds every lattice
+        if total is None:  # round 1 holds every lattice
+            total, kept = sums, np.empty_like(sums)
         total[..., active] = sums
-        pairs = total.reshape(-1, heads, k)
-        done = bound[active] <= rtol * np.maximum(np.abs(pairs[0][:, active]), 1e-300)
-        if heads > 1:
-            run = running[:, active]
-            running[:, active] = left = run & ~done
-            stays = left.any(axis=0)
-            h, j = np.nonzero(run[:, stays] & done[:, stays])
-            lat = active[stays][j]
-            frozen.append((h, lat, pairs[:, h, lat], R[lat], bound[lat], terms[lat]))
-            done = ~stays
-        active = active[~done.reshape(-1)]
+        np.copyto(kept, total, where=run)
+        np.copyto(at_pair, at_lattice[:, None], where=run)
+        S = total[0]
+        if not np.isfinite(S).all():  # nan never stops, and inf stops at once
+            bad = np.argwhere(run & ~np.isfinite(S))
+            if bad.size:
+                h, j = bad[0]
+                raise NonconvergenceError(
+                    f"lattice sum is not finite ({S[h, j]}) at cutoff R = {R[j]:g}")
+        run &= ~(bound <= rtol * np.maximum(np.abs(S), 1e-300))
+        active = np.logical_or.reduce(run).nonzero()[0]
         if not active.size:
-            if total.ndim < 3:
-                return total, R, bound, terms
-            per_pair = [np.tile(v, (heads, 1)) for v in (R, bound, terms)]
-            for h, lat, vals, *at_stop in frozen:
-                pairs[:, h, lat] = vals
-                for out, v in zip(per_pair, at_stop):
-                    out[h, lat] = v
-            return (total, *per_pair)
+            return kept, at_pair[0], at_pair[1], at_pair[2].astype(int)
         R[active] *= 1.5
     raise NonconvergenceError("lattice sum did not meet the tail tolerance")
 
 
 def _report(h_eval, tail_of, basis: np.ndarray, rtol: float) -> EnergyReport:
     """One lattice through the engine."""
-    total, R, bound, n = (v[0] for v in _summed(h_eval, tail_of, basis, rtol))
+    total, R, bound, n = (v.item() for v in _summed(h_eval, tail_of, basis, rtol))
     return EnergyReport(
-        value=float(total), lattice_part=float(total), constant_part=0.0,
-        cutoff_R=float(R), tail_bound=float(bound), terms_used=int(n),
+        value=total, lattice_part=total, constant_part=0.0,
+        cutoff_R=R, tail_bound=bound, terms_used=n,
     )
 
 
@@ -310,7 +306,7 @@ def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
     def E(x, y):
         x = np.asarray(x, dtype=float)
         bases = lat.basis_matrix(x.ravel(), np.ravel(y))
-        val = _summed(lambda pts, q: H(q), tail_of, bases, rtol)[0] + const
+        val = _summed(lambda pts, q: H(q), tail_of, bases, rtol)[0][0, 0] + const
         return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
     return E
@@ -336,7 +332,8 @@ def diffuse_energy_jet(P: RadialPotential, mu: RadialMeasure,
                          d2 * a * a, d2 * a * b, d2 * b * b])
 
     def jet(x, y):
-        E, a, b, q, aa, ab, bb = _summed(cols, tail_of, lat.basis_matrix(x, y), rtol)[0]
+        sums = _summed(cols, tail_of, lat.basis_matrix(x, y), rtol)[0]
+        E, a, b, q, aa, ab, bb = sums[:, 0]
         y = np.asarray(y, dtype=float)[:, None]
         hxy = 2.0 * (ab - a)
         hess = np.stack([4.0 * aa + q + b, hxy, hxy, bb + q - b], axis=-1) / (y * y)

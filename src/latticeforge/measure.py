@@ -155,8 +155,8 @@ def scale(mu: RadialMeasure, eps: float) -> RadialMeasure:
     Radial nodes move s -> eps s (spatial support shrinks with eps);
     eps = 0 collapses to the point mass.
     """
-    if eps < 0:
-        raise MeasureSpecError(f"scale factor must be >= 0, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise MeasureSpecError(f"scale factor must be finite and >= 0, got {eps}")
     if eps == 0 or mu.kind == "dirac":
         return dirac()
     return RadialMeasure(
@@ -170,8 +170,9 @@ def hankel(mu: RadialMeasure, t):
     """g(t) = int J0(2 pi s t) dpsi(s); closed forms for tagged families."""
     ta = np.asarray(t, dtype=float)
     scalar = ta.ndim == 0
-    if (float(ta) if scalar else ta.min(initial=0.0)) < 0:  # quad passes floats
-        raise ValueError(f"t must be >= 0, got {ta.min()}")
+    lo = float(ta) if scalar else ta.min(initial=0.0)  # quad passes floats
+    if not 0 <= lo < math.inf or not scalar and ta.max(initial=0.0) == math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     out = _transform(mu, ta, moments=False)
     return float(out) if scalar else out
 
@@ -182,20 +183,17 @@ def hankel_moments(mu: RadialMeasure, eps, r):
     Returns (A0, A1, A2) with argument c = 2 pi eps sqrt(r):
         A0 = int J0(c s) dpsi,  A1 = int s J1(c s) dpsi,
         A2 = int s^2 (J2 - J0)(c s) dpsi.
-    A0 is ``hankel(mu, eps sqrt(r))``.  Floats for scalars eps and r,
-    arrays shaped like r for an array of r.  A 1-D array of k eps gives
-    (k,) + r.shape arrays: the (eps, r) outer product in one transform,
-    row i bit for bit the call at eps[i].  A1 and A2 are moments of mu
-    itself; the dilated particle ``scale(mu, eps)`` has eps A1 and eps^2 A2,
-    which the energy summand takes from ``_transform``'s eps axis.
+    A0 is ``hankel(mu, eps sqrt(r))``.  ``eps`` is a scalar; floats for a
+    scalar r, arrays shaped like r for an array of r.  A1 and A2 are moments
+    of mu itself; the dilated particle ``scale(mu, eps)`` has eps A1 and
+    eps^2 A2, which the energy summand takes from ``_transform``'s eps axis.
     """
     ra = np.asarray(r, dtype=float)
     if not np.all(ra > 0):
         raise ValueError(f"r must be positive, got {r}")
-    ea = np.asarray(eps, dtype=float)
-    if ea.ndim > 1 or not np.all(ea >= 0):
-        raise ValueError(f"eps must be >= 0, a scalar or a 1-D array, got {eps}")
-    A = _transform(mu, np.multiply.outer(ea, np.sqrt(ra)), moments=True)
+    if np.ndim(eps) or not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be a finite scalar >= 0, got {eps}")
+    A = _transform(mu, eps * np.sqrt(ra), moments=True)
     if A[0].ndim == 0:
         return tuple(float(a) for a in A)
     return A

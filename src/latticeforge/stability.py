@@ -4,10 +4,11 @@ At the triangular point the Hessian of any radial-summand lattice energy
 is a multiple T of the identity.  T is d^2E/dx^2 there, summed by the
 lattice-sum engine of ``energy`` next to E itself: the engine stops on E's
 certified tail, so ``rtol`` is relative to E and T shares E's cutoff
-without a tail bound of its own.  A curve sums a slice of eps in one
-engine call: the eps share the triangular point set, one Phi pass and the
-tail, and each eps is a head column pair (E, T) that stops on its own E,
-so each T is bit for bit its scalar call.  Sign changes are bisected for
+without a tail bound of its own.  Every T is a head of the engine's one
+head axis: a scalar eps is one head, and a curve sums a slice of eps in
+one engine call, where the eps share the triangular point set, one Phi
+pass and the tail, and each eps is a head with columns (E, T) that stops
+on its own E, so each T is bit for bit its scalar call.  Sign changes are bisected for
 every bracket at once, one call per level.  The finite-difference check
 of T, a Hessian of E(x, y) on a 3x3 stencil, lives in the tests.
 """
@@ -41,9 +42,9 @@ _SLICE_WORK = 1 << 7
 def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
     """T = d^2E/dx^2 of E = sum' H(|p|^2) at the triangular lattice (x, y).
 
-    ``H(q)`` gives (H, H', H'') on a 1-D array q, each of shape (n,), or
-    (heads, n) for ``heads`` summands at once (one T each); ``tail_of`` is
-    their shared tail factory.  With a = p0 p1, q_x = 2 a / y and
+    ``H(q)`` gives (H, H', H'') on a 1-D array q, each of shape (n,) for
+    one head, or (heads, n) for ``heads`` summands at once (one T each);
+    ``tail_of`` is their shared tail factory.  With a = p0 p1, q_x = 2 a / y and
     q_xx = 2 p1^2 / y^2, so y^2 T = sum' 4 H'' a^2 + 2 H' p1^2 (the (0, 0)
     entry of ``diffuse_energy_jet``'s Hessian), summed in one engine call
     next to H, whose tail stops both sums at ``rtol`` relative to E; each
@@ -57,8 +58,8 @@ def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
 
     x, y = TRIANGULAR.x, TRIANGULAR.y
     sums = _summed(cols, tail_of, basis_matrix(x, y), rtol, heads or 1)[0]
-    T = sums[1, ..., 0] / (y * y)
-    return T if heads else float(T)
+    T = sums[1, :, 0] / (y * y)
+    return T if heads else float(T[0])
 
 
 def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
@@ -70,8 +71,8 @@ def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
     bit its scalar call, stopping on its own E).
     """
     e = np.asarray(eps, dtype=float)
-    if e.ndim > 1 or not np.all(e >= 0):
-        raise MeasureSpecError(f"scale factor must be >= 0, got {eps}")
+    if e.ndim > 1 or not np.all((e >= 0) & (e < np.inf)):
+        raise MeasureSpecError(f"scale factor must be finite and >= 0, got {eps}")
     H, tail_of = _fourier_summand(fourier(P), mu, e.reshape(-1))
     T = t_coefficient(partial(H, derivatives=True), tail_of, rtol, e.size)
     return T if e.ndim else float(T[0])

@@ -285,6 +285,11 @@ class TestExitCodeContract:
                                    "--format", "json"], 3, "not finite"),
         (["stability"] + _GAUSS + ["--measure", "disk:r=1e300", "--eps", "0:1:0.5",
                                    "--format", "svg"], 3, "not finite"),
+        # J1 is nan at X = inf: the engine stops in round 1, not at the cap
+        (["energy", "--potential", "gaussian:alpha=2", "--measure", "disk:r=1e308",
+          "--lattice", "0,1"], 3, "lattice sum is not finite (nan) at cutoff R = "),
+        (["stability", "--potential", "gaussian:alpha=2", "--measure", "disk:r=1e308",
+          "--eps", "0:1:0.5"], 3, "lattice sum is not finite (nan) at cutoff R = "),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code

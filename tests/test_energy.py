@@ -227,12 +227,14 @@ class TestBatchedEngine:
         xs, ys = np.meshgrid(np.linspace(0.0, 0.5, 4), np.linspace(1.0, 4.0, 5))
         bases = np.linalg.inv(lat.basis_matrix(xs.ravel(), ys.ravel()))
         bases = bases.transpose(0, 2, 1)
-        total, R, bound, terms = en._summed(h, tail_of, bases, 1e-10)
+        # one head: sums (1, 1, k) and R, bound, terms (1, k)
+        total, R, bound, terms = (v.reshape(-1)
+                                  for v in en._summed(h, tail_of, bases, 1e-10))
         rho = en._packing_radius(bases)
         rounds = np.round(np.log(R / np.maximum(6.0 * rho, 2.0)) / np.log(1.5))
         assert len(set(rounds)) > 1
         for i, basis in enumerate(bases):
-            alone = en._summed(h, tail_of, basis, 1e-10)
+            alone = [v.reshape(-1) for v in en._summed(h, tail_of, basis, 1e-10)]
             assert alone[0][0] == total[i]
             assert alone[1][0] == R[i]
             assert alone[2][0] == bound[i]
@@ -268,6 +270,25 @@ class TestBatchedEngine:
         E = en.diffuse_energy_fn(pot.gaussian(50.0), msr.dirac())
         with pytest.raises(lat.ShellCapError):
             E(np.linspace(0.0, 0.5, 8), np.full(8, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sum_raises_at_once(self, bad, monkeypatch):
+        # a nan sum never meets the tail test and an inf one meets it at
+        # once: both raise in round 1, long before the point cap
+        monkeypatch.setattr(
+            lat, "enumerate_points",
+            partial(lat.enumerate_points, cap=10**4),
+        )
+        calls = []
+
+        def h(pts, q):
+            calls.append(len(q))
+            return np.where(q > 1.5, bad, np.exp(-q))
+
+        with pytest.raises(en.NonconvergenceError, match="not finite"):
+            en._summed(h, partial(en.mixture_tail, [1.0], [1.0]),
+                       lat.basis_matrix(0.0, 1.0), 1e-10)
+        assert len(calls) == 1
 
     def test_box_sliced_to_chunk_size(self, monkeypatch):
         # a box larger than the chunk is cut into slices, and the kept
@@ -332,3 +353,17 @@ class TestHeads:
         assert max(sizes) <= 32
         for a, b in zip((total, R, bound, terms), sliced):
             assert np.array_equal(a, b)
+
+    def test_one_shape_for_every_summand(self):
+        # the same summand as (n,), (1, n) and (1, 1, n) values: sums come
+        # back (1, 1, k) and R, bounds and terms (1, k), all identical
+        tail_of = partial(en.mixture_tail, [1.0], [1.0])
+        bases = lat.basis_matrix(np.array([0.5, 0.0, 0.2]), np.array([0.9, 1.0, 2.5]))
+        got = [en._summed(lambda pts, q, s=shape: np.exp(-q).reshape(s + (-1,)),
+                          tail_of, bases, 1e-10)
+               for shape in [(), (1,), (1, 1)]]
+        for out in got:
+            assert out[0].shape == (1, 1, 3)
+            assert all(v.shape == (1, 3) for v in out[1:])
+            for a, b in zip(out, got[0]):
+                assert np.array_equal(a, b)

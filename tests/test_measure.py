@@ -105,7 +105,8 @@ class TestHankel:
             t = np.linspace(0.0, 10.0, 200)
             assert np.all(np.abs(msr.hankel(mu, t)) <= 1.0 + 1e-12)
 
-    @pytest.mark.parametrize("t", [-2.0, np.array([1.0, -1e-9])])
+    @pytest.mark.parametrize("t", [-2.0, np.array([1.0, -1e-9]), math.nan, math.inf,
+                                   np.array([1.0, math.nan]), np.array([math.inf])])
     def test_negative_argument_rejected(self, t):
         # the disk's small-X series would otherwise run for every X < 0
         with pytest.raises(ValueError):
@@ -143,8 +144,11 @@ class TestScale:
         )
 
     def test_negative_rejected(self):
-        with pytest.raises(msr.MeasureSpecError):
-            msr.scale(msr.dirac(), -0.1)
+        for eps in (-0.1, math.nan, math.inf):
+            with pytest.raises(msr.MeasureSpecError):
+                msr.scale(msr.dirac(), eps)
+            with pytest.raises(msr.MeasureSpecError):
+                msr.scale(msr.uniform_disk(1.0), eps)
 
 
 class TestHankelMoments:
@@ -152,8 +156,9 @@ class TestHankelMoments:
         assert msr.hankel_moments(msr.dirac(), 0.7, 2.0) == (1.0, 0.0, 0.0)
 
     def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            msr.hankel_moments(msr.uniform_disk(1.0), -0.5, 2.0)
+        for eps in (-0.5, math.inf):
+            with pytest.raises(ValueError):
+                msr.hankel_moments(msr.uniform_disk(1.0), eps, 2.0)
 
     def test_disk_against_quadrature(self):
         eps, r = 1.0, 1.0
@@ -253,18 +258,6 @@ class TestHankelMomentsArray:
         assert all(isinstance(a, float) for a in scalars[0])
 
     @pytest.mark.parametrize("kind", ["dirac", "disk", "gauss", "profile"])
-    def test_eps_array_rows_are_the_scalar_calls(self, kind):
-        mu = self._measure(kind)
-        eps = np.array([0.0, 1e-4, 0.01, 0.7, 3.0])
-        rows = msr.hankel_moments(mu, eps, self.R_GRID)
-        for i, e in enumerate(eps.tolist()):
-            for A, a in zip(rows, msr.hankel_moments(mu, e, self.R_GRID)):
-                assert A.shape == eps.shape + self.R_GRID.shape
-                np.testing.assert_array_equal(A[i], a)
-        at_one_r = msr.hankel_moments(mu, eps, 2.0)
-        assert all(A.shape == eps.shape for A in at_one_r)
-
-    @pytest.mark.parametrize("kind", ["dirac", "disk", "gauss", "profile"])
     def test_eps_axis_rows_are_the_scaled_measures(self, kind):
         # the energy summand's moments: row i is scale(mu, eps[i]) at eps 1,
         # bit for bit, and eps = 0 is the point mass
@@ -279,7 +272,9 @@ class TestHankelMomentsArray:
                 np.testing.assert_array_equal(rows[..., i, :], want)
 
     def test_eps_must_be_a_nonnegative_scalar_or_vector(self):
-        for eps in (np.array([0.5, -0.1]), np.ones((2, 2)), math.nan):
+        # a 1-D array of eps is rejected too: the eps axis is _transform's
+        for eps in (np.array([0.5, -0.1]), np.ones((2, 2)), math.nan,
+                    np.array([0.5, 1.0]), math.inf):
             with pytest.raises(ValueError):
                 msr.hankel_moments(msr.uniform_disk(1.0), eps, 1.0)
 

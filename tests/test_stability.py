@@ -332,9 +332,11 @@ class TestBatchedCurve:
         assert type(T) is float
 
     def test_negative_eps_rejected(self):
-        with pytest.raises(msr.MeasureSpecError):
-            stab.t_coefficient_diffuse(pot.gaussian(math.pi), msr.uniform_disk(1.0),
-                                       np.array([0.5, -0.1]))
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        for eps in (np.array([0.5, -0.1]), math.inf, math.nan,
+                    np.array([0.5, math.inf])):
+            with pytest.raises(msr.MeasureSpecError):
+                stab.t_coefficient_diffuse(P, mu, eps)
 
     def test_one_engine_call_per_slice(self, monkeypatch):
         calls = []
