@@ -30,15 +30,11 @@ from .potential import PotentialSpecError, parse_potential
 CSV_MAGIC = "# lattice-forge v1"
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _write_csv(path: str, columns: list[str], rows) -> None:
-    lines = [CSV_MAGIC, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    """Rows of floats with 17 significant digits, one format per row."""
+    line = ",".join(["%.17g"] * len(columns))
+    body = [line % tuple(row) for row in np.asarray(rows, dtype=float).tolist()]
+    _write_text(path, "\n".join([CSV_MAGIC, ",".join(columns)] + body) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:

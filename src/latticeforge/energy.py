@@ -69,31 +69,40 @@ class EnergyReport:
 #     sum_{|x| > R} phi(|x|)
 #         <= (1/(pi rho^2)) int_{|y| > R - rho} phi(|y| - rho) dy
 #         =  (2/rho^2) int_{R - 2 rho}^inf (u + rho) phi(u) du.
-# An extra ``offset`` handles shifted summands phi(|x| - offset).
+# Every nonzero point has |x| >= 2 rho, so its disk lies in {|y| >= rho}
+# and the bound at R <= 2 rho is the one at 2 rho.  An extra ``offset``
+# handles shifted summands phi((|x| - offset)_+), which are phi(0) on
+# {|y| < rho + offset}: the integral then starts at
+# l = max(R - 2 rho - offset, -offset) with phi(0) on [l, 0].
 # ---------------------------------------------------------------------------
 
 def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho, offset: float = 0.0):
     """Tail-bound closure for phi(r) = sum w exp(-t r^2).
 
     ``rho`` may be an array of packing radii; the closure then takes an
-    array R of the same shape and returns one bound per entry.
+    array R of the same shape and returns one bound per entry.  Each call
+    evaluates one (R entries, nodes) array.
     """
     ts = np.asarray(ts, dtype=float)
     ws = np.asarray(ws, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    two_rho, rho2 = 2.0 * rho[..., None], rho * rho
+    rho2 = rho * rho
     shift = (rho + offset)[..., None] * 0.5 * np.sqrt(math.pi / ts)
+    phi0 = ws.sum()
     # t near the float limit: 2 t and t a^2 may overflow to inf, and then
     # exp(-t a^2) / (2 t) is 0, its limit
     with np.errstate(over="ignore"):
         sqrt_ts, two_ts = np.sqrt(ts), 2.0 * ts
 
     def bound(R):
-        a = np.maximum(np.asarray(R)[..., None] - two_rho - offset, 0.0)
+        low = np.maximum(np.asarray(R) - 2.0 * rho - offset, -offset)
+        a = np.maximum(low, 0.0)[..., None]
         # int_a^inf (u + rho + offset) exp(-t u^2) du, then * 2 / rho^2
         with np.errstate(over="ignore"):
             vals = ws * (np.exp(-ts * a * a) / two_ts + shift * erfc(sqrt_ts * a))
-        return vals.sum(axis=-1) * 2.0 / rho2
+        # int_low^0 (u + rho + offset) phi(0) du where low < 0
+        core = np.where(low < 0.0, phi0 * -low * (0.5 * low + rho + offset), 0.0)
+        return (vals.sum(axis=-1) + core) * 2.0 / rho2
 
     return bound
 
@@ -105,6 +114,13 @@ def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho, offset: float = 0.0):
 # candidates (lattices x box x heads) broadcast at once; larger batches go
 # in chunks
 _CHUNK_CANDIDATES = 1 << 18
+
+# rungs of each lattice's cutoff ladder
+_RUNGS = 40
+
+# headroom on a sum's reach for rounding: ascending sums of up to 10^7
+# terms of one sign are within 10^7 ulps of their value
+_REACH_SLACK = 1.0 + 2.0**-20
 
 
 def _packing_radius(bases: np.ndarray) -> np.ndarray:
@@ -169,13 +185,24 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
     ``bases`` is a (k, 2, 2) stack of basis rows (or one (2, 2) basis);
     ``tail_of(rho)`` builds the tail bound R -> bound for packing radii rho;
     ``h_eval`` is a summand of ``heads`` heads as ``_round_sums`` takes it.
-    Each lattice starts at R = max(6 rho, 2) and grows R by 1.5x.  Each
-    (head, lattice) pair stops once its tail bound is within ``rtol`` of
-    its sum (of its first column, the stop column) and keeps the sums, R,
-    bound and terms of that round; a lattice leaves the batch when all its
-    heads have stopped.  A stop column that is not finite raises
-    NonconvergenceError in that round.  Returns arrays (sums, R, bounds,
-    terms): sums (c, heads, k) and the others (heads, k).
+
+    Each lattice has a ladder of ``_RUNGS`` cutoffs R_j = max(6 rho, 2)
+    1.5^j.  Each (head, lattice) pair stops at the first rung where its
+    tail bound is within ``rtol`` of its sum (of its first column, the stop
+    column), tail(R) <= rtol max(|S|, 1e-300), and keeps the sums, R,
+    bound and terms of that rung; a lattice leaves the batch when all its
+    heads have stopped.  A lattice is summed only at rungs where a pair
+    can stop: before each round it moves up to the first rung where
+    tail(R_j) <= rtol reach, with reach a bound on |S| at any later rung.
+    Before the first round reach is tail(0), which bounds the sum over
+    every nonzero point; after a round it is the largest |S| + tail(R)
+    over the heads still running, as every later sum lies within tail(R)
+    of this one (times ``_REACH_SLACK`` for rounding).  A skipped rung
+    fails the stop test of every pair, so each pair stops at the rung of
+    the every-rung ladder and keeps its values bit for bit.  When no rung
+    can stop, NonconvergenceError is raised before any further round, as
+    it is when a stop column is not finite.  Returns arrays (sums, R,
+    bounds, terms): sums (c, heads, k) and the others (heads, k).
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be finite and > 0, got {rtol}")
@@ -189,11 +216,26 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
     at_lattice, at_pair = np.zeros((3, k)), np.zeros((3, heads, k))
     R, bound, terms = at_lattice
     R[:] = np.maximum(6.0 * rho, 2.0)
+    bound[:] = tail(R)
+    rung = np.zeros(k, dtype=int)
+    # every nonzero point has |x| >= 2 rho, so tail(0) bounds |S| at any R
+    cap = rtol * np.maximum(tail(np.zeros(k)) * _REACH_SLACK, 1e-300)
+    up = np.flatnonzero(bound > cap)  # the lattices that leave their rung
     run = np.ones((heads, k), dtype=bool)  # the pairs still summing
     total = kept = None
     active = np.arange(k)
-    for _ in range(40):
-        bound[:] = tail(R)
+    while True:
+        while up.size:
+            R[up] *= 1.5
+            rung[up] += 1
+            if rung[up].max() == _RUNGS:
+                raise NonconvergenceError(
+                    f"lattice sum did not meet the tail tolerance within "
+                    f"{_RUNGS} cutoffs (R up to {R[up].max():g})")
+            bound[:] = tail(R)
+            # a rung whose tail exceeds rtol * reach cannot stop any pair
+            # (a nan on either side keeps the rung)
+            up = up[bound[up] > cap[up]]
         sums, terms[active] = _round_sums(h_eval, bases[active], R[active], heads)
         if total is None:  # round 1 holds every lattice
             total, kept = sums, np.empty_like(sums)
@@ -211,8 +253,10 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
         active = np.logical_or.reduce(run).nonzero()[0]
         if not active.size:
             return kept, at_pair[0], at_pair[1], at_pair[2].astype(int)
-        R[active] *= 1.5
-    raise NonconvergenceError("lattice sum did not meet the tail tolerance")
+        # every later sum lies within tail(R) of this one
+        reach = np.where(run, np.abs(S), 0.0).max(axis=0) + bound
+        cap = rtol * np.maximum(reach * _REACH_SLACK, 1e-300)
+        up = active
 
 
 def _report(h_eval, tail_of, basis: np.ndarray, rtol: float) -> EnergyReport:

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from latticeforge import LatticeParams
+from latticeforge import energy as en
 
 
 def random_lattice(rng: np.random.Generator, y_max: float = 3.0) -> LatticeParams:
@@ -64,6 +65,40 @@ def check_completely_monotone(F, r_samples, max_order: int) -> bool:
         if k < max_order:
             table = (table[1:] - table[:-1]) / (r[k + 1 :] - r[: len(r) - k - 1])
     return True
+
+
+def every_rung_summed(h_eval, tail_of, bases, rtol: float, heads: int = 1):
+    """``energy._summed`` without skipped rungs: every active lattice is
+    summed at every rung R0 1.5^j of its ladder, j < 40, until each
+    (head, lattice) pair's tail bound is within ``rtol`` of its sum.
+    Same arguments and returns (sums, R, bounds, terms)."""
+    bases = np.asarray(bases, dtype=float).reshape(-1, 2, 2)
+    k = len(bases)
+    rho = en._packing_radius(bases)
+    tail = tail_of(rho)
+    at_lattice, at_pair = np.zeros((3, k)), np.zeros((3, heads, k))
+    R, bound, terms = at_lattice
+    R[:] = np.maximum(6.0 * rho, 2.0)
+    run = np.ones((heads, k), dtype=bool)
+    total = kept = None
+    active = np.arange(k)
+    for _ in range(40):
+        bound[:] = tail(R)
+        sums, terms[active] = en._round_sums(h_eval, bases[active], R[active], heads)
+        if total is None:
+            total, kept = sums, np.empty_like(sums)
+        total[..., active] = sums
+        np.copyto(kept, total, where=run)
+        np.copyto(at_pair, at_lattice[:, None], where=run)
+        S = total[0]
+        if not np.isfinite(S[run]).all():
+            raise en.NonconvergenceError("lattice sum is not finite")
+        run &= ~(bound <= rtol * np.maximum(np.abs(S), 1e-300))
+        active = np.logical_or.reduce(run).nonzero()[0]
+        if not active.size:
+            return kept, at_pair[0], at_pair[1], at_pair[2].astype(int)
+        R[active] *= 1.5
+    raise en.NonconvergenceError("lattice sum did not meet the tail tolerance")
 
 
 @pytest.fixture

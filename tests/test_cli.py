@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from latticeforge import cli, lattice, measure, potential, stability
@@ -195,6 +196,27 @@ class TestErrorsAndDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestCsvWriter:
+    @staticmethod
+    def _per_value(columns, rows) -> str:
+        # one format() call per value, the writer's former rule
+        lines = [cli.CSV_MAGIC, ",".join(columns)]
+        lines += [",".join(format(float(v), ".17g") for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("rows", [
+        np.array([[math.inf, -math.inf, math.nan], [-0.0, 0.0, 1e-300],
+                  [0.1 + 0.2, 1.0 / 3.0, 5e-324], [1.7976931348623157e308,
+                                                   -2.2250738585072014e-308, 7.0]]),
+        [(0.05, 1.2345678901234567), (0.1, -math.nan), (0.15, -0.0)],
+        [],
+    ], ids=["array", "tuples", "empty"])
+    def test_bytes_match_per_value_join(self, rows, capsys):
+        columns = ["x", "y", "E"] if isinstance(rows, np.ndarray) else ["eps", "T"]
+        cli._write_csv("-", columns, rows)
+        assert capsys.readouterr().out == self._per_value(columns, rows)
+
+
 _GAUSS = ["--potential", "gaussian:alpha=3.141592653589793"]
 _CURVE = ["stability"] + _GAUSS + ["--measure", "disk:r=1"]
 
@@ -256,6 +278,10 @@ class TestExitCodeContract:
          2, "--z:"),
         (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "1,2,3"],
          2, "--z:"),
+        # no cutoff of the shifted inverse-power sum can close its tail
+        # below the point cap: exit 3 from the first box
+        (["poisson-check", "--potential", "invpower:a=1,s=2", "--lattice", "0,1",
+          "--z", "0.3,0.1"], 3, "lattice sum too wide for --potential invpower"),
         (["energy"] + _GAUSS + ["--lattice", "a,b"], 2,
          "--lattice: expected two finite numbers 'x,y', got 'a,b'"),
         (_CURVE + ["--eps=-0.2:0.2:0.2"], 2, "--eps: eps must be >= 0"),

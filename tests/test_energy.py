@@ -9,10 +9,12 @@ from scipy.special import j1
 import latticeforge.energy as en
 import latticeforge.lattice as lat
 import latticeforge.measure as msr
+import latticeforge.optimize as opt
 import latticeforge.potential as pot
+import latticeforge.stability as stab
 from latticeforge import LatticeParams, TRIANGULAR
 
-from conftest import random_lattice
+from conftest import every_rung_summed, fd_gradient_hessian, random_lattice
 
 
 def _theta_z2_oracle(t: float) -> float:
@@ -198,6 +200,141 @@ class TestPoissonCheck:
             z = tuple(rng.uniform(-0.5, 0.5, size=2))
             _, _, diff = en.poisson_check(P, L, z)
             assert diff <= 1e-9
+
+
+class TestMixtureTail:
+    """The packing bound against brute-force sums of its majorant."""
+
+    @staticmethod
+    def _brute_tail(ts, ws, basis, z, R):
+        # sum over |x| > R of phi((|x| - |z|)_+), phi = sum w exp(-t r^2),
+        # out to where every node has decayed below 1e-300
+        o = math.hypot(*z)
+        reach = o + 2.0 + math.sqrt(700.0 / min(ts))
+        n = int(reach / 0.3) + 2  # the test lattices have |det| >= 0.3 |u|
+        m = np.arange(-n, n + 1)
+        pts = (m[:, None, None] * basis[0] + m[None, :, None] * basis[1]).reshape(-1, 2)
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        u = np.maximum(r[r > R * (1.0 + 1e-12)] - o, 0.0)
+        return sum(w * np.exp(-t * u * u).sum() for t, w in zip(ts, ws))
+
+    @pytest.mark.parametrize("x, y", [(0.0, 1.0), (0.5, 0.5 * math.sqrt(3.0)),
+                                      (0.3, 1.7)])
+    @pytest.mark.parametrize("ts, ws", [([1000.0], [1.0]), ([0.5], [1.0]),
+                                        ([3.0, 0.2], [0.7, 0.3])])
+    @pytest.mark.parametrize("z", [(0.0, 0.0), (0.3, 0.1), (1.0, 0.0), (2.5, 1.0)])
+    def test_bound_holds_below_and_above_the_shift(self, x, y, ts, ws, z):
+        basis = lat.basis_matrix(x, y)
+        rho = float(en._packing_radius(basis[None])[0])
+        o = math.hypot(*z)
+        tail = en.mixture_tail(ts, ws, rho, offset=o)
+        for R in (0.0, rho, 2.0 * rho + 0.5 * o, 2.0 * rho + o, 6.0 * rho):
+            assert tail(R) >= self._brute_tail(ts, ws, basis, z, R)
+
+    def test_shifted_core_counts(self):
+        # x = -z gives exp(0) = 1 on the square lattice; the bound used to
+        # leave out phi(0) inside |y| < rho + offset and read 0.340
+        assert en.mixture_tail([1000.0], [1.0], 0.5, offset=1.0)(0.0) >= 1.0
+
+    def test_continuous_and_nonincreasing(self):
+        # the phi(0) term falls to 0 at R = 2 rho + offset, where the
+        # integral's lower end reaches 0
+        rho, o = 0.5, 0.7
+        tail = en.mixture_tail([2.0, 0.1], [0.5, 0.5], rho, offset=o)
+        R = np.linspace(0.0, 6.0 * rho + o, 2001)
+        vals = tail(R)
+        assert np.all(np.diff(vals) <= 0.0)
+        assert tail(2.0 * rho + o - 1e-9) == pytest.approx(tail(2.0 * rho + o),
+                                                          rel=1e-8)
+
+
+class TestSkippedRungs:
+    """The engine sums only the rungs where a pair can stop, and returns
+    what the every-rung ladder returns, bit for bit."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """Check every engine call against ``every_rung_summed``; the list
+        holds the summand calls of each engine call."""
+        real, rounds = en._summed, []
+
+        def checked(h_eval, tail_of, bases, rtol, heads=1):
+            calls = []
+
+            def counted(pts, q):
+                calls.append(len(q))
+                return h_eval(pts, q)
+
+            got = real(counted, tail_of, bases, rtol, heads)
+            want = every_rung_summed(h_eval, tail_of, bases, rtol, heads)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            rounds.append(len(calls))
+            return got
+
+        monkeypatch.setattr(en, "_summed", checked)
+        monkeypatch.setattr(stab, "_summed", checked)
+        return rounds
+
+    @pytest.mark.parametrize("mu", [msr.uniform_disk(1.0), msr.radial_gaussian(1.0)])
+    def test_scan_grid(self, rounds, mu):
+        E = en.diffuse_energy_fn(pot.gaussian(math.pi), mu, include_constant=True)
+        opt.grid_scan(E, 40, 40, 4.0)
+        # one call per column of 40 lattices, two rounds each (three when
+        # every rung is summed)
+        assert len(rounds) == 40 and max(rounds) <= 2
+
+    @pytest.mark.parametrize("L", [LatticeParams(0.0, 1.0), TRIANGULAR,
+                                   LatticeParams(0.3, math.sqrt(1.0 - 0.09))])
+    def test_stencils_outside_the_domain(self, rounds, L):
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        fd_gradient_hessian(en.diffuse_energy_fn(P, mu), L)
+        en.diffuse_energy_jet(P, mu)(np.array([L.x, 0.25]), np.array([L.y, 2.0]))
+        assert len(rounds) == 2
+
+    def test_figure_curve_heads(self, rounds):
+        eps = 0.05 * np.arange(1, 101)
+        stab.t_coefficient_diffuse(pot.gaussian(math.pi), msr.uniform_disk(1.0), eps)
+        # the first rung, R = 3.22, cannot stop any eps at rtol 1e-10
+        assert rounds == [1]
+
+    @pytest.mark.parametrize("t", [1e-3, 1e3])
+    def test_theta(self, rounds, t):
+        for L in (LatticeParams(0.0, 1.0), TRIANGULAR, LatticeParams(0.2, 2.5)):
+            en.theta(L, t)
+
+    @pytest.mark.parametrize("alpha, z", [(2.0, (0.1, 0.05)), (2.0, (0.3, 0.1)),
+                                          (1000.0, (1.0, 0.0))])
+    def test_poisson_check_sides(self, rounds, alpha, z):
+        for L in (LatticeParams(0.0, 1.0), LatticeParams(0.3, 1.1)):
+            en.poisson_check(pot.gaussian(alpha), L, z)
+        assert len(rounds) == 4
+
+    def test_invpower_shifted_sum_stops_in_one_box(self, monkeypatch):
+        # the inverse power's smallest Laplace node is near 1e-9, so no
+        # cutoff below the 10^7-candidate cap can close the shifted sum's
+        # tail: the sum goes straight to a rung past the cap
+        real, radii = lat.enumerate_points, []
+
+        def counted(bases, R, *args, **kwargs):
+            radii.append(float(np.max(R)))
+            return real(bases, R, *args, **kwargs)
+
+        monkeypatch.setattr(lat, "enumerate_points", counted)
+        with pytest.raises(lat.ShellCapError):
+            en.poisson_check(pot.inverse_power(1.0, 2.0), LatticeParams(0.0, 1.0),
+                             (0.3, 0.1), rtol=1e-10)
+        assert len(radii) == 1
+
+    def test_no_rung_can_stop(self, monkeypatch):
+        # a tail 10^30 times its reach at every rung: no round is summed
+        calls = []
+        with pytest.raises(en.NonconvergenceError, match="within 40 cutoffs"):
+            en._summed(lambda pts, q: calls.append(q) or np.exp(-q),
+                       lambda rho: lambda R: np.full(np.shape(R), 1e30),
+                       lat.basis_matrix(0.0, 1.0), 1e-10)
+        assert calls == []
 
 
 class TestPackingRadius:
