@@ -327,8 +327,9 @@ class TestSkippedRungs:
                              (0.3, 0.1), rtol=1e-10)
         assert len(radii) == 1
 
-    def test_no_rung_can_stop(self, monkeypatch):
-        # a tail 10^30 times its reach at every rung: no round is summed
+    def test_no_rung_can_stop(self):
+        # a tail that never falls stays above rtol times its reach, tail(0),
+        # at every rung: the engine raises before any round
         calls = []
         with pytest.raises(en.NonconvergenceError, match="within 40 cutoffs"):
             en._summed(lambda pts, q: calls.append(q) or np.exp(-q),
