@@ -278,10 +278,6 @@ class TestExitCodeContract:
          2, "--z:"),
         (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "1,2,3"],
          2, "--z:"),
-        # no cutoff of the shifted inverse-power sum can close its tail
-        # below the point cap: exit 3 from the first box
-        (["poisson-check", "--potential", "invpower:a=1,s=2", "--lattice", "0,1",
-          "--z", "0.3,0.1"], 3, "lattice sum too wide for --potential invpower"),
         (["energy"] + _GAUSS + ["--lattice", "a,b"], 2,
          "--lattice: expected two finite numbers 'x,y', got 'a,b'"),
         (_CURVE + ["--eps=-0.2:0.2:0.2"], 2, "--eps: eps must be >= 0"),
@@ -316,6 +312,10 @@ class TestExitCodeContract:
           "--lattice", "0,1"], 3, "lattice sum is not finite (nan) at cutoff R = "),
         (["stability", "--potential", "gaussian:alpha=2", "--measure", "disk:r=1e308",
           "--eps", "0:1:0.5"], 3, "lattice sum is not finite (nan) at cutoff R = "),
+        # no cutoff of the shifted inverse-power sum can close its tail
+        # below the point cap: exit 3 from the first box
+        (["poisson-check", "--potential", "invpower:a=1,s=2", "--lattice", "0,1",
+          "--z", "0.3,0.1"], 3, "lattice sum too wide for --potential invpower"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code
