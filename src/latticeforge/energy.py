@@ -27,9 +27,7 @@ from scipy.special import erfc
 
 from . import lattice as lat
 from .lattice import LatticeParams
-from .measure import (
-    RadialMeasure, _transform, hankel, self_convolution_at_zero,
-)
+from .measure import RadialMeasure, _transform, self_convolution_at_zero
 from .potential import RadialPotential, eval_derivatives, fourier, from_atoms
 
 __all__ = [
@@ -140,10 +138,11 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
 
     ``h_eval(pts, q)`` gives (c, heads, n) values for n points: c columns
     of ``heads`` head columns each, where a 1-D or (c, n) summand has one
-    head.  Each (head, lattice) pair's terms are summed on their own, in
-    ascending order of that head's first column, so no sum depends on the
-    rest of the batch, on the other heads or on how the box is sliced into
-    chunks.  Returns the sums, (c, heads, k) for k lattices, and the point
+    head.  Each (head, lattice) pair's terms are summed on their own, one
+    after another in the box's (m, n) order, which a lattice's kept points
+    follow whatever the box size and however the box is sliced into
+    chunks; so no sum depends on the rest of the batch or on the other
+    heads.  Returns the sums, (c, heads, k) for k lattices, and the point
     count of each lattice.
     """
     box = lat.enumerate_points(bases, R)
@@ -165,17 +164,13 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
         vals, owner = np.concatenate(vals, axis=-1), np.concatenate(owner)
         vals = vals.reshape(math.prod(vals.shape[:-1]) // heads, heads, vals.shape[-1])
         nb = len(b)
-        # pair j * heads + h is head h of lattice lo + j, and its terms sort
-        # by that head's first column
+        # pair j * heads + h is head h of lattice lo + j; bincount adds each
+        # pair's terms in the order they come
         pair = (owner * heads + np.arange(heads)[:, None]).ravel()
-        order = np.lexsort((vals[0].ravel(), pair))
-        count = np.bincount(pair, minlength=nb * heads)
-        counts[lo:lo + nb] = count[::heads]
-        some = count > 0
-        starts = (np.cumsum(count) - count)[some]
+        counts[lo:lo + nb] = np.bincount(owner, minlength=nb)
         sums = np.zeros((len(vals), k * heads)) if sums is None else sums
         for col, out in zip(vals, sums[:, lo * heads:(lo + nb) * heads]):
-            out[some] = np.add.reduceat(col.ravel()[order], starts)
+            out[:] = np.bincount(pair, weights=col.ravel(), minlength=nb * heads)
     return sums.reshape(-1, k, heads).transpose(0, 2, 1), counts
 
 
@@ -284,7 +279,7 @@ def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps=None):
 
     def H(q, derivatives=False):
         if not derivatives:
-            g = hankel(mu, np.sqrt(q))
+            g = _transform(mu, np.sqrt(q), False)
             return Phi.eval(q) * g * g
         A0, A1, A2 = _transform(mu, np.sqrt(q), True, eps)
         P0, P1, P2 = eval_derivatives(Phi, q, (0, 1, 2))

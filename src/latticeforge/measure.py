@@ -11,6 +11,8 @@ written once, in ``_transform``: dirac / uniform disk / radial Gaussian in
 closed form from their kind tag and parameter (only profiles carry nodes);
 ``hankel`` gives g, ``hankel_moments`` g with the J1/J2 moments behind the
 derivatives of the energy summand, all from J0 and J1 (``_j2`` gives J2).
+``self_convolution_at_zero`` gives the energy's constant (f*mu*mu)(0) from
+one closed-form kernel per family, with no quadrature.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.special import j0, j1
+from scipy.special import i0e, i1e, j0, j1
 
-from .potential import RadialPotential, fourier
+from .potential import RadialPotential
 
 __all__ = [
     "RadialMeasure",
@@ -264,25 +266,62 @@ def _family(mu: RadialMeasure, t, moments: bool, scale):
         return A0, A1, 2.0 * (A1_c - (m2 * J0).sum(axis=-1))
 
 
+# c_n = (3/2)_n (-2)^n / ((3)_n n! (n + 1)), highest n first: the disk's
+# K(Z) = sum_n c_n Z^n below Z = 1, where the first omitted term is under 1e-19
+_DISK_K_SERIES = [
+    (-2.0) ** n * math.gamma(n + 1.5) / math.gamma(1.5) * 2.0
+    / (math.factorial(n + 2) * math.factorial(n) * (n + 1))
+    for n in range(23, -1, -1)
+]
+
+# (node, ring pair) entries of a profile's K evaluated at once
+_PROFILE_CHUNK = 1 << 16
+
+
 def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure) -> float:
-    """(f * mu * mu)(0) via the radial Plancherel identity.
+    """(f * mu * mu)(0), exactly, from the potential's Gaussian nodes.
 
-    Equals 2 pi int_0^inf Phi(r^2) g(r)^2 r dr with Phi the Fourier
-    transform of the potential.
+    f(x) = sum_i w_i exp(-t_i |x|^2), so (f * mu * mu)(0) = E f(X - Y) =
+    sum_i w_i K(t_i) for independent X, Y drawn from mu, with
+    K(t) = E exp(-t |X - Y|^2) in closed form per family:
+      - dirac: K = 1, and the value is f(0);
+      - gaussian sigma: X - Y has density exp(-pi |z|^2 / 2 sigma^2) / 2 sigma^2,
+        and K = 1 / (1 + 2 sigma^2 t / pi);
+      - disk R: K = (2/Z) int_0^Z e^-z I1(z)/z dz = (2/Z)(1 - i0e(Z) - i1e(Z))
+        with Z = 2 t R^2; below Z = 1, where that difference cancels, the
+        power series of the integral, from e^-z I1(z)/z = 1F1(3/2; 3; -2z)/2;
+      - profile rings (s_j, w_j): a pair of rings gives
+        exp(-t (s_j - s_k)^2) i0e(2 t s_j s_k), the angle average of
+        exp(-t |X - Y|^2), and K sums w_j w_k times that over j <= k, the
+        pairs j < k twice.
+    Every term is nonnegative, so the sum has no cancellation.  It equals
+    the Plancherel form 2 pi int_0^inf Phi(r^2) g(r)^2 r dr, with Phi the
+    Fourier transform of the potential.  A width or radius whose square
+    overflows gives K = 0, the limit of a particle spread over the plane.
     """
-    from scipy.integrate import quad  # slow to import; only energies need it
-
-    Phi = fourier(P)
-    t_min = float(Phi.rep.nodes()[0].min())
-    # Phi(r^2) <= Phi(0) exp(-t_min r^2): integrand negligible beyond r_cut
-    r_cut = math.sqrt(max(40.0, -math.log(1e-16)) / t_min) + 1.0
-
-    def integrand(r):
-        g = hankel(mu, r)
-        return 2.0 * math.pi * r * Phi.eval(r * r) * g * g
-
-    val, _ = quad(integrand, 0.0, r_cut, epsabs=1e-13, epsrel=1e-10, limit=400)
-    return val
+    if mu.kind == "dirac":
+        return P.value_at_origin()
+    ts, ws = P.rep.nodes()
+    with np.errstate(over="ignore"):
+        if mu.kind == "gaussian":
+            K = 1.0 / (1.0 + 2.0 * np.float_power(mu.param, 2.0) * ts / math.pi)
+        elif mu.kind == "disk":
+            Z = 2.0 * ts * np.float_power(mu.param, 2.0)
+            small = reduce(lambda acc, c: acc * np.minimum(Z, 1.0) + c,
+                           _DISK_K_SERIES)  # Horner
+            big = np.maximum(Z, 1.0)
+            K = np.where(Z < 1.0, small, 2.0 / big * (1.0 - i0e(big) - i1e(big)))
+        else:
+            ss, rw = mu.nodes()
+            j, k = np.triu_indices(len(ss))
+            pw = np.where(j == k, 1.0, 2.0) * rw[j] * rw[k]
+            d2, sp = (ss[j] - ss[k]) ** 2, 2.0 * ss[j] * ss[k]
+            tc, K = ts[:, None], np.zeros_like(ts)
+            step = max(1, _PROFILE_CHUNK // len(ts))  # ring pairs per chunk
+            for lo in range(0, len(pw), step):
+                at = slice(lo, lo + step)
+                K += (np.exp(-tc * d2[at]) * i0e(tc * sp[at])) @ pw[at]
+    return float(ws @ K)
 
 
 def parse_measure(spec: str) -> RadialMeasure:

@@ -62,6 +62,8 @@ def _project(p: np.ndarray) -> np.ndarray:
 def grid_scan(E, x_steps: int, y_steps: int, y_max: float) -> Landscape:
     """Uniform scan of [0, 1/2] x [sqrt(1 - x^2), y_max]; ties break on (x, y).
 
+    Every grid point is finite and at most ``y_max``, however large it is.
+
     ``E(xs, ys)`` is called once per grid column with arrays of one shape
     and must return an array of that shape (or a value broadcast to it).
     """
@@ -71,8 +73,16 @@ def grid_scan(E, x_steps: int, y_steps: int, y_max: float) -> Landscape:
     for i in range(x_steps):
         x = 0.5 * i / (x_steps - 1) if x_steps > 1 else 0.0
         y_lo = math.sqrt(1.0 - x * x)
-        ys = (y_lo + (y_max - y_lo) * j / (y_steps - 1) if y_steps > 1
-              else np.full(y_steps, y_lo))
+        if y_steps > 1:
+            span = y_max - y_lo
+            with np.errstate(over="ignore"):
+                ys = y_lo + span * j / (y_steps - 1)
+            # where span * j overflows, step by span / (steps - 1) instead;
+            # the top point can round one ulp past y_max
+            ys = np.minimum(np.where(np.isfinite(ys), ys,
+                                     y_lo + span / (y_steps - 1) * j), y_max)
+        else:
+            ys = np.full(y_steps, y_lo)
         es = np.broadcast_to(np.asarray(E(np.full(y_steps, x), ys), dtype=float),
                              ys.shape)
         for y, e in zip(ys.tolist(), es.tolist()):
@@ -153,7 +163,8 @@ def global_minimize(E, jet, x_steps: int = 40, y_steps: int = 40,
     in seed order, for audit.
     """
     scan = grid_scan(E, x_steps, y_steps, y_max)
-    rows = sorted(map(tuple, scan.grid), key=lambda r: (r[2], r[0], r[1]))
-    candidates = _refine(jet, [r[:2] for r in rows[:_K_SEEDS]], tol, max_iter)
+    x, y, e = scan.grid.T
+    seeds = scan.grid[np.lexsort((y, x, e))[:_K_SEEDS], :2]  # by (E, x, y)
+    candidates = _refine(jet, seeds, tol, max_iter)
     best = min(candidates, key=lambda r: (r.energy, r.point[0], r.point[1]))
     return best, candidates

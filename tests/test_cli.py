@@ -316,6 +316,12 @@ class TestExitCodeContract:
         # below the point cap: exit 3 from the first box
         (["poisson-check", "--potential", "invpower:a=1,s=2", "--lattice", "0,1",
           "--z", "0.3,0.1"], 3, "lattice sum too wide for --potential invpower"),
+        # a y grid up to the float limit stays finite: its top lattices are
+        # too wide to sum
+        (["scan"] + _GAUSS + ["--y-max", "1e308", "--y-steps", "3", "--x-steps", "2"],
+         3, "lattice sum too wide"),
+        (["minimize"] + _GAUSS + ["--y-max", "1e308", "--y-steps", "3",
+                                  "--x-steps", "2"], 3, "lattice sum too wide"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code
@@ -372,12 +378,27 @@ def test_format_a_command_does_not_write_exits_2(command, fmt, capsys):
     assert "--format" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_quadrature():
-    # scipy.integrate is slow to import and only energies integrate
+def test_cli_import_leaves_out_quadrature(tmp_path):
+    # scipy.integrate is slow to import, and no command integrates: the
+    # constant (f*mu*mu)(0) has a closed form per particle family
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, latticeforge.cli; print('scipy.integrate' in sys.modules)"
+    output = ["--output", str(tmp_path / "out")]
+    runs = [
+        ["energy", "--potential", "invpower:a=1,s=2", "--measure", "disk:r=1",
+         "--lattice", "0.2,1.3"] + output,
+        ["energy"] + _GAUSS + ["--measure", "gauss:sigma=1", "--lattice", "0,1"] + output,
+        ["scan"] + _GAUSS + ["--measure", "disk:r=1", "--x-steps", "3",
+                             "--y-steps", "3"] + output,
+    ]
+    code = (
+        "import sys, latticeforge.cli as cli\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cli.main(argv) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +422,71 @@ class TestSelfConvolution:
                 pot.gaussian(alpha), msr.radial_gaussian(sigma)
             )
             assert got == pytest.approx(want, rel=1e-8)
+
+    @staticmethod
+    def _disk_kernel(t, R):
+        """E exp(-t |X - Y|^2) for X, Y uniform on the disk of radius R, by
+        quadrature of the density of |X - Y| on [0, 2R]; past 8/sqrt(t) the
+        integrand is below e^-64 times the density, and is left out."""
+        def f(r):
+            x = r / (2.0 * R)
+            lens = math.acos(x) - x * math.sqrt(1.0 - x * x)
+            return math.exp(-t * r * r) * 4.0 * r / (math.pi * R * R) * lens
+
+        top = min(2.0 * R, 8.0 / math.sqrt(t))
+        return quad(f, 0.0, top, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    @pytest.mark.parametrize("Z", [1e-10, 1e-4, 0.5, 0.99, 1.01, 3.0, 40.0,
+                                   1e3, 1.8e7])
+    def test_disk_against_distance_density(self, Z):
+        # Z = 2 t R^2 on both sides of the series / closed-form switch at 1
+        for R in (0.5, 3.0):
+            t = Z / (2.0 * R * R)
+            got = msr.self_convolution_at_zero(pot.gaussian(t), msr.uniform_disk(R))
+            assert got == pytest.approx(self._disk_kernel(t, R), rel=1e-12, abs=0.0)
+
+    def test_gaussian_against_direct_mixture(self):
+        from latticeforge.energy import _direct_mixture
+
+        for P in (pot.gaussian(math.pi), pot.gaussian(1e4),
+                  pot.from_atoms([(0.1, 1.0), (3.0, 2.0), (40.0, 0.5)])):
+            for sigma in (0.3, 1.0, 7.0):
+                mu = msr.radial_gaussian(sigma)
+                want = _direct_mixture(P, mu).value_at_origin()
+                got = msr.self_convolution_at_zero(P, mu)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("t", [0.3, 5.0, 400.0])
+    def test_profile_ring_pairs_against_angle_quadrature(self, t):
+        radii = (0.0, 0.4, 1.1)
+
+        def ring_pair(a, b):
+            # E exp(-t |X - Y|^2) for X, Y uniform on circles of radii a, b
+            def f(th):
+                return math.exp(-t * (a * a + b * b - 2.0 * a * b * math.cos(th)))
+
+            return quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)[0] / math.pi
+
+        for j, a in enumerate(radii):
+            for b in radii[j:]:
+                nodes = ((a, 1.0),) if a == b else ((a, 0.3), (b, 0.7))
+                mu = msr.RadialMeasure(kind="profile", psi_nodes=nodes)
+                want = sum(wj * wk * ring_pair(sj, sk)
+                           for sj, wj in nodes for sk, wk in nodes)
+                got = msr.self_convolution_at_zero(pot.gaussian(t), mu)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("P", [pot.gaussian(1e4), pot.inverse_power(1e-3, 3.0)],
+                             ids=["gaussian-1e4", "invpower-1e-3-3"])
+    def test_wide_disk_without_warnings(self, P):
+        # a disk of radius 30 against a narrow potential, where adaptive
+        # quadrature of the Plancherel integral stops short of its tolerance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = msr.self_convolution_at_zero(P, msr.uniform_disk(30.0))
+        ts, ws = P.rep.nodes()
+        want = sum(w * self._disk_kernel(t, 30.0) for t, w in zip(ts, ws))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_bounded_by_value_at_origin(self, rng):
         pots = [pot.gaussian(1.0), pot.gaussian(5.0), pot.inverse_power(1.0, 2.0)]

@@ -95,6 +95,22 @@ class TestGridScan:
             assert 0.0 <= x <= 0.5
             assert x * x + y * y >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize("y_steps", [2, 3, 40])
+    def test_huge_y_max_keeps_points_finite(self, y_steps):
+        # (y_max - y_lo) * j overflows: the points still step evenly up to y_max
+        y_max = np.finfo(float).max
+        scan = opt.grid_scan(lambda x, y: 0.0, 2, y_steps, y_max)
+        ys = scan.grid[:, 1].reshape(2, y_steps)
+        assert np.isfinite(ys).all() and (ys <= y_max).all()
+        assert (ys[:, -1] >= y_max * (1.0 - 1e-15)).all()
+        assert (np.diff(ys, axis=1) > 0).all()
+
+    def test_top_row_is_y_max(self):
+        # y_lo + (y_max - y_lo) rounds one ulp past 4.0 at some x of this grid
+        scan = opt.grid_scan(lambda x, y: 0.0, 40, 101, 4.0)
+        assert (scan.grid[:, 1] <= 4.0).all()
+        assert (scan.grid[100::101, 1] >= 4.0 - 1e-15).all()
+
 
 class TestLocalMinimize:
     def test_theta_from_interior(self):
@@ -143,6 +159,25 @@ class TestGlobalMinimize:
         seeds = sorted(map(tuple, scan.grid), key=lambda r: (r[2], r[0], r[1]))
         for (x, y, e_seed), res in zip(seeds[:5], cands):
             assert res.energy <= e_seed + 1e-12
+
+    def test_seeds_in_energy_then_x_then_y_order(self, monkeypatch):
+        # a grid of tied energies: the seeds are the first five rows in
+        # (E, x, y) order, as sorting the rows as tuples gives them
+        def E(x, y):
+            return np.floor(2.0 * (np.cos(7.0 * x) + np.sin(3.0 * y)))
+
+        seen = []
+
+        def refine(jet, starts, tol, max_iter):
+            seen.append(np.asarray(starts).tolist())
+            return [opt.MinimizeResult((x, y), 0.0, 0.0, 0, True) for x, y in starts]
+
+        monkeypatch.setattr(opt, "_refine", refine)
+        opt.global_minimize(E, None, x_steps=9, y_steps=11, y_max=3.0)
+        rows = opt.grid_scan(E, 9, 11, 3.0).grid
+        assert len(np.unique(rows[:, 2])) <= 9  # 99 rows, mostly ties
+        want = sorted(map(tuple, rows), key=lambda r: (r[2], r[0], r[1]))[:5]
+        assert seen == [[[x, y] for x, y, _ in want]]
 
     def test_deterministic(self):
         E = _energy_and_jet(pot.gaussian(math.pi), msr.dirac())
