@@ -172,7 +172,7 @@ def hankel(mu: RadialMeasure, t):
     """g(t) = int J0(2 pi s t) dpsi(s); closed forms for tagged families."""
     ta = np.asarray(t, dtype=float)
     scalar = ta.ndim == 0
-    lo = float(ta) if scalar else ta.min(initial=0.0)  # quad passes floats
+    lo = float(ta) if scalar else ta.min(initial=0.0)
     if not 0 <= lo < math.inf or not scalar and ta.max(initial=0.0) == math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     out = _transform(mu, ta, moments=False)
@@ -307,10 +307,9 @@ def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure) -> float:
             K = 1.0 / (1.0 + 2.0 * np.float_power(mu.param, 2.0) * ts / math.pi)
         elif mu.kind == "disk":
             Z = 2.0 * ts * np.float_power(mu.param, 2.0)
-            small = reduce(lambda acc, c: acc * np.minimum(Z, 1.0) + c,
-                           _DISK_K_SERIES)  # Horner
-            big = np.maximum(Z, 1.0)
-            K = np.where(Z < 1.0, small, 2.0 / big * (1.0 - i0e(big) - i1e(big)))
+            u, big = np.minimum(Z, 1.0), np.maximum(Z, 1.0)
+            series = reduce(lambda acc, c: acc * u + c, _DISK_K_SERIES)  # Horner
+            K = np.where(Z < 1.0, series, 2.0 / big * (1.0 - i0e(big) - i1e(big)))
         else:
             ss, rw = mu.nodes()
             j, k = np.triu_indices(len(ss))

@@ -105,7 +105,7 @@ class TestGridScan:
         assert (ys[:, -1] >= y_max * (1.0 - 1e-15)).all()
         assert (np.diff(ys, axis=1) > 0).all()
 
-    def test_top_row_is_y_max(self):
+    def test_top_row_stays_at_or_below_y_max(self):
         # y_lo + (y_max - y_lo) rounds one ulp past 4.0 at some x of this grid
         scan = opt.grid_scan(lambda x, y: 0.0, 40, 101, 4.0)
         assert (scan.grid[:, 1] <= 4.0).all()
