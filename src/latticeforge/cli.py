@@ -283,13 +283,24 @@ def run(args) -> int:
         return 0
 
     if cmd == "minimize":
-        best, candidates = optimize.global_minimize(
-            energy.diffuse_energy_fn(P, mu, rtol=args.rtol),
-            energy.diffuse_energy_jet(P, mu, rtol=args.rtol),
-            x_steps=args.x_steps, y_steps=args.y_steps,
-            y_max=args.y_max, tol=args.tol,
-        )
-        _write_json(args.output, {
+        E = energy.diffuse_energy_fn(P, mu, rtol=args.rtol)
+        if energy._triangular_is_global(mu):
+            # no search: the triangular lattice is proven global, in D and
+            # below every --y-max
+            x, y = lattice.TRIANGULAR.x, lattice.TRIANGULAR.y
+            best = optimize.MinimizeResult(
+                point=(x, y), energy=E(x, y), dist_to_triangular=0.0,
+                iterations=0, converged=True,
+                certificate="completely monotone summand (Theorem 2)")
+            _check_finite("E", ["the triangular lattice"], [best.energy], args)
+            candidates = []
+        else:
+            best, candidates = optimize.global_minimize(
+                E, energy.diffuse_energy_jet(P, mu, rtol=args.rtol),
+                x_steps=args.x_steps, y_steps=args.y_steps,
+                y_max=args.y_max, tol=args.tol,
+            )
+        payload = {
             "command": "minimize",
             "point": list(best.point),
             "energy": best.energy,
@@ -300,7 +311,10 @@ def run(args) -> int:
                 {"point": list(c.point), "energy": c.energy}
                 for c in candidates
             ],
-        })
+        }
+        if best.certificate is not None:
+            payload["certificate"] = best.certificate
+        _write_json(args.output, payload)
         return 0
 
     raise AssertionError(f"unhandled command {cmd}")

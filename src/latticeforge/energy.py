@@ -298,6 +298,31 @@ def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps=None):
     return H, partial(mixture_tail, *Phi.rep.nodes())
 
 
+def _triangular_is_global(mu: RadialMeasure) -> bool:
+    """Whether the triangular lattice minimizes E over every unit-density
+    lattice for any potential of the library: for dirac and Gaussian mu.
+
+    Every potential is a Laplace mixture sum w_i exp(-t_i r^2) with t_i > 0
+    and w_i >= 0 (atoms, or the nodes of a nonnegative density), so Phi(q)
+    = sum w'_i exp(-t'_i q) with (t'_i, w'_i) = (pi^2 / t_i, w_i pi / t_i).
+    A Gaussian particle of width sigma has g(sqrt q)^2 = exp(-2 pi sigma^2 q)
+    and a dirac particle g = 1 (sigma = 0), so the summand is
+        H(q) = sum w'_i exp(-(t'_i + 2 pi sigma^2) q),
+    completely monotone, and with theta_L(a) = sum_{x in L} exp(-pi a |x|^2)
+        E(L) = sum w'_i (theta_L((t'_i + 2 pi sigma^2) / pi) - 1)
+    (the sum runs over L itself, which has the radii of its dual).
+    Montgomery ("Minimal theta functions", Glasgow Math. J. 30, 1988) puts
+    the minimum of theta_L(a) over unit-covolume lattices at the triangular
+    lattice for every a > 0; so every term, and their sum with weights
+    w'_i >= 0, is least there: the paper's Theorem 2.  This holds for the
+    very node mixture the engine sums, not only for the potential it
+    approximates.  The triangular point (1/2, sqrt(3)/2) lies in D and
+    below every y_max > 1.  A disk's or profile's g oscillates (J1, J0), so
+    its summand is not completely monotone and needs the search.
+    """
+    return mu.kind in ("dirac", "gaussian")
+
+
 def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
     """Lattice theta function sum_{x in L} exp(-pi t |x|^2), origin included."""
     if not 0 < t < math.inf:

@@ -44,6 +44,8 @@ class MinimizeResult:
     dist_to_triangular: float
     iterations: int
     converged: bool
+    # why the point is a global minimizer, when that is known exactly
+    certificate: str | None = None
 
 
 # longest Newton step in (x, y), and the Armijo sufficient-decrease factor

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from latticeforge import cli, lattice, measure, potential, stability
+from latticeforge import cli, energy, lattice, measure, potential, stability
 
 
 def run_cli(args):
@@ -137,17 +137,70 @@ class TestStability:
         assert grid[-1] == pytest.approx(last, rel=1e-12)
 
 
+_THEOREM_2 = "completely monotone summand (Theorem 2)"
+_TRIANGULAR = [0.5, 0.8660254037844386]
+
+
+def _assert_certified(payload) -> None:
+    """A minimize payload that is the Theorem-2 answer, with no search."""
+    assert payload.get("certificate") == _THEOREM_2
+    assert payload["point"] == _TRIANGULAR
+    assert (payload["dist_to_triangular"], payload["iterations"],
+            payload["converged"], payload["candidates"]) == (0.0, 0, True, [])
+
+
 class TestMinimize:
     def test_triangular_found(self, capsys):
+        # a Gaussian particle: certified, the grid is not scanned
         assert run_cli(
             ["minimize", "--potential", "gaussian:alpha=3.141592653589793",
              "--measure", "gauss:sigma=1", "--x-steps", "15",
              "--y-steps", "15"]
         ) == 0
+        _assert_certified(json.loads(capsys.readouterr().out))
+
+    def test_disk_particle_searches(self, capsys):
+        assert run_cli(
+            ["minimize", "--potential", "gaussian:alpha=3.141592653589793",
+             "--measure", "disk:r=1", "--x-steps", "15",
+             "--y-steps", "15"]
+        ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["dist_to_triangular"] <= 1e-4
         assert payload["converged"]
         assert len(payload["candidates"]) == 5
+        assert "certificate" not in payload
+
+    @pytest.mark.parametrize("pot_spec", [
+        "gaussian:alpha=1", "gaussian:alpha=3.141592653589793",
+        "invpower:a=1,s=2", "laplace:atoms=[(0.5,1),(3,2)]"])
+    @pytest.mark.parametrize("mu_spec", [
+        "dirac", "gauss:sigma=0.2", "gauss:sigma=1", "gauss:sigma=3"])
+    def test_certified_route(self, pot_spec, mu_spec, capsys):
+        assert run_cli(["minimize", "--potential", pot_spec,
+                        "--measure", mu_spec]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        _assert_certified(payload)
+        E = energy.diffuse_energy_fn(potential.parse_potential(pot_spec),
+                                     measure.parse_measure(mu_spec))
+        assert payload["energy"] == E(0.5, math.sqrt(3.0) / 2.0)
+
+    def test_spread_limit_is_triangular(self, capsys):
+        # sigma^2 overflows: g = 0 at every p != 0, so every lattice ties at
+        # 0; the certificate still names the triangular lattice
+        assert run_cli(["minimize"] + _GAUSS + ["--measure", "gauss:sigma=1e200"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        _assert_certified(payload)
+        assert payload["energy"] == 0.0
+        assert captured.err == ""
+
+    def test_certified_energy_not_finite_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(energy, "diffuse_energy_fn",
+                            lambda *args, **kwargs: lambda x, y: math.inf)
+        assert run_cli(["minimize"] + _GAUSS) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: E is not finite at the triangular")
 
 
 class TestPoissonCheck:
@@ -248,6 +301,7 @@ class TestExitCodeContract:
         (["energy"] + _GAUSS + ["--lattice", "0,1", "--rtol", "nan"], 2, "--rtol"),
         (["energy"] + _GAUSS + ["--lattice", "0,1", "--rtol", "0"], 2, "--rtol"),
         (["theta", "--lattice", "0,1", "--t", "1", "--rtol", "inf"], 2, "--rtol"),
+        # a dirac particle skips the search, but its numbers are checked first
         (["minimize"] + _GAUSS + ["--tol", "nan"], 2, "--tol"),
         (["scan"] + _GAUSS + ["--x-steps", "0", "--format", "json"], 2,
          "--x-steps"),
@@ -320,8 +374,9 @@ class TestExitCodeContract:
         # too wide to sum
         (["scan"] + _GAUSS + ["--y-max", "1e308", "--y-steps", "3", "--x-steps", "2"],
          3, "lattice sum too wide"),
-        (["minimize"] + _GAUSS + ["--y-max", "1e308", "--y-steps", "3",
-                                  "--x-steps", "2"], 3, "lattice sum too wide"),
+        (["minimize"] + _GAUSS + ["--measure", "disk:r=1", "--y-max", "1e308",
+                                  "--y-steps", "3", "--x-steps", "2"],
+         3, "lattice sum too wide"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code
@@ -329,6 +384,15 @@ class TestExitCodeContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert needle in captured.err
+
+    def test_certified_minimize_ignores_a_huge_y_max(self, capsys):
+        # the disk row above exits 3 on this grid; a dirac particle has no
+        # grid to sum, only the triangular lattice
+        assert run_cli(["minimize"] + _GAUSS + ["--y-max", "1e308", "--y-steps", "3",
+                                                "--x-steps", "2"]) == 0
+        captured = capsys.readouterr()
+        _assert_certified(json.loads(captured.out))
+        assert captured.err == ""
 
     def test_overflowing_gaussian_width_gives_the_spread_limit(self, capsys):
         # sigma^2 overflows to inf: g = 0 at every p != 0, and E is

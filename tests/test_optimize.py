@@ -212,3 +212,63 @@ class TestPaperMinimizers:
         for start in [(0.4, 1.1), (0.1, 1.5), (0.5, 1.3), (0.25, 2.0)]:
             res = opt.local_minimize(jet, start, tol=1e-9)
             assert res.dist_to_triangular <= 1e-9
+
+
+# the Theorem-2 route: every library potential with a dirac or Gaussian
+# particle; the numeric search is its oracle
+_CM_POTENTIALS = {
+    "gaussian(1)": pot.gaussian(1.0),
+    "gaussian(pi)": pot.gaussian(math.pi),
+    "invpower(1,2)": pot.inverse_power(1.0, 2.0),
+    "two atoms": pot.from_atoms([(0.5, 1.0), (3.0, 2.0)]),
+}
+_CM_SIGMAS = (0.0, 0.2, 1.0, 3.0)  # 0 is the dirac particle
+
+
+def _cm_particle(sigma):
+    return msr.dirac() if sigma == 0.0 else msr.radial_gaussian(sigma)
+
+
+class TestTheorem2Route:
+    def test_predicate(self):
+        assert en._triangular_is_global(msr.dirac())
+        assert en._triangular_is_global(msr.radial_gaussian(1.0))
+        assert not en._triangular_is_global(msr.uniform_disk(1.0))
+        assert not en._triangular_is_global(msr.profile([(0.0, 1.0), (1.0, 0.0)]))
+
+    @pytest.mark.parametrize("name", list(_CM_POTENTIALS))
+    @pytest.mark.parametrize("sigma", [0.2, 1.0, 3.0])
+    def test_gaussian_particle_summand_is_a_nonnegative_laplace_mixture(
+            self, name, sigma):
+        P = _CM_POTENTIALS[name]
+        t, w = P.rep.nodes()
+        t_hat, w_hat = pot.fourier(P).rep.nodes()
+        # the nodes of Phi are exactly (pi^2 / t, w pi / t)
+        assert (t_hat == math.pi * math.pi / t).all()
+        assert (w_hat == w * math.pi / t).all()
+        # g^2 = exp(-2 pi sigma^2 q) shifts every node, and no weight is negative
+        nodes = t_hat + 2.0 * math.pi * sigma**2
+        assert (nodes > 0.0).all() and (w_hat >= 0.0).all()
+        H, _ = en._fourier_summand(pot.fourier(P), msr.radial_gaussian(sigma))
+        q = np.linspace(0.05, 4.0, 40)
+        mixture = (w_hat * np.exp(-np.multiply.outer(q, nodes))).sum(axis=1)
+        np.testing.assert_allclose(H(q), mixture, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", list(_CM_POTENTIALS))
+    @pytest.mark.parametrize("sigma", _CM_SIGMAS)
+    def test_search_agrees(self, name, sigma):
+        P, mu = _CM_POTENTIALS[name], _cm_particle(sigma)
+        E, jet = _energy_and_jet(P, mu)
+        assert en._triangular_is_global(mu)
+        certified = E(TRIANGULAR.x, TRIANGULAR.y)
+        scanned = []
+
+        def recorded(xs, ys):
+            es = E(xs, ys)
+            scanned.append(es)
+            return es
+
+        best, _ = opt.global_minimize(recorded, jet, x_steps=20, y_steps=20)
+        assert best.dist_to_triangular <= 1e-4
+        assert len(scanned) == 20
+        assert np.concatenate(scanned).min() >= certified - 1e-10 * abs(certified)
