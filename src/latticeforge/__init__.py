@@ -34,7 +34,6 @@ from .energy import (
     diffuse_energy_direct,
     diffuse_energy_fn,
     diffuse_energy_jet,
-    poisson_check,
     theta,
 )
 from .stability import (

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: energy, theta, scan, stability, minimize, poisson-check.
+Subcommands: energy, theta, scan, stability, minimize.
 Outputs are JSON (reports), CSV (tables, 17 significant digits, header
 line "# lattice-forge v1") or a minimal SVG polyline for the stability
 curve; ``--format`` offers only what a command writes, its first choice
@@ -96,26 +96,18 @@ def _parse_lattice(text: str) -> LatticeParams:
     return LatticeParams(x, y)
 
 
-def _parse_shift(text: str) -> tuple[float, float]:
-    try:
-        z = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        z = ()
-    if len(z) != 2 or not all(math.isfinite(v) for v in z):
-        raise ValueError(f"--z: expected two finite numbers 'a,b', got '{text}'")
-    return z
-
-
 # most eps points, scan columns, or lattices in one scan column (summed as
 # one batch)
 _MAX_GRID = 10**6
 
 
 def _parse_range(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--eps: expected 'lo:hi:step', got '{text}'")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        lo, hi, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ValueError(
+            f"--eps: expected three numbers 'lo:hi:step', got '{text}'"
+        ) from None
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError(f"--eps: bounds and step must be finite in '{text}'")
     if step <= 0:
@@ -169,15 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats, potential=True, measure=True, lattice_arg=False):
-        if potential:
-            p.add_argument("--potential", required=True,
-                           help="gaussian:alpha=<f> | invpower:a=<f>,s=<f> | "
-                                "laplace:atoms=[(t,w),...]")
-        if measure:
-            p.add_argument("--measure", default="dirac",
-                           help="dirac | disk:r=<f> | gauss:sigma=<f> | "
-                                "profile:file=<path>")
+    def add_common(p, formats, lattice_arg=False):
+        p.add_argument("--potential", required=True,
+                       help="gaussian:alpha=<f> | invpower:a=<f>,s=<f> | "
+                            "laplace:atoms=[(t,w),...]")
+        p.add_argument("--measure", default="dirac",
+                       help="dirac | disk:r=<f> | gauss:sigma=<f> | "
+                            "profile:file=<path>")
         if lattice_arg:
             p.add_argument("--lattice", required=True, help="x,y in D")
         p.add_argument("--rtol", type=float, default=1e-10)
@@ -211,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-max", type=float, default=4.0)
     p.add_argument("--tol", type=float, default=1e-7)
 
-    p = sub.add_parser("poisson-check", help="Poisson summation residual")
-    add_common(p, ["json"], measure=False, lattice_arg=True)
-    p.add_argument("--z", default="0,0", help="shift vector a,b")
-
     return ap
 
 
@@ -226,15 +212,6 @@ def run(args) -> int:
         value = energy.theta(L, args.t, rtol=args.rtol)
         _write_json(args.output, {"command": "theta", "value": value,
                                   "lattice": [L.x, L.y], "t": args.t})
-        return 0
-
-    if cmd == "poisson-check":
-        P = parse_potential(args.potential)
-        L = _parse_lattice(args.lattice)
-        lhs, rhs, diff = energy.poisson_check(P, L, _parse_shift(args.z),
-                                              rtol=args.rtol)
-        _write_json(args.output, {"command": "poisson-check", "lhs": lhs,
-                                  "rhs": rhs, "diff": diff})
         return 0
 
     P = parse_potential(args.potential)
@@ -320,15 +297,10 @@ def run(args) -> int:
     raise AssertionError(f"unhandled command {cmd}")
 
 
-# the arguments that set how far a command's lattice sums reach
-_SUM_ARGS = {
-    "theta": ("lattice", "t", "rtol"),
-    "poisson-check": ("potential", "lattice", "z", "rtol"),
-}
-
-
 def _sum_args(args) -> str:
-    names = _SUM_ARGS.get(args.command, ("potential", "measure", "rtol"))
+    """The arguments that set how far a command's lattice sums reach."""
+    names = (("lattice", "t", "rtol") if args.command == "theta"
+             else ("potential", "measure", "rtol"))
     return " ".join(f"--{name} {getattr(args, name)}" for name in names)
 
 

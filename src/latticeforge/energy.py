@@ -7,13 +7,12 @@ is evaluated on the Fourier side as
 
 For a planar lattice L of covolume s, the dual L* is L turned by 90
 degrees and scaled by 1/s.  The summand is radial, so the sum runs over
-the points of L / s, with no dual basis; only the Poisson check, whose
-phase p.z depends on the frame, uses the dual basis.  A direct-space
-summation is available for Gaussian families as a cross-check.  All sums
-run over the basis they are given and are truncated at a radius with a
-certified tail bound derived from a disk-packing estimate.  The packing
-radius comes from the Lagrange-Gauss reduced basis, so the bound is
-certified for any (x, y) with y > 0, not only near D.
+the points of L / s, with no dual basis.  A direct-space summation is
+available for Gaussian families as a cross-check.  All sums run over the
+basis they are given and are truncated at a radius with a certified tail
+bound derived from a disk-packing estimate.  The packing radius comes
+from the Lagrange-Gauss reduced basis, so the bound is certified for any
+(x, y) with y > 0, not only near D.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "diffuse_energy_fn",
     "diffuse_energy_jet",
     "diffuse_energy_direct",
-    "poisson_check",
     "mixture_tail",
 ]
 
@@ -68,13 +66,10 @@ class EnergyReport:
 #         <= (1/(pi rho^2)) int_{|y| > R - rho} phi(|y| - rho) dy
 #         =  (2/rho^2) int_{R - 2 rho}^inf (u + rho) phi(u) du.
 # Every nonzero point has |x| >= 2 rho, so its disk lies in {|y| >= rho}
-# and the bound at R <= 2 rho is the one at 2 rho.  An extra ``offset``
-# handles shifted summands phi((|x| - offset)_+), which are phi(0) on
-# {|y| < rho + offset}: the integral then starts at
-# l = max(R - 2 rho - offset, -offset) with phi(0) on [l, 0].
+# and the bound at R <= 2 rho is the one at 2 rho.
 # ---------------------------------------------------------------------------
 
-def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho, offset: float = 0.0):
+def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho):
     """Tail-bound closure for phi(r) = sum w exp(-t r^2).
 
     ``rho`` may be an array of packing radii; the closure then takes an
@@ -85,22 +80,18 @@ def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho, offset: float = 0.0):
     ws = np.asarray(ws, dtype=float)
     rho = np.asarray(rho, dtype=float)
     rho2 = rho * rho
-    shift = (rho + offset)[..., None] * 0.5 * np.sqrt(math.pi / ts)
-    phi0 = ws.sum()
+    shift = rho[..., None] * 0.5 * np.sqrt(math.pi / ts)
     # t near the float limit: 2 t and t a^2 may overflow to inf, and then
     # exp(-t a^2) / (2 t) is 0, its limit
     with np.errstate(over="ignore"):
         sqrt_ts, two_ts = np.sqrt(ts), 2.0 * ts
 
     def bound(R):
-        low = np.maximum(np.asarray(R) - 2.0 * rho - offset, -offset)
-        a = np.maximum(low, 0.0)[..., None]
-        # int_a^inf (u + rho + offset) exp(-t u^2) du, then * 2 / rho^2
+        a = np.maximum(np.asarray(R) - 2.0 * rho, 0.0)[..., None]
+        # int_a^inf (u + rho) exp(-t u^2) du, then * 2 / rho^2
         with np.errstate(over="ignore"):
             vals = ws * (np.exp(-ts * a * a) / two_ts + shift * erfc(sqrt_ts * a))
-        # int_low^0 (u + rho + offset) phi(0) du where low < 0
-        core = np.where(low < 0.0, phi0 * -low * (0.5 * low + rho + offset), 0.0)
-        return (vals.sum(axis=-1) + core) * 2.0 / rho2
+        return vals.sum(axis=-1) * 2.0 / rho2
 
     return bound
 
@@ -440,35 +431,3 @@ def diffuse_energy_direct(P: RadialPotential, mu: RadialMeasure,
     f = _direct_mixture(P, mu)
     return _report(lambda pts, q: f.eval(q),
                    partial(mixture_tail, *f.rep.nodes()), L.basis(), rtol).value
-
-
-def poisson_check(P: RadialPotential, L: LatticeParams, z,
-                  rtol: float = 1e-12) -> tuple[float, float, float]:
-    """Both sides of the Poisson summation identity at shift z.
-
-    lhs = sum_{x in L} f(x + z), rhs = sum_{p in L*} cos(2 pi p.z) fhat(p);
-    returns (lhs, rhs, |lhs - rhs|).
-    """
-    z = np.asarray(z, dtype=float)
-    basis = L.basis()
-    # shifted sum: f(x + z) <= phi(|x| - |z|), handled by the tail offset
-    zn = float(np.linalg.norm(z))
-
-    def f_shift(pts, q):
-        d = pts + z
-        return P.eval(np.einsum("ij,ij->i", d, d))
-
-    lhs = _report(f_shift, partial(mixture_tail, *P.rep.nodes(), offset=zn),
-                  basis, rtol).value
-    lhs += P.eval(float(z @ z))
-
-    Phi = fourier(P)
-
-    def fhat_phase(pts, q):
-        return np.cos(2.0 * math.pi * (pts @ z)) * Phi.eval(q)
-
-    # the dual basis must stay in the input frame: p.z is frame-dependent
-    rhs = _report(fhat_phase, partial(mixture_tail, *Phi.rep.nodes()),
-                  np.linalg.inv(basis).T, rtol).value
-    rhs += Phi.value_at_origin()
-    return lhs, rhs, abs(lhs - rhs)

@@ -203,16 +203,6 @@ class TestMinimize:
         assert captured.err.startswith("error: E is not finite at the triangular")
 
 
-class TestPoissonCheck:
-    def test_square(self, capsys):
-        assert run_cli(
-            ["poisson-check", "--potential", "gaussian:alpha=2",
-             "--lattice", "0,1", "--z", "0.3,0.1"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["diff"] <= 1e-10
-
-
 class TestErrorsAndDeterminism:
     def test_bad_potential_exit_2(self, capsys):
         assert run_cli(
@@ -324,14 +314,15 @@ class TestExitCodeContract:
           "--lattice", "0,1"], 2, "node position"),
         (["theta", "--lattice", "0,1", "--t", "inf"], 2, "--t:"),
         (["theta", "--lattice", "0,1", "--t", "nan"], 2, "--t:"),
-        (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "inf,0"],
-         2, "--z:"),
-        (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "nan,0"],
-         2, "--z:"),
-        (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "1"],
-         2, "--z:"),
-        (["poisson-check"] + _GAUSS + ["--lattice", "0,1", "--z", "1,2,3"],
-         2, "--z:"),
+        # an --eps that is not three numbers names the flag
+        (_CURVE + ["--eps", "a:1:0.1"], 2,
+         "--eps: expected three numbers 'lo:hi:step', got 'a:1:0.1'"),
+        (_CURVE + ["--eps", "0:b:0.1"], 2,
+         "--eps: expected three numbers 'lo:hi:step', got '0:b:0.1'"),
+        (_CURVE + ["--eps", "0:1:c"], 2,
+         "--eps: expected three numbers 'lo:hi:step', got '0:1:c'"),
+        (_CURVE + ["--eps", "0:1"], 2,
+         "--eps: expected three numbers 'lo:hi:step', got '0:1'"),
         (["energy"] + _GAUSS + ["--lattice", "a,b"], 2,
          "--lattice: expected two finite numbers 'x,y', got 'a,b'"),
         (_CURVE + ["--eps=-0.2:0.2:0.2"], 2, "--eps: eps must be >= 0"),
@@ -366,10 +357,9 @@ class TestExitCodeContract:
           "--lattice", "0,1"], 3, "lattice sum is not finite (nan) at cutoff R = "),
         (["stability", "--potential", "gaussian:alpha=2", "--measure", "disk:r=1e308",
           "--eps", "0:1:0.5"], 3, "lattice sum is not finite (nan) at cutoff R = "),
-        # no cutoff of the shifted inverse-power sum can close its tail
-        # below the point cap: exit 3 from the first box
-        (["poisson-check", "--potential", "invpower:a=1,s=2", "--lattice", "0,1",
-          "--z", "0.3,0.1"], 3, "lattice sum too wide for --potential invpower"),
+        # four fields are not three numbers either
+        (_CURVE + ["--eps", "0:1:0.1:2"], 2,
+         "--eps: expected three numbers 'lo:hi:step', got '0:1:0.1:2'"),
         # a y grid up to the float limit stays finite: its top lattices are
         # too wide to sum
         (["scan"] + _GAUSS + ["--y-max", "1e308", "--y-steps", "3", "--x-steps", "2"],
@@ -422,12 +412,10 @@ _FORMAT_ARGV = {
     "scan": ["scan"] + _GAUSS,
     "stability": _CURVE + ["--eps", "0.4:0.8:0.1"],
     "minimize": ["minimize"] + _GAUSS,
-    "poisson-check": ["poisson-check"] + _GAUSS + ["--lattice", "0,1"],
 }
 # the formats each command writes; the first is its default
 _FORMATS = {"energy": ["json"], "theta": ["json"], "scan": ["csv", "json"],
-            "stability": ["csv", "json", "svg"], "minimize": ["json"],
-            "poisson-check": ["json"]}
+            "stability": ["csv", "json", "svg"], "minimize": ["json"]}
 
 
 @pytest.mark.parametrize("command, fmt", [

@@ -179,16 +179,41 @@ class TestDiffuseEnergyDirect:
             )
 
 
+def _poisson_sides(P, L: LatticeParams, z, n: int = 30):
+    """Both sides of the Poisson summation identity at shift z, by brute force:
+    lhs = sum_{x in L} f(x + z) and rhs = sum_{p in L*} cos(2 pi p.z) fhat(p),
+    each over the basis coefficients (i, j) with |i|, |j| <= n, with no tail.
+
+    A basis of D is reduced, and so is its dual basis inv(B)^T, so every
+    point outside the box lies at least (sqrt(3)/2) n |u1| from the origin:
+    at n = 30 and y <= 3, beyond 15, where the Gaussians summed here are
+    far below double precision.  Only ``P.eval`` and ``fourier(P)`` come
+    from the package.
+    """
+    z = np.asarray(z, dtype=float)
+    m = np.arange(-n, n + 1)
+    coef = np.stack(np.meshgrid(m, m), axis=-1).reshape(-1, 2).astype(float)
+    basis = L.basis()
+    x = coef @ basis + z
+    p = coef @ np.linalg.inv(basis).T
+    lhs = P.eval(np.einsum("ij,ij->i", x, x)).sum()
+    rhs = (np.cos(2.0 * math.pi * (p @ z))
+           * pot.fourier(P).eval(np.einsum("ij,ij->i", p, p))).sum()
+    return lhs, rhs, abs(lhs - rhs)
+
+
 class TestPoissonCheck:
+    """``fourier(P)`` against ``P`` through the Poisson summation identity."""
+
     def test_zero_shift_square(self):
-        lhs, rhs, diff = en.poisson_check(
+        lhs, rhs, diff = _poisson_sides(
             pot.gaussian(math.pi), LatticeParams(0.0, 1.0), (0.0, 0.0)
         )
         assert lhs == pytest.approx(_theta_z2_oracle(1.0), rel=1e-11)
         assert diff <= 1e-10
 
     def test_half_shift_square(self):
-        _, _, diff = en.poisson_check(
+        _, _, diff = _poisson_sides(
             pot.gaussian(math.pi), LatticeParams(0.0, 1.0), (0.5, 0.5)
         )
         assert diff <= 1e-10
@@ -198,54 +223,56 @@ class TestPoissonCheck:
         for _ in range(10):
             L = random_lattice(rng)
             z = tuple(rng.uniform(-0.5, 0.5, size=2))
-            _, _, diff = en.poisson_check(P, L, z)
+            _, _, diff = _poisson_sides(P, L, z)
             assert diff <= 1e-9
+
+    def test_shifted_square(self):
+        _, _, diff = _poisson_sides(
+            pot.gaussian(2.0), LatticeParams(0.0, 1.0), (0.3, 0.1)
+        )
+        assert diff <= 1e-10
+
+    def test_two_atom_mixture(self):
+        P = pot.from_atoms([(0.8, 0.6), (5.0, 0.4)])
+        for L, z in ((TRIANGULAR, (0.2, -0.35)), (LatticeParams(0.3, 1.7), (0.45, 0.1))):
+            lhs, rhs, diff = _poisson_sides(P, L, z)
+            assert diff <= 1e-10 * lhs
 
 
 class TestMixtureTail:
     """The packing bound against brute-force sums of its majorant."""
 
     @staticmethod
-    def _brute_tail(ts, ws, basis, z, R):
-        # sum over |x| > R of phi((|x| - |z|)_+), phi = sum w exp(-t r^2),
-        # out to where every node has decayed below 1e-300
-        o = math.hypot(*z)
-        reach = o + 2.0 + math.sqrt(700.0 / min(ts))
+    def _brute_tail(ts, ws, basis, R):
+        # sum over |x| > R of phi(|x|), phi = sum w exp(-t r^2), out to
+        # where every node has decayed below 1e-300
+        reach = 2.0 + math.sqrt(700.0 / min(ts))
         n = int(reach / 0.3) + 2  # the test lattices have |det| >= 0.3 |u|
         m = np.arange(-n, n + 1)
         pts = (m[:, None, None] * basis[0] + m[None, :, None] * basis[1]).reshape(-1, 2)
         r = np.hypot(pts[:, 0], pts[:, 1])
-        u = np.maximum(r[r > R * (1.0 + 1e-12)] - o, 0.0)
+        u = r[r > R * (1.0 + 1e-12)]
         return sum(w * np.exp(-t * u * u).sum() for t, w in zip(ts, ws))
 
     @pytest.mark.parametrize("x, y", [(0.0, 1.0), (0.5, 0.5 * math.sqrt(3.0)),
                                       (0.3, 1.7)])
     @pytest.mark.parametrize("ts, ws", [([1000.0], [1.0]), ([0.5], [1.0]),
                                         ([3.0, 0.2], [0.7, 0.3])])
-    @pytest.mark.parametrize("z", [(0.0, 0.0), (0.3, 0.1), (1.0, 0.0), (2.5, 1.0)])
-    def test_bound_holds_below_and_above_the_shift(self, x, y, ts, ws, z):
+    def test_bound_holds_below_and_above_twice_rho(self, x, y, ts, ws):
         basis = lat.basis_matrix(x, y)
         rho = float(en._packing_radius(basis[None])[0])
-        o = math.hypot(*z)
-        tail = en.mixture_tail(ts, ws, rho, offset=o)
-        for R in (0.0, rho, 2.0 * rho + 0.5 * o, 2.0 * rho + o, 6.0 * rho):
-            assert tail(R) >= self._brute_tail(ts, ws, basis, z, R)
-
-    def test_shifted_core_counts(self):
-        # x = -z gives exp(0) = 1 on the square lattice; the bound used to
-        # leave out phi(0) inside |y| < rho + offset and read 0.340
-        assert en.mixture_tail([1000.0], [1.0], 0.5, offset=1.0)(0.0) >= 1.0
+        tail = en.mixture_tail(ts, ws, rho)
+        for R in (0.0, rho, 2.0 * rho, 6.0 * rho):
+            assert tail(R) >= self._brute_tail(ts, ws, basis, R)
 
     def test_continuous_and_nonincreasing(self):
-        # the phi(0) term falls to 0 at R = 2 rho + offset, where the
-        # integral's lower end reaches 0
-        rho, o = 0.5, 0.7
-        tail = en.mixture_tail([2.0, 0.1], [0.5, 0.5], rho, offset=o)
-        R = np.linspace(0.0, 6.0 * rho + o, 2001)
+        # flat up to R = 2 rho, where the integral's lower end reaches 0
+        rho = 0.5
+        tail = en.mixture_tail([2.0, 0.1], [0.5, 0.5], rho)
+        R = np.linspace(0.0, 6.0 * rho, 2001)
         vals = tail(R)
         assert np.all(np.diff(vals) <= 0.0)
-        assert tail(2.0 * rho + o - 1e-9) == pytest.approx(tail(2.0 * rho + o),
-                                                          rel=1e-8)
+        assert tail(2.0 * rho - 1e-9) == pytest.approx(tail(2.0 * rho), rel=1e-8)
 
 
 class TestSkippedRungs:
@@ -304,17 +331,9 @@ class TestSkippedRungs:
         for L in (LatticeParams(0.0, 1.0), TRIANGULAR, LatticeParams(0.2, 2.5)):
             en.theta(L, t)
 
-    @pytest.mark.parametrize("alpha, z", [(2.0, (0.1, 0.05)), (2.0, (0.3, 0.1)),
-                                          (1000.0, (1.0, 0.0))])
-    def test_poisson_check_sides(self, rounds, alpha, z):
-        for L in (LatticeParams(0.0, 1.0), LatticeParams(0.3, 1.1)):
-            en.poisson_check(pot.gaussian(alpha), L, z)
-        assert len(rounds) == 4
-
-    def test_invpower_shifted_sum_stops_in_one_box(self, monkeypatch):
-        # the inverse power's smallest Laplace node is near 1e-9, so no
-        # cutoff below the 10^7-candidate cap can close the shifted sum's
-        # tail: the sum goes straight to a rung past the cap
+    def test_small_t_theta_stops_in_one_box(self, monkeypatch):
+        # exp(-pi t r^2) at t = 1e-6 needs R near 4434 to close its tail,
+        # past the 10^7-candidate cap: the sum goes straight to that rung
         real, radii = lat.enumerate_points, []
 
         def counted(bases, R, *args, **kwargs):
@@ -323,9 +342,8 @@ class TestSkippedRungs:
 
         monkeypatch.setattr(lat, "enumerate_points", counted)
         with pytest.raises(lat.ShellCapError):
-            en.poisson_check(pot.inverse_power(1.0, 2.0), LatticeParams(0.0, 1.0),
-                             (0.3, 0.1), rtol=1e-10)
-        assert len(radii) == 1
+            en.theta(LatticeParams(0.0, 1.0), 1e-6)
+        assert radii == [pytest.approx(4433.7, abs=0.1)]
 
     def test_no_rung_can_stop(self):
         # a tail that never falls stays above rtol times its reach, tail(0),

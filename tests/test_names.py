@@ -1,12 +1,15 @@
-"""Public names and the names the bench tracer patches (and reads) all resolve.
+"""Public names, the CLI surface, and the names the bench tracer patches
+(and reads) all resolve.
 
 Both files are read as text with ``ast``: nothing under ``perfbench/`` is
 imported or written.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -38,7 +41,7 @@ PUBLIC_NAMES = {
     "parse_measure", "profile", "radial_gaussian", "scale",
     "self_convolution_at_zero", "uniform_disk",
     "EnergyReport", "diffuse_energy", "diffuse_energy_direct",
-    "diffuse_energy_fn", "diffuse_energy_jet", "poisson_check", "theta",
+    "diffuse_energy_fn", "diffuse_energy_jet", "theta",
     "sign_changes", "stability_curve", "t_coefficient",
     "t_coefficient_diffuse",
     "Landscape", "MinimizeResult", "global_minimize", "grid_scan",
@@ -50,6 +53,36 @@ def test_public_names():
     names = {n for n, v in vars(latticeforge).items()
              if not n.startswith("_") and not inspect.ismodule(v)}
     assert names == PUBLIC_NAMES
+
+
+# every subcommand of the CLI and its option strings; a flag added or dropped
+# shows here
+_EVERY_COMMAND = {"-h", "--help", "--rtol", "--output", "--format"}
+_SPECS = {"--potential", "--measure"}
+_GRID = {"--x-steps", "--y-steps", "--y-max"}
+CLI_SURFACE = {
+    "energy": _EVERY_COMMAND | _SPECS | {"--lattice"},
+    "theta": _EVERY_COMMAND | {"--lattice", "--t"},
+    "scan": _EVERY_COMMAND | _SPECS | _GRID,
+    "stability": _EVERY_COMMAND | _SPECS | {"--eps"},
+    "minimize": _EVERY_COMMAND | _SPECS | _GRID | {"--tol"},
+}
+
+
+def test_cli_surface():
+    from latticeforge import cli
+
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {cmd: {o for a in p._actions for o in a.option_strings}
+               for cmd, p in sub.choices.items()}
+    assert surface == CLI_SURFACE
+    # every subcommand has an example in a README sh block, which CI runs
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    examples = {line.split()[1] for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("lattice-forge ")}
+    assert examples == set(CLI_SURFACE)
 
 
 def test_traced_targets_exist():
@@ -127,7 +160,8 @@ def _run_every_path():
             energy.diffuse_energy(P, mu, TRIANGULAR)
             energy.diffuse_energy_jet(P, mu)(np.array([0.2]), np.array([1.3]))
             stability.t_coefficient_diffuse(P, mu, 0.8)
-    energy.poisson_check(potential.gaussian(2.0), TRIANGULAR, (0.1, 0.2))
+    energy.diffuse_energy_direct(potential.gaussian(2.0),
+                                 measure.radial_gaussian(0.7), TRIANGULAR)
 
 
 def test_t_coefficient_takes_f1_f2_and_calls_f1_on_q_arrays(monkeypatch):
