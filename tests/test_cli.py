@@ -430,6 +430,22 @@ def test_format_a_command_does_not_write_exits_2(command, fmt, capsys):
     assert "--format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["poisson-check"] + _GAUSS + ["--lattice", "0,1"],
+     "invalid choice: 'poisson-check'"),
+    (["energy"] + _GAUSS + ["--lattice", "0,1", "--z", "0.3,0.1"],
+     "unrecognized arguments: --z 0.3,0.1"),
+], ids=["poisson-check", "--z"])
+def test_retired_poisson_check_surface_exits_2(argv, needle, capsys):
+    # the subcommand and its --z flag are gone: argparse rejects both
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
+
+
 def test_cli_import_leaves_out_quadrature(tmp_path):
     # scipy.integrate is slow to import, and no command integrates: the
     # constant (f*mu*mu)(0) has a closed form per particle family

@@ -254,16 +254,19 @@ class TestMixtureTail:
         u = r[r > R * (1.0 + 1e-12)]
         return sum(w * np.exp(-t * u * u).sum() for t, w in zip(ts, ws))
 
+    # cutoffs R = k rho: the bound is flat up to 2 rho, and 3 rho probes
+    # where it has started to fall
+    @pytest.mark.parametrize("k", [0.0, 1.0, 2.0, 3.0, 6.0],
+                             ids=lambda k: f"R{k:g}rho")
     @pytest.mark.parametrize("x, y", [(0.0, 1.0), (0.5, 0.5 * math.sqrt(3.0)),
                                       (0.3, 1.7)])
     @pytest.mark.parametrize("ts, ws", [([1000.0], [1.0]), ([0.5], [1.0]),
                                         ([3.0, 0.2], [0.7, 0.3])])
-    def test_bound_holds_below_and_above_twice_rho(self, x, y, ts, ws):
+    def test_bound_holds_below_and_above_twice_rho(self, x, y, ts, ws, k):
         basis = lat.basis_matrix(x, y)
         rho = float(en._packing_radius(basis[None])[0])
-        tail = en.mixture_tail(ts, ws, rho)
-        for R in (0.0, rho, 2.0 * rho, 6.0 * rho):
-            assert tail(R) >= self._brute_tail(ts, ws, basis, R)
+        R = k * rho
+        assert en.mixture_tail(ts, ws, rho)(R) >= self._brute_tail(ts, ws, basis, R)
 
     def test_continuous_and_nonincreasing(self):
         # flat up to R = 2 rho, where the integral's lower end reaches 0
