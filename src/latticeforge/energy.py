@@ -128,41 +128,31 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
     """Sum of h over each lattice's points within its R, and their count.
 
     ``h_eval(pts, q)`` gives (c, heads, n) values for n points: c columns
-    of ``heads`` head columns each, where a 1-D or (c, n) summand has one
-    head.  Each (head, lattice) pair's terms are summed on their own, one
-    after another in the box's (m, n) order, which a lattice's kept points
-    follow whatever the box size and however the box is sliced into
-    chunks; so no sum depends on the rest of the batch or on the other
-    heads.  Returns the sums, (c, heads, k) for k lattices, and the point
-    count of each lattice.
+    of ``heads`` head columns each (a 1-D or (c, n) summand has one head).
+    Each call takes a slice of box rows over every lattice, about
+    ``_CHUNK_CANDIDATES`` (point, head) pairs.  ``np.add.at`` adds in index
+    order onto what a sum holds, so a (head, lattice) pair's terms are
+    added one by one in box (m, n) order however the box is sliced, and no
+    sum depends on the batch or the other heads.  Returns the sums,
+    (c, heads, k) for k lattices, and each lattice's point count.
     """
-    box = lat.enumerate_points(bases, R)
-    k = len(bases)
+    box, k = lat.enumerate_points(bases, R), len(bases)
+    b, r2 = bases[:, None], (R * R * (1.0 + 1e-12))[:, None]
+    rows = max(1, _CHUNK_CANDIDATES // (heads * k))  # box rows per slice
     sums, counts = None, np.zeros(k, dtype=int)
-    budget = max(1, _CHUNK_CANDIDATES // heads)  # candidates per chunk
-    rows = min(len(box), budget)  # box rows per slice
-    step = max(1, budget // len(box))  # lattices per chunk
-    for lo in range(0, k, step):
-        b, r = bases[lo:lo + step, None], R[lo:lo + step, None]
-        vals, owner = [], []
-        for at in range(0, len(box), rows):
-            m, n = box[at:at + rows, :1], box[at:at + rows, 1:]
-            pts = m * b[..., 0, :] + n * b[..., 1, :]  # (lattices, rows, 2)
-            q = pts[..., 0] * pts[..., 0] + pts[..., 1] * pts[..., 1]
-            keep = q <= r * r * (1.0 + 1e-12)
-            vals.append(np.asarray(h_eval(pts[keep], q[keep])))
-            owner.append(np.nonzero(keep)[0])
-        vals, owner = np.concatenate(vals, axis=-1), np.concatenate(owner)
-        vals = vals.reshape(math.prod(vals.shape[:-1]) // heads, heads, vals.shape[-1])
-        nb = len(b)
-        # pair j * heads + h is head h of lattice lo + j; bincount adds each
-        # pair's terms in the order they come
-        pair = (owner * heads + np.arange(heads)[:, None]).ravel()
-        counts[lo:lo + nb] = np.bincount(owner, minlength=nb)
-        sums = np.zeros((len(vals), k * heads)) if sums is None else sums
-        for col, out in zip(vals, sums[:, lo * heads:(lo + nb) * heads]):
-            out[:] = np.bincount(pair, weights=col.ravel(), minlength=nb * heads)
-    return sums.reshape(-1, k, heads).transpose(0, 2, 1), counts
+    for at in range(0, len(box), rows):
+        m, n = box[at:at + rows, :1], box[at:at + rows, 1:]
+        pts = m * b[..., 0, :] + n * b[..., 1, :]  # (lattices, rows, 2)
+        q = pts[..., 0] * pts[..., 0] + pts[..., 1] * pts[..., 1]
+        keep = q <= r2
+        owner = np.nonzero(keep)[0]
+        vals = np.asarray(h_eval(pts[keep], q[keep]))
+        # sums[i, j] is (column, head) i of lattice j, at flat index i k + j
+        sums = np.zeros((math.prod(vals.shape[:-1]), k)) if sums is None else sums
+        index = np.arange(0, sums.size, k)[:, None] + owner
+        np.add.at(sums.reshape(-1), index.ravel(), vals.ravel())
+        np.add.at(counts, owner, 1)
+    return sums.reshape(-1, heads, k), counts
 
 
 def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
@@ -193,23 +183,15 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be finite and > 0, got {rtol}")
     bases = np.asarray(bases, dtype=float).reshape(-1, 2, 2)
-    k = len(bases)
-    rho = _packing_radius(bases)
-    tail = tail_of(rho)
-    # rows R, bound and terms of each lattice, and of each pair as of its
-    # last round: a pair takes its lattice's values in every round it runs,
-    # so it keeps those of its stop round
-    at_lattice, at_pair = np.zeros((3, k)), np.zeros((3, heads, k))
-    R, bound, terms = at_lattice
-    R[:] = np.maximum(6.0 * rho, 2.0)
-    bound[:] = tail(R)
-    rung = np.zeros(k, dtype=int)
+    k, rho = len(bases), _packing_radius(bases)
+    tail, R = tail_of(rho), np.maximum(6.0 * rho, 2.0)
+    bound, rung = tail(R), np.zeros(k, dtype=int)
     # every nonzero point has |x| >= 2 rho, so tail(0) bounds |S| at any R
     cap = rtol * np.maximum(tail(np.zeros(k)) * _REACH_SLACK, 1e-300)
     up = np.flatnonzero(bound > cap)  # the lattices that leave their rung
-    run = np.ones((heads, k), dtype=bool)  # the pairs still summing
-    total = kept = None
-    active = np.arange(k)
+    # live[h, j]: head h of lattice active[j] is still summing
+    active, live = np.arange(k), np.ones((heads, k), dtype=bool)
+    kept, record = None, np.zeros((3, heads, k))  # sums; R, bound, terms
     while True:
         while up.size:
             R[up] *= 1.5
@@ -218,30 +200,29 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
                 raise NonconvergenceError(
                     f"lattice sum did not meet the tail tolerance within "
                     f"{_RUNGS} cutoffs (R up to {R[up].max():g})")
-            bound[:] = tail(R)
+            bound = tail(R)
             # a rung whose tail exceeds rtol * reach cannot stop any pair
             # (a nan on either side keeps the rung)
             up = up[bound[up] > cap[up]]
-        sums, terms[active] = _round_sums(h_eval, bases[active], R[active], heads)
-        if total is None:  # round 1 holds every lattice
-            total, kept = sums, np.empty_like(sums)
-        total[..., active] = sums
-        np.copyto(kept, total, where=run)
-        np.copyto(at_pair, at_lattice[:, None], where=run)
-        S = total[0]
-        if not np.isfinite(S).all():  # nan never stops, and inf stops at once
-            bad = np.argwhere(run & ~np.isfinite(S))
-            if bad.size:
-                h, j = bad[0]
-                raise NonconvergenceError(
-                    f"lattice sum is not finite ({S[h, j]}) at cutoff R = {R[j]:g}")
-        run &= ~(bound <= rtol * np.maximum(np.abs(S), 1e-300))
-        active = np.logical_or.reduce(run).nonzero()[0]
-        if not active.size:
-            return kept, at_pair[0], at_pair[1], at_pair[2].astype(int)
+        sums, terms = _round_sums(h_eval, bases[active], R[active], heads)
+        kept = np.empty_like(sums) if kept is None else kept  # round 1 runs all
+        h, j = np.nonzero(live)
+        kept[:, h, active[j]] = sums[:, h, j]
+        record[:, h, active[j]] = R[active[j]], bound[active[j]], terms[j]
+        S = sums[0]
+        bad = np.argwhere(live & ~np.isfinite(S))
+        if bad.size:  # nan never stops, and inf stops at once
+            h, j = bad[0]
+            raise NonconvergenceError(f"lattice sum is not finite ({S[h, j]}) "
+                                      f"at cutoff R = {R[active[j]]:g}")
+        live &= ~(bound[active] <= rtol * np.maximum(np.abs(S), 1e-300))
         # every later sum lies within tail(R) of this one
-        reach = np.where(run, np.abs(S), 0.0).max(axis=0) + bound
-        cap = rtol * np.maximum(reach * _REACH_SLACK, 1e-300)
+        reach = np.where(live, np.abs(S), 0.0).max(axis=0) + bound[active]
+        cap[active] = rtol * np.maximum(reach * _REACH_SLACK, 1e-300)
+        going = live.any(axis=0)
+        active, live = active[going], live[:, going]
+        if not active.size:
+            return kept, record[0], record[1], record[2].astype(int)
         up = active
 
 
@@ -330,14 +311,17 @@ def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
 
 def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
                    rtol: float = 1e-10) -> EnergyReport:
-    """Fourier-side energy: dual-lattice sum of fhat(p) g(|p|)^2 plus the
-    lattice-independent constant fhat(0) - (f*mu*mu)(0)."""
-    Phi = fourier(P)
+    """Fourier-side energy per particle of L at its own covolume s: by
+    Poisson summation, (1/s) sum'_{p in L*} fhat(p) g(|p|)^2 plus the
+    constant fhat(0) / s - (f*mu*mu)(0); the tail bound is divided by s."""
+    Phi, s = fourier(P), L.scale
     H, tail_of = _fourier_summand(Phi, mu)
     # L* is L turned by 90 degrees and scaled by 1/covolume
-    part = _report(lambda pts, q: H(q), tail_of, L.basis() / L.scale, rtol)
-    const = Phi.value_at_origin() - self_convolution_at_zero(P, mu)
-    return replace(part, value=part.lattice_part + const, constant_part=const)
+    part = _report(lambda pts, q: H(q), tail_of, L.basis() / s, rtol)
+    lattice_part = part.lattice_part / s
+    const = Phi.value_at_origin() / s - self_convolution_at_zero(P, mu)
+    return replace(part, value=lattice_part + const, lattice_part=lattice_part,
+                   constant_part=const, tail_bound=part.tail_bound / s)
 
 
 def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
@@ -377,6 +361,7 @@ def diffuse_energy_jet(P: RadialPotential, mu: RadialMeasure,
     with q_x = 2 a / y, q_y = b / y and y^2 (q_xx, q_xy, q_yy) = (2 p1^2,
     -2 a, 2 p0^2) for a = p0 p1, b = p1^2 - p0^2 at the points p of the
     lattice (x, y).  These sums share E's cutoff; their tails are not certified.
+    A gradient or Hessian entry that is not finite raises NonconvergenceError.
     """
     H, tail_of = _fourier_summand(fourier(P), mu)
 
@@ -392,7 +377,14 @@ def diffuse_energy_jet(P: RadialPotential, mu: RadialMeasure,
         y = np.asarray(y, dtype=float)[:, None]
         hxy = 2.0 * (ab - a)
         hess = np.stack([4.0 * aa + q + b, hxy, hxy, bb + q - b], axis=-1) / (y * y)
-        return E, np.stack([2.0 * a, b], axis=-1) / y, hess.reshape(-1, 2, 2)
+        grad = np.stack([2.0 * a, b], axis=-1) / y
+        bad = np.flatnonzero(~np.isfinite(np.hstack([grad, hess])).all(axis=1))
+        if bad.size:  # such as 0 * inf in a sum whose terms all vanish
+            i = bad[0]
+            raise NonconvergenceError(
+                f"gradient or Hessian of E is not finite at (x, y) = "
+                f"({np.ravel(x)[i]:g}, {y[i, 0]:g})")
+        return E, grad, hess.reshape(-1, 2, 2)
 
     return jet
 

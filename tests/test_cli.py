@@ -367,6 +367,10 @@ class TestExitCodeContract:
         (["minimize"] + _GAUSS + ["--measure", "disk:r=1", "--y-max", "1e308",
                                   "--y-steps", "3", "--x-steps", "2"],
          3, "lattice sum too wide"),
+        # a particle so wide that E is flat: its Hessian is 0 * inf = nan, and
+        # the search stops instead of reporting every seed converged
+        (["minimize"] + _GAUSS + ["--measure", "disk:r=1e300", "--x-steps", "2",
+                                  "--y-steps", "2"], 3, "not finite"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code

@@ -113,8 +113,28 @@ class TestDiffuseEnergy:
                 * (2.0 * j1(X) / X) ** 2
             brute = np.sort(terms).sum()
             rep = en.diffuse_energy(pot.gaussian(alpha), msr.uniform_disk(r0), L)
-            assert abs(rep.lattice_part - brute) <= (
-                rep.tail_bound + 1e-13 * abs(brute))
+            # the energy holds the dual sum over the covolume (Poisson), and
+            # so does its bound
+            assert abs(rep.lattice_part - brute / scale) <= (
+                rep.tail_bound + 1e-13 * abs(brute / scale))
+            assert rep.tail_bound * scale <= 1e-10 * abs(brute) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("s", [0.6, 2.5])
+    @pytest.mark.parametrize("mu", [msr.uniform_disk(0.8), msr.radial_gaussian(0.8)])
+    def test_energy_at_covolume(self, s, mu):
+        # density is a potential dilation: exp(-alpha |x|^2) summed over L of
+        # covolume s is exp(-s alpha |y|^2) over L at covolume 1, with the
+        # particle dilated by 1/sqrt(s)
+        alpha, x, y = 2.0, 0.3, 1.4
+        rep = en.diffuse_energy(pot.gaussian(alpha), mu, LatticeParams(x, y, scale=s))
+        unit = en.diffuse_energy(pot.from_atoms([(s * alpha, 1.0)]),
+                                 msr.scale(mu, 1.0 / math.sqrt(s)), LatticeParams(x, y))
+        assert rep.value == pytest.approx(unit.value, rel=1e-12, abs=1e-14)
+        assert rep.tail_bound <= 1e-10 * abs(rep.lattice_part)
+        if mu.kind == "gaussian":
+            direct = en.diffuse_energy_direct(pot.gaussian(alpha), mu,
+                                              LatticeParams(x, y, scale=s))
+            assert rep.value == pytest.approx(direct, rel=1e-9)
 
     def test_fast_callable_matches_report(self, rng):
         P = pot.gaussian(2.0)
@@ -450,8 +470,8 @@ class TestBatchedEngine:
         assert len(calls) == 1
 
     def test_box_sliced_to_chunk_size(self, monkeypatch):
-        # a box larger than the chunk is cut into slices, and the kept
-        # values are joined before each lattice's sort, so no sum moves
+        # a box larger than the chunk is cut into slices, and each pair's
+        # terms are still added in box order, so no sum moves
         Phi = pot.fourier(pot.gaussian(math.pi))
         H, tail_of = en._fourier_summand(Phi, msr.uniform_disk(1.0))
         h = lambda pts, q: H(q)
@@ -469,6 +489,36 @@ class TestBatchedEngine:
         for a, b in zip(whole, sliced):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("chunk", [en._CHUNK_CANDIDATES, 7])
+    def test_sums_in_box_order(self, chunk, monkeypatch):
+        # each (column, head, lattice) sum is, bit for bit, a Python float
+        # loop s += v over the lattice's kept points in the box's order; the
+        # values use only + * /, which round the same in numpy and Python
+        def values(x, y, q):
+            return [[1.0 / (1.0 + q), 1.0 / (3.0 + q)],
+                    [x / (1.0 + q), x * y / (2.0 + q)]]
+
+        def h(pts, q):
+            return np.array(values(pts[:, 0], pts[:, 1], q))
+
+        bases = lat.basis_matrix(np.array([0.5, 0.1, 0.3]), np.array([0.9, 3.0, 1.5]))
+        R = np.array([5.0, 7.0, 6.0])
+        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", chunk)
+        sums, counts = en._round_sums(h, bases, R, heads=2)
+        assert sums.shape == (2, 2, 3)
+        box = lat.enumerate_points(bases, R).tolist()
+        for j, (((ax, ay), (bx, by)), r) in enumerate(zip(bases.tolist(), R.tolist())):
+            want, kept = [[0.0, 0.0], [0.0, 0.0]], 0
+            for m, n in box:
+                x, y = m * ax + n * bx, m * ay + n * by
+                q = x * x + y * y
+                if q <= r * r * (1.0 + 1e-12):
+                    kept += 1
+                    for c, row in enumerate(values(x, y, q)):
+                        for head, v in enumerate(row):
+                            want[c][head] += v
+            assert counts[j] == kept
+            assert sums[..., j].tolist() == want
 
 
 class TestHeads:

@@ -234,6 +234,14 @@ class TestEnergyJet:
             alone = jet(np.array([x]), np.array([y]))[0]
             assert alone[0] == mixed[i] == E(x, y)
 
+    def test_flat_energy_raises(self):
+        # a disk of radius 1e300: every term of E and its gradient is 0, and
+        # R^2 overflows against a zero Bessel factor in the Hessian (nan)
+        jet = diffuse_energy_jet(pot.gaussian(math.pi), msr.uniform_disk(1e300))
+        with pytest.raises(en.NonconvergenceError,
+                           match=r"not finite at \(x, y\) = \(0.3, 1.5\)"):
+            jet(np.array([0.3, 0.1]), np.array([1.5, 1.2]))
+
 
 class TestStabilityReport:
     """T with the FD gradient and Hessian of E at the triangular point."""
