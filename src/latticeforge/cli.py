@@ -23,9 +23,9 @@ import numpy as np
 from . import energy, lattice, optimize, stability
 from .energy import NonconvergenceError
 from .lattice import LatticeDomainError, LatticeParams, ShellCapError
-from .measure import MeasureSpecError, parse_measure
+from .measure import parse_measure
 from .optimize import MaxIterationsError
-from .potential import PotentialSpecError, parse_potential
+from .potential import parse_potential
 
 CSV_MAGIC = "# lattice-forge v1"
 
@@ -308,8 +308,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (PotentialSpecError, MeasureSpecError, LatticeDomainError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonconvergenceError, MaxIterationsError) as exc:

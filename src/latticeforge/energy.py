@@ -18,7 +18,7 @@ from the Lagrange-Gauss reduced basis, so the bound is certified for any
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -226,15 +226,6 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
         up = active
 
 
-def _report(h_eval, tail_of, basis: np.ndarray, rtol: float) -> EnergyReport:
-    """One lattice through the engine."""
-    total, R, bound, n = (v.item() for v in _summed(h_eval, tail_of, basis, rtol))
-    return EnergyReport(
-        value=total, lattice_part=total, constant_part=0.0,
-        cutoff_R=R, tail_bound=bound, terms_used=n,
-    )
-
-
 def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps=None):
     """The summand H(q) = Phi(q) g(sqrt q)^2 at squared dual radius q.
 
@@ -304,9 +295,13 @@ def theta(L: LatticeParams, t: float, rtol: float = 1e-12) -> float:
         with np.errstate(over="ignore"):  # exp(-inf) = 0 for t near the float limit
             return np.exp(-math.pi * t * q)
 
-    return 1.0 + _report(
-        summand, partial(mixture_tail, [math.pi * t], [1.0]), L.basis(), rtol,
-    ).value
+    tail_of = partial(mixture_tail, [math.pi * t], [1.0])
+    return 1.0 + _summed(summand, tail_of, L.basis(), rtol)[0].item()
+
+
+def _constant(P: RadialPotential, mu: RadialMeasure, s: float = 1.0) -> float:
+    """The energy's constant fhat(0) / s - (f*mu*mu)(0) at covolume s."""
+    return P.integral / s - self_convolution_at_zero(P, mu)
 
 
 def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
@@ -314,14 +309,15 @@ def diffuse_energy(P: RadialPotential, mu: RadialMeasure, L: LatticeParams,
     """Fourier-side energy per particle of L at its own covolume s: by
     Poisson summation, (1/s) sum'_{p in L*} fhat(p) g(|p|)^2 plus the
     constant fhat(0) / s - (f*mu*mu)(0); the tail bound is divided by s."""
-    Phi, s = fourier(P), L.scale
-    H, tail_of = _fourier_summand(Phi, mu)
+    s = L.scale
+    H, tail_of = _fourier_summand(fourier(P), mu)
     # L* is L turned by 90 degrees and scaled by 1/covolume
-    part = _report(lambda pts, q: H(q), tail_of, L.basis() / s, rtol)
-    lattice_part = part.lattice_part / s
-    const = Phi.value_at_origin() / s - self_convolution_at_zero(P, mu)
-    return replace(part, value=lattice_part + const, lattice_part=lattice_part,
-                   constant_part=const, tail_bound=part.tail_bound / s)
+    total, R, bound, terms = (v.item() for v in _summed(
+        lambda pts, q: H(q), tail_of, L.basis() / s, rtol))
+    lattice_part, const = total / s, _constant(P, mu, s)
+    return EnergyReport(value=lattice_part + const, lattice_part=lattice_part,
+                        constant_part=const, cutoff_R=R, tail_bound=bound / s,
+                        terms_used=terms)
 
 
 def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
@@ -334,13 +330,8 @@ def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
     are summed as one batch and give an array of that shape; scalars give
     a float.
     """
-    Phi = fourier(P)
-    H, tail_of = _fourier_summand(Phi, mu)
-    const = (
-        Phi.value_at_origin() - self_convolution_at_zero(P, mu)
-        if include_constant
-        else 0.0
-    )
+    H, tail_of = _fourier_summand(fourier(P), mu)
+    const = _constant(P, mu) if include_constant else 0.0
 
     def E(x, y):
         x = np.asarray(x, dtype=float)
@@ -421,5 +412,5 @@ def diffuse_energy_direct(P: RadialPotential, mu: RadialMeasure,
                           L: LatticeParams, rtol: float = 1e-10) -> float:
     """Direct-space sum'_{x in L} (f*mu*mu)(x) for Gaussian families."""
     f = _direct_mixture(P, mu)
-    return _report(lambda pts, q: f.eval(q),
-                   partial(mixture_tail, *f.rep.nodes()), L.basis(), rtol).value
+    return _summed(lambda pts, q: f.eval(q),
+                   partial(mixture_tail, *f.rep.nodes()), L.basis(), rtol)[0].item()

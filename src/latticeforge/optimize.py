@@ -9,7 +9,6 @@ randomness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +60,12 @@ def _project(p: np.ndarray) -> np.ndarray:
     return np.stack([x, np.maximum(p[:, 1], np.sqrt(1.0 - x * x))], axis=1)
 
 
+def _ranked(grid: np.ndarray) -> np.ndarray:
+    """Indices of grid rows (x, y, E) by E, then x, then y; nan ranks last,
+    exact ties keep grid order."""
+    return np.lexsort(grid.T[[1, 0, 2]])
+
+
 def grid_scan(E, x_steps: int, y_steps: int, y_max: float) -> Landscape:
     """Uniform scan of [0, 1/2] x [sqrt(1 - x^2), y_max]; ties break on (x, y).
 
@@ -69,33 +74,19 @@ def grid_scan(E, x_steps: int, y_steps: int, y_max: float) -> Landscape:
     ``E(xs, ys)`` is called once per grid column with arrays of one shape
     and must return an array of that shape (or a value broadcast to it).
     """
-    rows = []
-    best = None
-    j = np.arange(y_steps)
-    for i in range(x_steps):
-        x = 0.5 * i / (x_steps - 1) if x_steps > 1 else 0.0
-        y_lo = math.sqrt(1.0 - x * x)
-        if y_steps > 1:
-            span = y_max - y_lo
-            with np.errstate(over="ignore"):
-                ys = y_lo + span * j / (y_steps - 1)
-            # where span * j overflows, step by span / (steps - 1) instead;
-            # the top point can round one ulp past y_max
-            ys = np.minimum(np.where(np.isfinite(ys), ys,
-                                     y_lo + span / (y_steps - 1) * j), y_max)
-        else:
-            ys = np.full(y_steps, y_lo)
-        es = np.broadcast_to(np.asarray(E(np.full(y_steps, x), ys), dtype=float),
-                             ys.shape)
-        for y, e in zip(ys.tolist(), es.tolist()):
-            rows.append((x, y, e))
-            if best is None or e < best[2]:
-                best = (x, y, e)
-    return Landscape(
-        grid=np.array(rows),
-        resolution=(x_steps, y_steps),
-        argmin=best,
-    )
+    x = 0.5 * np.arange(x_steps) / max(x_steps - 1, 1)
+    y_lo, j, n = np.sqrt(1.0 - x * x)[:, None], np.arange(y_steps), max(y_steps - 1, 1)
+    span = y_max - y_lo
+    with np.errstate(over="ignore"):
+        y = y_lo + span * j / n
+    # where span * j overflows, step by span / (steps - 1) instead; the top
+    # point can round one ulp past y_max
+    y = np.minimum(np.where(np.isfinite(y), y, y_lo + span / n * j), y_max)
+    e = [np.broadcast_to(np.asarray(E(np.full(y_steps, xi), col.copy()), dtype=float),
+                         y_steps) for xi, col in zip(x, y)]
+    grid = np.stack([np.repeat(x, y_steps), y.ravel(), np.ravel(e)], axis=1)
+    return Landscape(grid=grid, resolution=(x_steps, y_steps),
+                     argmin=tuple(grid[_ranked(grid)[0]].tolist()))
 
 
 def _newton_directions(p: np.ndarray, g: np.ndarray, H: np.ndarray):
@@ -164,9 +155,8 @@ def global_minimize(E, jet, x_steps: int = 40, y_steps: int = 40,
     evaluated.  Returns (best_result, candidates) with all refined seeds,
     in seed order, for audit.
     """
-    scan = grid_scan(E, x_steps, y_steps, y_max)
-    x, y, e = scan.grid.T
-    seeds = scan.grid[np.lexsort((y, x, e))[:_K_SEEDS], :2]  # by (E, x, y)
+    grid = grid_scan(E, x_steps, y_steps, y_max).grid
+    seeds = grid[_ranked(grid)[:_K_SEEDS], :2]
     candidates = _refine(jet, seeds, tol, max_iter)
     best = min(candidates, key=lambda r: (r.energy, r.point[0], r.point[1]))
     return best, candidates

@@ -73,6 +73,14 @@ class RadialPotential:
     """Completely monotone F(r^2) given by its Laplace measure."""
 
     rep: LaplaceMeasure
+    # int f over the plane, fhat(0); by default the nodes' sum w pi / t
+    integral: float | None = None
+
+    def __post_init__(self):
+        if self.integral is None:
+            ts, ws = self.rep.nodes()
+            with np.errstate(over="ignore"):  # inf, as the Fourier weights are
+                object.__setattr__(self, "integral", float((ws * math.pi / ts).sum()))
 
     def eval(self, r2):
         """F at squared radius r2 (scalar or array)."""
@@ -130,8 +138,9 @@ def inverse_power(a: float, s: float) -> RadialPotential:
     h = xs[1] - xs[0]
     t = np.exp(xs)
     w = h * t**s * np.exp(-a * t - gammaln(s))
-    return RadialPotential(
-        LaplaceMeasure(density_nodes=tuple(zip(t.tolist(), w.tolist()))))
+    # int f exactly: the nodes stop at t = exp(x_lo) and miss its far field
+    nodes = LaplaceMeasure(density_nodes=tuple(zip(t.tolist(), w.tolist())))
+    return RadialPotential(nodes, integral=math.pi * a ** (1.0 - s) / (s - 1.0))
 
 
 def eval_derivatives(P: RadialPotential, r2, order):

@@ -35,7 +35,10 @@ __all__ = [
 _ZERO_XTOL = 0.01
 
 # most eps times particle nodes (1 for a closed form) summed in one engine
-# call: the summand holds a few (eps, point, node) arrays at once
+# call: the summand holds a few (eps, point, node) arrays at once.  The size
+# also trades speed: eps that stop at an early rung leave with their slice
+# (a 20-eps ring-profile curve ran 1.35-1.7x faster in slices of 3 eps),
+# while one call shares each round's box (6-eps curves ran 1.1-1.8x faster)
 _SLICE_WORK = 1 << 7
 
 

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 from scipy.special import j1
 
 import latticeforge.energy as en
@@ -145,6 +145,15 @@ class TestDiffuseEnergy:
             assert E(L.x, L.y) == pytest.approx(
                 en.diffuse_energy(P, mu, L, rtol=1e-11).value, rel=1e-9
             )
+
+    @pytest.mark.parametrize("a", [0.1, 1.0])
+    @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 3.0])
+    def test_inverse_power_constant(self, a, s):
+        # fhat(0) - f(0) for a dirac particle at unit covolume, with fhat(0)
+        # = int f over the plane by quadrature, far field included
+        fhat0, _ = quad(lambda r: 2.0 * math.pi * r * (a + r * r) ** -s, 0.0, math.inf)
+        rep = en.diffuse_energy(pot.inverse_power(a, s), msr.dirac(), TRIANGULAR)
+        assert rep.constant_part == pytest.approx(fhat0 - a**-s, rel=1e-12)
 
 
 class TestDiffuseEnergyDirect:

@@ -178,6 +178,8 @@ class TestGlobalMinimize:
         assert len(np.unique(rows[:, 2])) <= 9  # 99 rows, mostly ties
         want = sorted(map(tuple, rows), key=lambda r: (r[2], r[0], r[1]))[:5]
         assert seen == [[[x, y] for x, y, _ in want]]
+        # the landscape's argmin is the first of the same ranking
+        assert opt.grid_scan(E, 9, 11, 3.0).argmin == tuple(want[0])
 
     def test_deterministic(self):
         E = _energy_and_jet(pot.gaussian(math.pi), msr.dirac())

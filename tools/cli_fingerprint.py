@@ -11,7 +11,9 @@ the parent commit and at the change:
     diff before.txt after.txt
 
 The commands cover the figure stability curve (csv, json, svg), a
-tabulated-profile curve, 40x40 disk and Gaussian scans (csv, json), three
+tabulated-profile curve, 40x40 disk and Gaussian scans (csv, json), a 4x4
+inverse-power scan with the energy's constant (``scan --potential
+invpower:a=1,s=2 --measure disk:r=1 --x-steps 4 --y-steps 4``), three
 ``minimize`` runs, five potential/particle kinds of ``energy`` at six
 lattices, ``theta`` at five t, and two commands that exit 3.  Outputs are
 written to stdout inside a scratch directory, which also holds the profile.
@@ -52,6 +54,8 @@ def commands() -> list[list[str]]:
                  f"profile:file={PROFILE}", "--eps", "0.25:5:0.25"])
     cmds += [["scan", "--potential", GAUSS, "--measure", mu, "--format", fmt]
              for mu in ("disk:r=1", "gauss:sigma=1") for fmt in ("csv", "json")]
+    cmds.append(["scan", "--potential", "invpower:a=1,s=2", "--measure", "disk:r=1",
+                 "--x-steps", "4", "--y-steps", "4"])
     cmds += [["minimize", "--potential", GAUSS, "--measure", mu]
              for mu in ("disk:r=1", "gauss:sigma=1", "dirac")]
     cmds += [["energy", "--potential", P, "--measure", mu, "--lattice", L]
