@@ -137,16 +137,21 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
     (c, heads, k) for k lattices, and each lattice's point count.
     """
     box, k = lat.enumerate_points(bases, R), len(bases)
-    b, r2 = bases[:, None], (R * R * (1.0 + 1e-12))[:, None]
+    # basis entries as (lattices, 1) columns
+    u1x, u1y, u2x, u2y = bases.reshape(-1, 4, 1).transpose(1, 0, 2)
+    r2 = (R * R * (1.0 + 1e-12))[:, None]
     rows = max(1, _CHUNK_CANDIDATES // (heads * k))  # box rows per slice
     sums, counts = None, np.zeros(k, dtype=int)
     for at in range(0, len(box), rows):
-        m, n = box[at:at + rows, :1], box[at:at + rows, 1:]
-        pts = m * b[..., 0, :] + n * b[..., 1, :]  # (lattices, rows, 2)
-        q = pts[..., 0] * pts[..., 0] + pts[..., 1] * pts[..., 1]
+        m, n = box[at:at + rows, 0], box[at:at + rows, 1]
+        # the points as x and y planes over (lattices, rows)
+        x, y = m * u1x + n * u2x, m * u1y + n * u2y
+        q = x * x + y * y
         keep = q <= r2
         owner = np.nonzero(keep)[0]
-        vals = np.asarray(h_eval(pts[keep], q[keep]))
+        # the kept points as (n, 2), a transposed view of their x and y rows
+        pts = np.array((x[keep], y[keep])).T
+        vals = np.asarray(h_eval(pts, q[keep]))
         # sums[i, j] is (column, head) i of lattice j, at flat index i k + j
         sums = np.zeros((math.prod(vals.shape[:-1]), k)) if sums is None else sums
         index = np.arange(0, sums.size, k)[:, None] + owner

@@ -165,6 +165,11 @@ def metric(L1: LatticeParams, L2: LatticeParams) -> float:
     return math.hypot(dx, L1.y - L2.y)
 
 
+# rows of the largest box the cache keeps: one chunk of the lattice-sum
+# engine (energy._CHUNK_CANDIDATES); larger boxes are built per call
+_CACHED_BOX_ROWS = 1 << 18
+
+
 @lru_cache(maxsize=16)
 def _coeff_box(m_max: int, n_max: int) -> np.ndarray:
     ms, ns = np.meshgrid(
@@ -172,7 +177,7 @@ def _coeff_box(m_max: int, n_max: int) -> np.ndarray:
     )
     nonzero = (ms != 0) | (ns != 0)
     box = np.stack([ms[nonzero], ns[nonzero]], axis=1).astype(float)
-    box.flags.writeable = False  # shared by every call through the cache
+    box.flags.writeable = False  # a cached box is shared by every call
     return box
 
 
@@ -194,8 +199,11 @@ def enumerate_points(bases: np.ndarray, R, cap: int = 10**7) -> np.ndarray:
     lengths = np.sqrt(np.einsum("kij,kij->ki", bases, bases))
     reach = np.floor((R / det)[:, None] * lengths[:, ::-1] + 1e-9).max(axis=0)
     m_max, n_max = (int(v) + 1 for v in reach)
-    if (2 * m_max + 1) * (2 * n_max + 1) > cap:
+    size = (2 * m_max + 1) * (2 * n_max + 1)
+    if size > cap:
         raise ShellCapError(
             f"shell enumeration at R={R.max()} needs more than {cap} candidates"
         )
+    if size - 1 > _CACHED_BOX_ROWS:
+        return _coeff_box.__wrapped__(m_max, n_max)
     return _coeff_box(m_max, n_max)

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# (point, node) pairs that one block of eval_derivatives holds
+_EVAL_PAIRS = 1 << 18
+
+
 class PotentialSpecError(ValueError):
     """Raised for invalid constructor arguments or spec strings."""
 
@@ -130,14 +134,26 @@ def inverse_power(a: float, s: float) -> RadialPotential:
             f"need finite a > 0 and s > 1, got a={a}, s={s}")
     r_max, spacing = 20.0, 0.2  # accurate out to r_max; node spacing in log t
     # lower cutoff: mass of the density below t=delta/(a+R) is O(delta^s)
-    delta = (1e-13 * math.exp(gammaln(s + 1))) ** (1.0 / s)
+    try:
+        delta = (1e-13 * math.exp(gammaln(s + 1))) ** (1.0 / s)
+    except OverflowError:  # past s = 170.6
+        delta = math.inf
+    if delta == math.inf:  # also where gammaln itself is inf
+        raise PotentialSpecError(
+            f"invpower s={s} is too large: Gamma(s + 1) overflows")
     x_lo = math.log(delta) - math.log(a + r_max * r_max)
     x_hi = math.log(38.0 / a)
+    if not 0.0 < x_hi - x_lo < math.inf:
+        raise PotentialSpecError(
+            f"invpower a={a}, s={s} has no finite node range: from "
+            f"t = {math.exp(x_lo):g} to 38/a = {38.0 / a:g}")
     n = int(math.ceil((x_hi - x_lo) / spacing)) + 1
     xs = np.linspace(x_lo, x_hi, n)
     h = xs[1] - xs[0]
     t = np.exp(xs)
-    w = h * t**s * np.exp(-a * t - gammaln(s))
+    # a weight past the float range is inf (or nan), which LaplaceMeasure rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = h * t**s * np.exp(-a * t - gammaln(s))
     # int f exactly: the nodes stop at t = exp(x_lo) and miss its far field
     nodes = LaplaceMeasure(density_nodes=tuple(zip(t.tolist(), w.tolist())))
     return RadialPotential(nodes, integral=math.pi * a ** (1.0 - s) / (s - 1.0))
@@ -155,11 +171,23 @@ def eval_derivatives(P: RadialPotential, r2, order):
         if k not in (0, 1, 2):
             raise ValueError(f"order must be in {{0, 1, 2}}, got {order}")
     ts, weights = P.rep._arrays
-    e = np.exp(-np.multiply.outer(r2, ts))
-    if e.ndim == 1:  # a scalar r2 gives floats
-        out = [float((weights[k] * e).sum()) for k in orders]
+    r2 = np.asarray(r2, dtype=float)
+
+    def sums(r2):
+        e = np.exp(-np.multiply.outer(r2, ts))
+        return [(weights[k] * e).sum(axis=-1) for k in orders]
+
+    # blocks of points: each point's sum over the nodes is the same in any
+    # block, and no (point, node) array exceeds about _EVAL_PAIRS entries
+    step = max(1, _EVAL_PAIRS // len(ts))
+    if r2.size <= step:
+        out = sums(r2)
     else:
-        out = [(weights[k] * e).sum(axis=-1) for k in orders]
+        flat = r2.reshape(-1)
+        blocks = [sums(flat[at:at + step]) for at in range(0, flat.size, step)]
+        out = [np.concatenate(col).reshape(r2.shape) for col in zip(*blocks)]
+    if r2.ndim == 0:  # a scalar r2 gives floats
+        out = [float(v) for v in out]
     return tuple(out) if many else out[0]
 
 

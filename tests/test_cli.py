@@ -371,6 +371,11 @@ class TestExitCodeContract:
         # the search stops instead of reporting every seed converged
         (["minimize"] + _GAUSS + ["--measure", "disk:r=1e300", "--x-steps", "2",
                                   "--y-steps", "2"], 3, "not finite"),
+        # Gamma(s + 1) past the float range: no inverse-power nodes
+        (["energy", "--potential", "invpower:a=1,s=171", "--lattice", "0,1"],
+         2, "invpower s=171.0 is too large"),
+        (["energy", "--potential", "invpower:a=1,s=1e300", "--lattice", "0,1"],
+         2, "invpower s=1e+300 is too large"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code

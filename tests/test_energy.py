@@ -406,18 +406,28 @@ class TestPackingRadius:
 
 
 class TestBatchedEngine:
-    def test_mixed_batch_matches_each_lattice_alone(self):
+    def test_mixed_batch_matches_each_lattice_alone(self, monkeypatch):
         # lattices spread over x in [0, 1/2], y in [1, 4] stop at different
-        # rounds; each must get exactly what it gets when summed alone
+        # rounds; each must get exactly what it gets when summed alone.  A
+        # tall lattice (y = 1e5) widens the batch's box past one slice.
         Phi = pot.fourier(pot.gaussian(math.pi))
         H, tail_of = en._fourier_summand(Phi, msr.uniform_disk(1.0))
         h = lambda pts, q: H(q)
         xs, ys = np.meshgrid(np.linspace(0.0, 0.5, 4), np.linspace(1.0, 4.0, 5))
-        bases = np.linalg.inv(lat.basis_matrix(xs.ravel(), ys.ravel()))
-        bases = bases.transpose(0, 2, 1)
+        xs, ys = np.append(xs.ravel(), 0.25), np.append(ys.ravel(), 1e5)
+        bases = np.linalg.inv(lat.basis_matrix(xs, ys)).transpose(0, 2, 1)
+        slices, enumerate_points = [], lat.enumerate_points
+
+        def recording(b, R):
+            box = enumerate_points(b, R)
+            slices.append(-(-len(box) // (en._CHUNK_CANDIDATES // len(b))))
+            return box
+
+        monkeypatch.setattr(lat, "enumerate_points", recording)
         # one head: sums (1, 1, k) and R, bound, terms (1, k)
         total, R, bound, terms = (v.reshape(-1)
                                   for v in en._summed(h, tail_of, bases, 1e-10))
+        assert slices[0] > 1
         rho = en._packing_radius(bases)
         rounds = np.round(np.log(R / np.maximum(6.0 * rho, 2.0)) / np.log(1.5))
         assert len(set(rounds)) > 1

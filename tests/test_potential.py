@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,27 @@ class TestInversePower:
         with pytest.raises(pot.PotentialSpecError):
             pot.inverse_power(1.0, 1.0)
 
+    @pytest.mark.parametrize("a", [5e-324, 1e-300, 1e-100, 1e-3, 1.0, 1e3,
+                                   1e100, 1e300, 1.7e308])
+    def test_every_a_and_s_builds_or_raises_spec_error(self, a):
+        # Gamma(s + 1) overflows past s = 170.6, and for a far from 1 the
+        # node range or the weights leave the floats: each is a
+        # PotentialSpecError, never another exception or a RuntimeWarning
+        for s in [1.0000001, 1.5, 2.0, 10.0, 100.0, 170.0, 170.5, 170.7, 171.0,
+                  1e3, 1e300, 1.7e308]:
+            try:
+                P = pot.inverse_power(a, s)
+            except pot.PotentialSpecError:
+                continue
+            ts, ws = P.rep.nodes()
+            assert len(ts) >= 2 and np.isfinite(ws).all()
+            assert math.isfinite(P.integral)
+
+    @pytest.mark.parametrize("s", [171.0, 1e300])
+    def test_s_past_the_gamma_range(self, s):
+        with pytest.raises(pot.PotentialSpecError, match=r"Gamma\(s \+ 1\) overflows"):
+            pot.inverse_power(1.0, s)
+
 
 class TestDerivatives:
     def test_gaussian_closed_forms(self):
@@ -84,6 +106,33 @@ class TestDerivatives:
             assert type(got) is type(alone)
             np.testing.assert_array_equal(got, alone)
         np.testing.assert_array_equal(together[0], P.eval(r2))
+
+    def test_blocks_match_one_pass(self, monkeypatch):
+        # each point's sum over the nodes is the same in any block: 7-point
+        # blocks of a (3, 40) r2 give the one-pass sums bit for bit
+        P = pot.inverse_power(1.0, 1.5)
+        ts, weights = P.rep._arrays
+        r2 = np.linspace(0.0, 30.0, 120).reshape(3, 40)
+        e = np.exp(-np.multiply.outer(r2, ts))
+        want = [(weights[k] * e).sum(axis=-1) for k in range(3)]
+        monkeypatch.setattr(pot, "_EVAL_PAIRS", 7 * len(ts))
+        for got, k in zip(pot.eval_derivatives(P, r2, (0, 1, 2)), range(3)):
+            assert got.shape == (3, 40)
+            np.testing.assert_array_equal(got, want[k])
+
+    def test_blocks_bound_memory(self):
+        # 100k points x 183 nodes would be a 146 MB exp array in one pass;
+        # in blocks the peak is the output plus a few blocks of pairs
+        P = pot.inverse_power(1e-3, 1.5)
+        assert len(P.rep.nodes()[0]) == 183
+        r2 = np.linspace(0.0, 50.0, 100_000)
+        tracemalloc.start()
+        try:
+            pot.eval_derivatives(P, r2, (0, 1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * r2.nbytes + 6 * pot._EVAL_PAIRS * 8
 
     def test_order_zero_unaffected_by_overflowing_higher_orders(self):
         # w t^2 overflows at t = 1e200, but F itself is finite and no

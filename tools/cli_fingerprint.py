@@ -13,9 +13,11 @@ the parent commit and at the change:
 The commands cover the figure stability curve (csv, json, svg), a
 tabulated-profile curve, 40x40 disk and Gaussian scans (csv, json), a 4x4
 inverse-power scan with the energy's constant (``scan --potential
-invpower:a=1,s=2 --measure disk:r=1 --x-steps 4 --y-steps 4``), three
-``minimize`` runs, five potential/particle kinds of ``energy`` at six
-lattices, ``theta`` at five t, and two commands that exit 3.  Outputs are
+invpower:a=1,s=2 --measure disk:r=1 --x-steps 4 --y-steps 4``), a 2x40
+disk scan up to y = 1e5 whose column boxes are cut into up to four slices
+of the lattice-sum engine (``--y-max 1e5``), three ``minimize`` runs, five
+potential/particle kinds of ``energy`` at six lattices, ``theta`` at five
+t, and two commands that exit 3.  Outputs are
 written to stdout inside a scratch directory, which also holds the profile.
 Exits 0 when every command ran; a command that raises fails the script.
 """
@@ -56,6 +58,9 @@ def commands() -> list[list[str]]:
              for mu in ("disk:r=1", "gauss:sigma=1") for fmt in ("csv", "json")]
     cmds.append(["scan", "--potential", "invpower:a=1,s=2", "--measure", "disk:r=1",
                  "--x-steps", "4", "--y-steps", "4"])
+    # y up to 1e5 widens each column's box past one engine chunk
+    cmds.append(["scan", "--potential", GAUSS, "--measure", "disk:r=1",
+                 "--x-steps", "2", "--y-steps", "40", "--y-max", "1e5"])
     cmds += [["minimize", "--potential", GAUSS, "--measure", mu]
              for mu in ("disk:r=1", "gauss:sigma=1", "dirac")]
     cmds += [["energy", "--potential", P, "--measure", mu, "--lattice", L]
