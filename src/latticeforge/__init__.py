@@ -31,7 +31,6 @@ from .measure import (
 from .energy import (
     EnergyReport,
     diffuse_energy,
-    diffuse_energy_direct,
     diffuse_energy_fn,
     diffuse_energy_jet,
     theta,

@@ -7,9 +7,8 @@ is evaluated on the Fourier side as
 
 For a planar lattice L of covolume s, the dual L* is L turned by 90
 degrees and scaled by 1/s.  The summand is radial, so the sum runs over
-the points of L / s, with no dual basis.  A direct-space summation is
-available for Gaussian families as a cross-check.  All sums run over the
-basis they are given and are truncated at a radius with a certified tail
+the points of L / s, with no dual basis.  All sums run over the basis
+they are given and are truncated at a radius with a certified tail
 bound derived from a disk-packing estimate.  The packing radius comes
 from the Lagrange-Gauss reduced basis, so the bound is certified for any
 (x, y) with y > 0, not only near D.
@@ -27,7 +26,7 @@ from scipy.special import erfc
 from . import lattice as lat
 from .lattice import LatticeParams
 from .measure import RadialMeasure, _transform, self_convolution_at_zero
-from .potential import RadialPotential, eval_derivatives, fourier, from_atoms
+from .potential import RadialPotential, eval_derivatives, fourier
 
 __all__ = [
     "EnergyReport",
@@ -36,7 +35,6 @@ __all__ = [
     "diffuse_energy",
     "diffuse_energy_fn",
     "diffuse_energy_jet",
-    "diffuse_energy_direct",
     "mixture_tail",
 ]
 
@@ -384,38 +382,3 @@ def diffuse_energy_jet(P: RadialPotential, mu: RadialMeasure,
 
     return jet
 
-
-def _convolve_gaussians(c1, a1, c2, a2):
-    """2D convolution of c exp(-a |x|^2) factors."""
-    return c1 * c2 * math.pi / (a1 + a2), a1 * a2 / (a1 + a2)
-
-
-def _direct_mixture(P: RadialPotential, mu: RadialMeasure) -> RadialPotential:
-    """f*mu*mu, a Gaussian mixture for atom potentials and dirac/gaussian mu."""
-    if P.rep.density_nodes:
-        raise NonconvergenceError(
-            "direct-space route needs an atomic (Gaussian-mixture) potential"
-        )
-    if mu.kind == "dirac":
-        return P
-    if mu.kind != "gaussian":
-        raise NonconvergenceError(
-            "direct-space route supports dirac or gaussian measures only"
-        )
-    sigma = mu.param
-    a_mu = math.pi / sigma**2
-    c_mu = 1.0 / sigma**2
-    out = []
-    for t, w in P.rep.atoms:
-        c, a = _convolve_gaussians(w, t, c_mu, a_mu)
-        c, a = _convolve_gaussians(c, a, c_mu, a_mu)
-        out.append((a, c))
-    return from_atoms(out)
-
-
-def diffuse_energy_direct(P: RadialPotential, mu: RadialMeasure,
-                          L: LatticeParams, rtol: float = 1e-10) -> float:
-    """Direct-space sum'_{x in L} (f*mu*mu)(x) for Gaussian families."""
-    f = _direct_mixture(P, mu)
-    return _summed(lambda pts, q: f.eval(q),
-                   partial(mixture_tail, *f.rep.nodes()), L.basis(), rtol)[0].item()

@@ -63,8 +63,9 @@ class LatticeParams:
             raise LatticeDomainError(
                 f"({self.x}, {self.y}) outside fundamental domain"
             )
-        if not self.scale > 0:
-            raise LatticeDomainError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise LatticeDomainError(
+                f"scale must be finite and positive, got {self.scale}")
 
     def basis(self) -> np.ndarray:
         """Basis rows of this lattice, of covolume ``scale``."""

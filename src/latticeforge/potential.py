@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainccinv, gammaln
 
 __all__ = [
     "LaplaceMeasure",
@@ -127,12 +127,17 @@ def inverse_power(a: float, s: float) -> RadialPotential:
     The density is discretized by the trapezoid rule in log t, which keeps
     full relative accuracy from r = 0 out to r_max = 20 (Gauss-Laguerre
     quadrature loses all relative accuracy already at moderate radii because
-    the integrand concentrates near t = 0 as r grows).
+    the integrand concentrates near t = 0 as r grows).  The density's bulk
+    sits near t = s/a with width sqrt(s)/a, so the top node and the spacing
+    follow s: the nodes reach the t above which a Gamma(s) density holds
+    below 1e-13 of its mass (never below 38/a), and the spacing in log t,
+    0.2, shrinks to 0.7/sqrt(s) past s = 12.25.
     """
     if not (0 < a < math.inf and 1 < s < math.inf):
         raise PotentialSpecError(
             f"need finite a > 0 and s > 1, got a={a}, s={s}")
-    r_max, spacing = 20.0, 0.2  # accurate out to r_max; node spacing in log t
+    # accurate out to r_max; node spacing in log t
+    r_max, spacing = 20.0, min(0.2, 0.7 / math.sqrt(s))
     # lower cutoff: mass of the density below t=delta/(a+R) is O(delta^s)
     try:
         delta = (1e-13 * math.exp(gammaln(s + 1))) ** (1.0 / s)
@@ -142,11 +147,13 @@ def inverse_power(a: float, s: float) -> RadialPotential:
         raise PotentialSpecError(
             f"invpower s={s} is too large: Gamma(s + 1) overflows")
     x_lo = math.log(delta) - math.log(a + r_max * r_max)
-    x_hi = math.log(38.0 / a)
+    # a * t_hi: 38 up to s = 3.5, then the Gamma(s) upper 1e-13 quantile
+    at_hi = max(38.0, float(gammainccinv(s, 1e-13)))
+    x_hi = math.log(at_hi / a)  # a float quotient past the range is inf
     if not 0.0 < x_hi - x_lo < math.inf:
         raise PotentialSpecError(
             f"invpower a={a}, s={s} has no finite node range: from "
-            f"t = {math.exp(x_lo):g} to 38/a = {38.0 / a:g}")
+            f"t = {math.exp(x_lo):g} to {at_hi:g}/a = {at_hi / a:g}")
     n = int(math.ceil((x_hi - x_lo) / spacing)) + 1
     xs = np.linspace(x_lo, x_hi, n)
     h = xs[1] - xs[0]

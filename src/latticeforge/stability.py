@@ -1,16 +1,17 @@
 """Stability analysis at the triangular lattice.
 
 At the triangular point the Hessian of any radial-summand lattice energy
-is a multiple T of the identity.  T is d^2E/dx^2 there, summed by the
-lattice-sum engine of ``energy`` next to E itself: the engine stops on E's
-certified tail, so ``rtol`` is relative to E and T shares E's cutoff
-without a tail bound of its own.  Every T is a head of the engine's one
-head axis: a scalar eps is one head, and a curve sums a slice of eps in
-one engine call, where the eps share the triangular point set, one Phi
-pass and the tail, and each eps is a head with columns (E, T) that stops
-on its own E, so each T is bit for bit its scalar call.  Sign changes are bisected for
-every bracket at once, one call per level.  The finite-difference check
-of T, a Hessian of E(x, y) on a 3x3 stencil, lives in the tests.
+is a multiple T of the identity, so T is half its trace: one radial column
+summed by the lattice-sum engine of ``energy`` next to E itself.  The
+engine stops on E's certified tail, so ``rtol`` is relative to E and T
+shares E's cutoff without a tail bound of its own.  Every T is a head of
+the engine's one head axis: a scalar eps is one head, and a curve sums a
+slice of eps in one engine call, where the eps share the triangular point
+set, one Phi pass and the tail, and each eps is a head with columns
+(E, T) that stops on its own E, so each T is bit for bit its scalar call.
+Sign changes are bisected for every bracket at once, one call per level.
+The finite-difference check of T, a Hessian of E(x, y) on a 3x3 stencil,
+lives in the tests.
 """
 
 from __future__ import annotations
@@ -47,21 +48,21 @@ def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
 
     ``H(q)`` gives (H, H', H'') on a 1-D array q, each of shape (n,) for
     one head, or (heads, n) for ``heads`` summands at once (one T each);
-    ``tail_of`` is their shared tail factory.  With a = p0 p1, q_x = 2 a / y and
-    q_xx = 2 p1^2 / y^2, so y^2 T = sum' 4 H'' a^2 + 2 H' p1^2 (the (0, 0)
-    entry of ``diffuse_energy_jet``'s Hessian), summed in one engine call
-    next to H, whose tail stops both sums at ``rtol`` relative to E; each
-    head stops on its own E.  Returns a float, or an array of ``heads``.
+    ``tail_of`` is their shared tail factory.  The Hessian is T times the
+    identity, so T is half its trace, sum' H'' |grad q|^2 + H' Laplacian(q).
+    With a = p0 p1 and b = p1^2 - p0^2, y^2 |grad q|^2 = 4 a^2 + b^2 = q^2 and
+    y^2 Laplacian(q) = 2 q, so with y^2 = 3/4, T = (2/3) sum' q^2 H'' + 2 q H',
+    a radial column summed in one engine call next to H, whose tail stops
+    both sums at ``rtol`` relative to E; each head stops on its own E.
+    Returns a float, or an array of ``heads``.
     """
 
     def cols(pts, q):
         h, d1, d2 = H(q)
-        a = pts[:, 0] * pts[:, 1]
-        return np.stack([h, 4.0 * d2 * a * a + 2.0 * d1 * pts[:, 1] ** 2])
+        return np.stack([h, q * (q * d2 + 2.0 * d1)])
 
-    x, y = TRIANGULAR.x, TRIANGULAR.y
-    sums = _summed(cols, tail_of, basis_matrix(x, y), rtol, heads or 1)[0]
-    T = sums[1, :, 0] / (y * y)
+    basis = basis_matrix(TRIANGULAR.x, TRIANGULAR.y)
+    T = _summed(cols, tail_of, basis, rtol, heads or 1)[0][1, :, 0] * (2.0 / 3.0)
     return T if heads else float(T[0])
 
 

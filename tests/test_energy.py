@@ -14,7 +14,9 @@ import latticeforge.potential as pot
 import latticeforge.stability as stab
 from latticeforge import LatticeParams, TRIANGULAR
 
-from conftest import every_rung_summed, fd_gradient_hessian, random_lattice
+from conftest import (convolved_gaussians, direct_gaussian_energy,
+                      direct_lattice_sum, every_rung_summed, fd_gradient_hessian,
+                      random_lattice)
 
 
 def _theta_z2_oracle(t: float) -> float:
@@ -77,7 +79,7 @@ class TestDiffuseEnergy:
             random_lattice(rng) for _ in range(5)
         ]:
             rep = en.diffuse_energy(P, mu, L, rtol=1e-11)
-            direct = en.diffuse_energy_direct(P, mu, L, rtol=1e-11)
+            direct = direct_gaussian_energy([(math.pi, 1.0)], 1.0, L.basis())
             # lattice_part + constant compared against direct lattice sum
             assert rep.lattice_part + rep.constant_part == pytest.approx(
                 direct, rel=1e-8
@@ -132,8 +134,8 @@ class TestDiffuseEnergy:
         assert rep.value == pytest.approx(unit.value, rel=1e-12, abs=1e-14)
         assert rep.tail_bound <= 1e-10 * abs(rep.lattice_part)
         if mu.kind == "gaussian":
-            direct = en.diffuse_energy_direct(pot.gaussian(alpha), mu,
-                                              LatticeParams(x, y, scale=s))
+            direct = direct_gaussian_energy([(alpha, 1.0)], mu.param,
+                                            LatticeParams(x, y, scale=s).basis())
             assert rep.value == pytest.approx(direct, rel=1e-9)
 
     def test_fast_callable_matches_report(self, rng):
@@ -155,12 +157,25 @@ class TestDiffuseEnergy:
         rep = en.diffuse_energy(pot.inverse_power(a, s), msr.dirac(), TRIANGULAR)
         assert rep.constant_part == pytest.approx(fhat0 - a**-s, rel=1e-12)
 
+    # the density's bulk sits near t = s/a; nodes cut at 38/a missed it
+    @pytest.mark.parametrize("x, y", [(0.5, 0.5 * math.sqrt(3.0)), (0.2, 1.3)])
+    @pytest.mark.parametrize("s", [10.0, 20.0, 30.0, 50.0])
+    def test_inverse_power_dirac_against_direct_sum(self, s, x, y):
+        # E = sum' (1 + |x|^2)^(-s) comes from O(1) Fourier terms that
+        # cancel (about 6e-10 at s = 30), so the gap is held absolute
+        L = LatticeParams(x, y)
+        rep = en.diffuse_energy(pot.inverse_power(1.0, s), msr.dirac(), L)
+        direct = direct_lattice_sum(lambda q: (1.0 + q) ** -s, L.basis())
+        assert abs(rep.value - direct) <= 1e-12
 
-class TestDiffuseEnergyDirect:
+
+class TestDirectOracle:
+    """The direct-space Gaussian oracle of ``conftest`` against its own
+    checks: theta, quadrature of the convolution, and rotations."""
+
     def test_dirac_square(self):
-        v = en.diffuse_energy_direct(
-            pot.gaussian(math.pi), msr.dirac(), LatticeParams(0.0, 1.0)
-        )
+        v = direct_gaussian_energy([(math.pi, 1.0)], 0.0,
+                                   LatticeParams(0.0, 1.0).basis())
         assert v == pytest.approx(_theta_z2_oracle(1.0) - 1.0, rel=1e-11)
 
     def test_summand_vs_numeric_convolution(self):
@@ -179,33 +194,20 @@ class TestDiffuseEnergyDirect:
             )
             return val
 
-        mix = en._direct_mixture(pot.gaussian(alpha), msr.radial_gaussian(sigma))
+        mix = convolved_gaussians([(alpha, 1.0)], sigma)
         for x1, x2 in ((1.0, 0.0), (0.5, 0.5), (1.2, -0.3)):
-            got = sum(c * math.exp(-a * (x1 * x1 + x2 * x2)) for a, c in mix.rep.atoms)
+            got = sum(c * math.exp(-a * (x1 * x1 + x2 * x2)) for a, c in mix)
             assert got == pytest.approx(triple_1d(x1) * triple_1d(x2), abs=1e-7)
 
     def test_rotation_invariance(self):
-        P = pot.gaussian(1.5)
-        mu = msr.radial_gaussian(1.0)
-        L = LatticeParams(0.3, 1.4)
+        basis = LatticeParams(0.3, 1.4).basis()
         phi = 0.7
         rot = np.array(
             [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
         )
-        L2 = lat.reduce(L.basis() @ rot.T)
-        assert en.diffuse_energy_direct(P, mu, L) == pytest.approx(
-            en.diffuse_energy_direct(P, mu, L2), rel=1e-10
+        assert direct_gaussian_energy([(1.5, 1.0)], 1.0, basis) == pytest.approx(
+            direct_gaussian_energy([(1.5, 1.0)], 1.0, basis @ rot.T), rel=1e-10
         )
-
-    def test_unsupported_pair(self):
-        with pytest.raises(en.NonconvergenceError):
-            en.diffuse_energy_direct(
-                pot.inverse_power(1.0, 2.0), msr.dirac(), TRIANGULAR
-            )
-        with pytest.raises(en.NonconvergenceError):
-            en.diffuse_energy_direct(
-                pot.gaussian(1.0), msr.uniform_disk(1.0), TRIANGULAR
-            )
 
 
 def _poisson_sides(P, L: LatticeParams, z, n: int = 30):

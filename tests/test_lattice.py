@@ -57,6 +57,11 @@ class TestFromParams:
         with pytest.raises(lat.LatticeDomainError):
             LatticeParams(-0.1, 2.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_covolume_rejected(self, scale):
+        with pytest.raises(lat.LatticeDomainError):
+            LatticeParams(0.0, 1.0, scale=scale)
+
 
 class TestReduce:
     def test_identity_basis(self):

@@ -9,7 +9,7 @@ from scipy.special import jv
 import latticeforge.measure as msr
 import latticeforge.potential as pot
 
-from conftest import disk_psi_nodes
+from conftest import convolved_gaussians, disk_psi_nodes
 
 
 class TestBessel:
@@ -446,13 +446,12 @@ class TestSelfConvolution:
             assert got == pytest.approx(self._disk_kernel(t, R), rel=1e-12, abs=0.0)
 
     def test_gaussian_against_direct_mixture(self):
-        from latticeforge.energy import _direct_mixture
-
-        for P in (pot.gaussian(math.pi), pot.gaussian(1e4),
-                  pot.from_atoms([(0.1, 1.0), (3.0, 2.0), (40.0, 0.5)])):
+        for atoms in ([(math.pi, 1.0)], [(1e4, 1.0)],
+                      [(0.1, 1.0), (3.0, 2.0), (40.0, 0.5)]):
+            P = pot.from_atoms(atoms)
             for sigma in (0.3, 1.0, 7.0):
                 mu = msr.radial_gaussian(sigma)
-                want = _direct_mixture(P, mu).value_at_origin()
+                want = sum(c for _, c in convolved_gaussians(atoms, sigma))
                 got = msr.self_convolution_at_zero(P, mu)
                 assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 

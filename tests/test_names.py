@@ -40,8 +40,8 @@ PUBLIC_NAMES = {
     "RadialMeasure", "bessel_j", "dirac", "hankel", "hankel_moments",
     "parse_measure", "profile", "radial_gaussian", "scale",
     "self_convolution_at_zero", "uniform_disk",
-    "EnergyReport", "diffuse_energy", "diffuse_energy_direct",
-    "diffuse_energy_fn", "diffuse_energy_jet", "theta",
+    "EnergyReport", "diffuse_energy", "diffuse_energy_fn",
+    "diffuse_energy_jet", "theta",
     "sign_changes", "stability_curve", "t_coefficient",
     "t_coefficient_diffuse",
     "Landscape", "MinimizeResult", "global_minimize", "grid_scan",
@@ -160,8 +160,6 @@ def _run_every_path():
             energy.diffuse_energy(P, mu, TRIANGULAR)
             energy.diffuse_energy_jet(P, mu)(np.array([0.2]), np.array([1.3]))
             stability.t_coefficient_diffuse(P, mu, 0.8)
-    energy.diffuse_energy_direct(potential.gaussian(2.0),
-                                 measure.radial_gaussian(0.7), TRIANGULAR)
 
 
 def test_t_coefficient_takes_f1_f2_and_calls_f1_on_q_arrays(monkeypatch):

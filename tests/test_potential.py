@@ -37,6 +37,17 @@ class TestInversePower:
         want = (a + r * r) ** (-s)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-10
 
+    # s past about 15 puts the density's bulk near t = s/a beyond 38/a
+    @pytest.mark.parametrize("a, s", [(a, s) for a in (1e-3, 1.0, 1e3)
+                                      for s in (1.1, 1.5, 2.0, 3.0, 5.0, 10.0,
+                                                15.0, 20.0, 30.0, 50.0)]
+                             + [(1.0, 100.0), (1e3, 100.0)])
+    def test_nodes_hold_at_every_s(self, a, s):
+        r = np.array([0.0, 1.0, 5.0, 20.0])
+        got = pot.inverse_power(a, s).eval(r * r)
+        want = (a + r * r) ** (-s)
+        assert np.max(np.abs(got / want - 1.0)) <= 5e-12
+
     def test_invalid_args(self):
         with pytest.raises(pot.PotentialSpecError):
             pot.inverse_power(0.0, 2.0)

@@ -16,10 +16,13 @@ inverse-power scan with the energy's constant (``scan --potential
 invpower:a=1,s=2 --measure disk:r=1 --x-steps 4 --y-steps 4``), a 2x40
 disk scan up to y = 1e5 whose column boxes are cut into up to four slices
 of the lattice-sum engine (``--y-max 1e5``), three ``minimize`` runs, five
-potential/particle kinds of ``energy`` at six lattices, ``theta`` at five
-t, and two commands that exit 3.  Outputs are
-written to stdout inside a scratch directory, which also holds the profile.
-Exits 0 when every command ran; a command that raises fails the script.
+potential/particle kinds of ``energy`` at six lattices, two ``energy``
+queries for ``invpower:a=1,s=30`` (disk and dirac), whose Laplace nodes
+follow s, ``theta`` at five t, and two commands that exit 3: 52 commands.
+Outputs are written to stdout inside a scratch directory, which also holds
+the profile.  Exits 0 when every command ran; a command that raises fails
+the script.  CI runs it with ``python -W error::RuntimeWarning``, so a
+command that warns fails it too.
 """
 
 from __future__ import annotations
@@ -65,6 +68,11 @@ def commands() -> list[list[str]]:
              for mu in ("disk:r=1", "gauss:sigma=1", "dirac")]
     cmds += [["energy", "--potential", P, "--measure", mu, "--lattice", L]
              for P, mu in ENERGY_KINDS for L in LATTICES]
+    # s = 30 puts the inverse power's Laplace density near t = 30/a, past 38/a
+    cmds += [["energy", "--potential", "invpower:a=1,s=30", "--measure", mu,
+              "--lattice", L]
+             for mu, L in (("disk:r=0.3", "0.5,0.8660254037844386"),
+                           ("dirac", "0.2,1.3"))]
     cmds += [["theta", "--lattice", "0.2,1.3", "--t", t] for t in THETA_T]
     cmds += [
         # a particle scale that makes the summand nan
