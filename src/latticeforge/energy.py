@@ -78,10 +78,11 @@ def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho):
     ws = np.asarray(ws, dtype=float)
     rho = np.asarray(rho, dtype=float)
     rho2 = rho * rho
-    shift = rho[..., None] * 0.5 * np.sqrt(math.pi / ts)
-    # t near the float limit: 2 t and t a^2 may overflow to inf, and then
-    # exp(-t a^2) / (2 t) is 0, its limit
+    # t near the float limits: pi / t may overflow to inf, a bound that
+    # stops nothing; 2 t and t a^2 may too, and then exp(-t a^2) / (2 t)
+    # is 0, its limit
     with np.errstate(over="ignore"):
+        shift = rho[..., None] * 0.5 * np.sqrt(math.pi / ts)
         sqrt_ts, two_ts = np.sqrt(ts), 2.0 * ts
 
     def bound(R):
@@ -127,21 +128,28 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
 
     ``h_eval(pts, q)`` gives (c, heads, n) values for n points: c columns
     of ``heads`` head columns each (a 1-D or (c, n) summand has one head).
-    Each call takes a slice of box rows over every lattice, about
-    ``_CHUNK_CANDIDATES`` (point, head) pairs.  ``np.add.at`` adds in index
-    order onto what a sum holds, so a (head, lattice) pair's terms are
-    added one by one in box (m, n) order however the box is sliced, and no
-    sum depends on the batch or the other heads.  Returns the sums,
+    The box |m| <= m_max, |n| <= n_max of ``lat.enumerate_points`` has one
+    row (m, n) per coefficient, m-major and without the origin.  Each call
+    takes a slice of rows over every lattice, about ``_CHUNK_CANDIDATES``
+    (point, head) pairs, built from the rows' flat indices.  ``np.add.at``
+    adds in index order onto what a sum holds, so a (head, lattice) pair's
+    terms are added one by one in box order however the box is sliced, and
+    no sum depends on the batch or the other heads.  Returns the sums,
     (c, heads, k) for k lattices, and each lattice's point count.
     """
-    box, k = lat.enumerate_points(bases, R), len(bases)
+    (m_max, n_max), k = lat.enumerate_points(bases, R), len(bases)
+    width = 2 * n_max + 1
+    origin, size = m_max * width + n_max, (2 * m_max + 1) * width - 1
     # basis entries as (lattices, 1) columns
     u1x, u1y, u2x, u2y = bases.reshape(-1, 4, 1).transpose(1, 0, 2)
     r2 = (R * R * (1.0 + 1e-12))[:, None]
     rows = max(1, _CHUNK_CANDIDATES // (heads * k))  # box rows per slice
     sums, counts = None, np.zeros(k, dtype=int)
-    for at in range(0, len(box), rows):
-        m, n = box[at:at + rows, 0], box[at:at + rows, 1]
+    for at in range(0, size, rows):
+        i = np.arange(at, min(at + rows, size))
+        # row i is entry i + (i >= origin) of the (2 m_max + 1, width) grid
+        m, n = divmod(i + (i >= origin), width)
+        m, n = m - m_max, n - n_max
         # the points as x and y planes over (lattices, rows)
         x, y = m * u1x + n * u2x, m * u1y + n * u2y
         q = x * x + y * y

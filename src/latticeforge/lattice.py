@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -166,30 +165,15 @@ def metric(L1: LatticeParams, L2: LatticeParams) -> float:
     return math.hypot(dx, L1.y - L2.y)
 
 
-# rows of the largest box the cache keeps: one chunk of the lattice-sum
-# engine (energy._CHUNK_CANDIDATES); larger boxes are built per call
-_CACHED_BOX_ROWS = 1 << 18
-
-
-@lru_cache(maxsize=16)
-def _coeff_box(m_max: int, n_max: int) -> np.ndarray:
-    ms, ns = np.meshgrid(
-        np.arange(-m_max, m_max + 1), np.arange(-n_max, n_max + 1), indexing="ij"
-    )
-    nonzero = (ms != 0) | (ns != 0)
-    box = np.stack([ms[nonzero], ns[nonzero]], axis=1).astype(float)
-    box.flags.writeable = False  # a cached box is shared by every call
-    return box
-
-
-def enumerate_points(bases: np.ndarray, R, cap: int = 10**7) -> np.ndarray:
-    """Coefficients (m, n) != 0 covering every point m*u1 + n*u2 of norm
-    <= R_i of each lattice in a stack.
+def enumerate_points(bases: np.ndarray, R, cap: int = 10**7) -> tuple[int, int]:
+    """Half-widths (m_max, n_max) of the coefficient box |m| <= m_max,
+    |n| <= n_max that holds every point m*u1 + n*u2 of norm <= R_i of each
+    lattice in a stack.
 
     ``bases`` is (k, 2, 2) with rows u1, u2 per lattice and ``R`` holds k
-    cutoffs.  One box, shared by the stack, is returned as a read-only
-    (count, 2) float array; the caller keeps each lattice's points within
-    its own R_i.  Raises ShellCapError past ``cap`` candidates per lattice.
+    cutoffs.  One box is shared by the stack; the caller builds its rows
+    and keeps each lattice's points within its own R_i.  Raises
+    ShellCapError past ``cap`` candidates per lattice.
     """
     R = np.asarray(R, dtype=float)
     if not (R > 0).all():
@@ -205,6 +189,4 @@ def enumerate_points(bases: np.ndarray, R, cap: int = 10**7) -> np.ndarray:
         raise ShellCapError(
             f"shell enumeration at R={R.max()} needs more than {cap} candidates"
         )
-    if size - 1 > _CACHED_BOX_ROWS:
-        return _coeff_box.__wrapped__(m_max, n_max)
-    return _coeff_box(m_max, n_max)
+    return m_max, n_max

@@ -66,7 +66,9 @@ class LaplaceMeasure:
         items = list(self.atoms) + list(self.density_nodes)
         ts = np.array([t for t, _ in items])
         ws = np.array([w for _, w in items])
-        with np.errstate(over="ignore"):  # inf only where F' or F'' is
+        # inf only where F' or F'' is; nan where a weight that underflowed
+        # to 0 meets an inf t^k
+        with np.errstate(over="ignore", invalid="ignore"):
             weights = np.stack([ws * (-ts) ** k for k in range(3)])
         ts.flags.writeable = weights.flags.writeable = False
         return ts, weights
@@ -181,7 +183,8 @@ def eval_derivatives(P: RadialPotential, r2, order):
     r2 = np.asarray(r2, dtype=float)
 
     def sums(r2):
-        e = np.exp(-np.multiply.outer(r2, ts))
+        with np.errstate(over="ignore"):  # r2 t past the float range: exp(-inf) = 0
+            e = np.exp(-np.multiply.outer(r2, ts))
         return [(weights[k] * e).sum(axis=-1) for k in orders]
 
     # blocks of points: each point's sum over the nodes is the same in any

@@ -384,6 +384,19 @@ class TestExitCodeContract:
         assert captured.err.startswith("error: ")
         assert needle in captured.err
 
+    @pytest.mark.parametrize("argv, code", [
+        # pi / t overflows to inf in the tail bound; the box passes the cap
+        (["theta", "--lattice", "0,1", "--t", "1e-320"], 3),
+        # Fourier nodes near 1e201: t^2 overflows where a weight underflows
+        (["energy", "--potential", "invpower:a=1e200,s=2", "--lattice", "0,1"], 0),
+        # and q t overflows in exp(-q t), which is 0
+        (["scan", "--potential", "invpower:a=1e300,s=2", "--measure", "disk:r=1",
+          "--x-steps", "2", "--y-steps", "2"], 0),
+    ], ids=["theta-t-1e-320", "energy-invpower-a-1e200", "scan-invpower-a-1e300"])
+    def test_extreme_valid_input_warns_nothing(self, argv, code):
+        # a RuntimeWarning is an error here
+        assert run_cli(argv) == code
+
     def test_certified_minimize_ignores_a_huge_y_max(self, capsys):
         # the disk row above exits 3 on this grid; a dirac particle has no
         # grid to sum, only the triangular lattice

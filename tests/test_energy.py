@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -49,6 +50,20 @@ class TestTheta:
     def test_invalid_t(self):
         with pytest.raises(ValueError):
             en.theta(TRIANGULAR, 0.0)
+
+    def test_wide_box_is_built_slice_by_slice(self):
+        # t = 1e-5 sums a box of 6.9M rows, 111 MB as whole (m, n) floats:
+        # its slices of one engine chunk hold a few MB each
+        tracemalloc.start()
+        try:
+            value = en.theta(LatticeParams(0.0, 1.0), 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        # the box-order sum; by Jacobi's identity theta(t) = theta(1/t) / t
+        assert value == 99999.99999975324
+        assert value == pytest.approx(1e5, rel=1e-11)
 
 
 class TestPointEnergy:
@@ -421,9 +436,10 @@ class TestBatchedEngine:
         slices, enumerate_points = [], lat.enumerate_points
 
         def recording(b, R):
-            box = enumerate_points(b, R)
-            slices.append(-(-len(box) // (en._CHUNK_CANDIDATES // len(b))))
-            return box
+            m_max, n_max = enumerate_points(b, R)
+            rows = (2 * m_max + 1) * (2 * n_max + 1) - 1
+            slices.append(-(-rows // (en._CHUNK_CANDIDATES // len(b))))
+            return m_max, n_max
 
         monkeypatch.setattr(lat, "enumerate_points", recording)
         # one head: sums (1, 1, k) and R, bound, terms (1, k)
@@ -510,11 +526,12 @@ class TestBatchedEngine:
         for a, b in zip(whole, sliced):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("chunk", [en._CHUNK_CANDIDATES, 7])
+    @pytest.mark.parametrize("chunk", [en._CHUNK_CANDIDATES, 7, "origin"])
     def test_sums_in_box_order(self, chunk, monkeypatch):
         # each (column, head, lattice) sum is, bit for bit, a Python float
-        # loop s += v over the lattice's kept points in the box's order; the
-        # values use only + * /, which round the same in numpy and Python
+        # loop s += v over the lattice's kept points in the box's order, m
+        # then n, without the origin; the values use only + * /, which round
+        # the same in numpy and Python
         def values(x, y, q):
             return [[1.0 / (1.0 + q), 1.0 / (3.0 + q)],
                     [x / (1.0 + q), x * y / (2.0 + q)]]
@@ -524,10 +541,17 @@ class TestBatchedEngine:
 
         bases = lat.basis_matrix(np.array([0.5, 0.1, 0.3]), np.array([0.9, 3.0, 1.5]))
         R = np.array([5.0, 7.0, 6.0])
+        m_max, n_max = lat.enumerate_points(bases, R)
+        box = [(m, n) for m in range(-m_max, m_max + 1)
+               for n in range(-n_max, n_max + 1) if (m, n) != (0, 0)]
+        if chunk == "origin":
+            # slices of as many rows as precede the origin: the second
+            # slice starts at the row that follows it
+            origin = box.index((0, 1))
+            chunk = origin * 2 * len(bases)  # (point, head) pairs per slice
         monkeypatch.setattr(en, "_CHUNK_CANDIDATES", chunk)
         sums, counts = en._round_sums(h, bases, R, heads=2)
         assert sums.shape == (2, 2, 3)
-        box = lat.enumerate_points(bases, R).tolist()
         for j, (((ax, ay), (bx, by)), r) in enumerate(zip(bases.tolist(), R.tolist())):
             want, kept = [[0.0, 0.0], [0.0, 0.0]], 0
             for m, n in box:

@@ -239,24 +239,3 @@ class TestEnumerateShells:
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
             lat.enumerate_points(lat.basis_matrix(0.5, 0.5 * SQ3)[None], [-1.0])
-
-    def test_cache_keeps_no_box_past_one_chunk(self, monkeypatch):
-        # theta at t = 1e-4 sums over a box of 609,960 rows; a box of more
-        # than one engine chunk is built per call and not cached, while a
-        # small box is still shared through the cache
-        lat._coeff_box.cache_clear()
-        boxes, enumerate_points = [], lat.enumerate_points
-
-        def recording(*args, **kwargs):
-            boxes.append(enumerate_points(*args, **kwargs))
-            return boxes[-1]
-
-        monkeypatch.setattr(lat, "enumerate_points", recording)
-        en.theta(LatticeParams(0.0, 1.0), 1e-4)
-        square = lat.basis_matrix(0.0, 1.0)[None]
-        small = lat.enumerate_points(square, [3.0])
-        assert lat.enumerate_points(square, [3.0]) is small
-        assert max(map(len, boxes)) > lat._CACHED_BOX_ROWS >= len(small)
-        cached = {id(b) for b in boxes if len(b) <= lat._CACHED_BOX_ROWS}
-        assert lat._coeff_box.cache_info().currsize == len(cached)
-        assert all(not b.flags.writeable for b in boxes)

@@ -18,7 +18,9 @@ disk scan up to y = 1e5 whose column boxes are cut into up to four slices
 of the lattice-sum engine (``--y-max 1e5``), three ``minimize`` runs, five
 potential/particle kinds of ``energy`` at six lattices, two ``energy``
 queries for ``invpower:a=1,s=30`` (disk and dirac), whose Laplace nodes
-follow s, ``theta`` at five t, and two commands that exit 3: 52 commands.
+follow s, ``theta`` at five t, ``theta`` at t = 1e-5, whose box of 6.9M
+rows the engine builds in 27 slices, and two commands that exit 3: 53
+commands.
 Outputs are written to stdout inside a scratch directory, which also holds
 the profile.  Exits 0 when every command ran; a command that raises fails
 the script.  CI runs it with ``python -W error::RuntimeWarning``, so a
@@ -74,6 +76,8 @@ def commands() -> list[list[str]]:
              for mu, L in (("disk:r=0.3", "0.5,0.8660254037844386"),
                            ("dirac", "0.2,1.3"))]
     cmds += [["theta", "--lattice", "0.2,1.3", "--t", t] for t in THETA_T]
+    # a box of 6.9M rows, cut into 27 slices, one of them around the origin
+    cmds.append(["theta", "--lattice", "0,1", "--t", "1e-5"])
     cmds += [
         # a particle scale that makes the summand nan
         ["energy", "--potential", GAUSS, "--measure", "disk:r=1e308",
