@@ -5,7 +5,6 @@ from .lattice import (
     LatticeParams,
     dual,
     metric,
-    reduce,
 )
 from .potential import (
     RadialPotential,

@@ -129,31 +129,33 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
     ``h_eval(pts, q)`` gives (c, heads, n) values for n points: c columns
     of ``heads`` head columns each (a 1-D or (c, n) summand has one head).
     The box |m| <= m_max, |n| <= n_max of ``lat.enumerate_points`` has one
-    row (m, n) per coefficient, m-major and without the origin.  Each call
-    takes a slice of rows over every lattice, about ``_CHUNK_CANDIDATES``
-    (point, head) pairs, built from the rows' flat indices.  ``np.add.at``
-    adds in index order onto what a sum holds, so a (head, lattice) pair's
-    terms are added one by one in box order however the box is sliced, and
-    no sum depends on the batch or the other heads.  Returns the sums,
-    (c, heads, k) for k lattices, and each lattice's point count.
+    row (m, n) per coefficient, m-major, and the origin's row keeps no
+    point.  Each call takes a slice of rows over every lattice, about
+    ``_CHUNK_CANDIDATES`` (point, head) pairs, built from the rows' flat
+    indices.  ``np.add.at`` adds in index order onto what a sum holds, so
+    a (head, lattice) pair's terms are added one by one in box order
+    however the box is sliced, and no sum depends on the batch or the
+    other heads.  Returns the sums, (c, heads, k) for k lattices, and each
+    lattice's point count.
     """
     (m_max, n_max), k = lat.enumerate_points(bases, R), len(bases)
     width = 2 * n_max + 1
-    origin, size = m_max * width + n_max, (2 * m_max + 1) * width - 1
+    origin, size = m_max * width + n_max, (2 * m_max + 1) * width
     # basis entries as (lattices, 1) columns
     u1x, u1y, u2x, u2y = bases.reshape(-1, 4, 1).transpose(1, 0, 2)
     r2 = (R * R * (1.0 + 1e-12))[:, None]
     rows = max(1, _CHUNK_CANDIDATES // (heads * k))  # box rows per slice
     sums, counts = None, np.zeros(k, dtype=int)
     for at in range(0, size, rows):
-        i = np.arange(at, min(at + rows, size))
-        # row i is entry i + (i >= origin) of the (2 m_max + 1, width) grid
-        m, n = divmod(i + (i >= origin), width)
-        m, n = m - m_max, n - n_max
+        # row i is entry (m + m_max, n + n_max) of the (2 m_max + 1, width) grid
+        m, n = divmod(np.arange(at, min(at + rows, size)) - m_max * width, width)
+        n -= n_max
         # the points as x and y planes over (lattices, rows)
         x, y = m * u1x + n * u2x, m * u1y + n * u2y
         q = x * x + y * y
         keep = q <= r2
+        if at <= origin < at + rows:
+            keep[:, origin - at] = False
         owner = np.nonzero(keep)[0]
         # the kept points as (n, 2), a transposed view of their x and y rows
         pts = np.array((x[keep], y[keep])).T

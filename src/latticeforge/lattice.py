@@ -21,10 +21,8 @@ __all__ = [
     "LatticeParams",
     "TRIANGULAR",
     "LatticeDomainError",
-    "DegenerateBasisError",
     "ShellCapError",
     "basis_matrix",
-    "reduce",
     "dual",
     "metric",
 ]
@@ -35,10 +33,6 @@ _DOMAIN_TOL = 1e-9
 
 class LatticeDomainError(ValueError):
     """Raised when (x, y) lies outside the fundamental domain D."""
-
-
-class DegenerateBasisError(ValueError):
-    """Raised when the two basis vectors are (numerically) dependent."""
 
 
 class ShellCapError(RuntimeError):
@@ -114,42 +108,11 @@ def _reduced(bases) -> np.ndarray:
         b[going] = b[going, ::-1]
 
 
-def reduce(basis) -> LatticeParams:
-    """Canonical D coordinates of the lattice spanned by the rows of ``basis``.
-
-    ``params.scale`` records the input covolume; the stored (x, y) always
-    describes the unit-density rescaling.
-    """
-    b = np.asarray(basis, dtype=float)
-    if b.shape != (2, 2):
-        raise ValueError(f"basis must be a (2, 2) array of rows, got shape {b.shape}")
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    norm_scale = math.sqrt(float(b[0] @ b[0]) * float(b[1] @ b[1]))
-    if abs(det) <= 1e-12 * norm_scale:
-        raise DegenerateBasisError(f"basis {b.tolist()} is numerically degenerate")
-    covol = abs(float(det))
-    u, v = _reduced(b)[0]
-    pairs = [(u, v)]
-    if abs(float(u @ u) - float(v @ v)) <= 1e-12 * float(v @ v):
-        # equal-length pair: ordering is ambiguous, keep the smaller x
-        pairs.append((v, u))
-    coords = []
-    for a, c in pairs:
-        la2 = float(a @ a)
-        x = abs(float(a @ c)) / la2  # reflect across the axis of a
-        coords.append((1.0 - x if x > 0.5 else x, covol / la2))
-    x, y = min(coords)
-
-    x = min(max(x, 0.0), 0.5)
-    if x * x + y * y < 1.0:
-        # roundoff below the unit circle; project back onto the boundary
-        y = math.sqrt(max(1.0 - x * x, 0.0))
-    return LatticeParams(x, y, scale=covol)
-
-
 def dual(L: LatticeParams) -> LatticeParams:
-    """Fundamental-domain coordinates of the dual lattice."""
-    return reduce(np.linalg.inv(L.basis()).T)
+    """The dual lattice L* of L of covolume s.  In the plane, inv(B)^T is
+    the basis B turned by 90 degrees and divided by det B, so L* has L's
+    (x, y) and covolume 1/s."""
+    return LatticeParams(L.x, L.y, 1.0 / L.scale)
 
 
 def _dx_corrected(x1: float, x2: float) -> float:

@@ -160,9 +160,14 @@ def inverse_power(a: float, s: float) -> RadialPotential:
     xs = np.linspace(x_lo, x_hi, n)
     h = xs[1] - xs[0]
     t = np.exp(xs)
-    # a weight past the float range is inf (or nan), which LaplaceMeasure rejects
+    # a weight past the float range is inf, which LaplaceMeasure rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        w = h * t**s * np.exp(-a * t - gammaln(s))
+        power, decay = t**s, np.exp(-a * t - gammaln(s))
+        w = h * power * decay
+        # where t^s overflows or e^(-a t) / Gamma(s) is subnormal, the
+        # product is nan or loses its digits: take both factors in one exp
+        far = ~np.isfinite(power) | (decay < np.finfo(float).tiny)
+        w[far] = h * np.exp(s * xs[far] - a * t[far] - gammaln(s))
     # int f exactly: the nodes stop at t = exp(x_lo) and miss its far field
     nodes = LaplaceMeasure(density_nodes=tuple(zip(t.tolist(), w.tolist())))
     return RadialPotential(nodes, integral=math.pi * a ** (1.0 - s) / (s - 1.0))

@@ -47,6 +47,17 @@ class TestTheta:
             rhs = en.theta(lat.dual(L), 1.0 / t) / t
             assert abs(lhs - rhs) <= 1e-9 * lhs
 
+    @pytest.mark.parametrize("s", [0.25, 9.0])
+    def test_jacobi_identity_at_covolume(self, s, rng):
+        # Poisson at covolume s: theta_L(t) = theta_{L*}(1/t) / (s t)
+        for _ in range(20):
+            L = random_lattice(rng)
+            L = LatticeParams(L.x, L.y, scale=s)
+            t = rng.uniform(0.2, 5.0)
+            lhs = en.theta(L, t)
+            rhs = en.theta(lat.dual(L), 1.0 / t) / (s * t)
+            assert abs(lhs - rhs) <= 1e-9 * lhs
+
     def test_invalid_t(self):
         with pytest.raises(ValueError):
             en.theta(TRIANGULAR, 0.0)
@@ -174,14 +185,17 @@ class TestDiffuseEnergy:
 
     # the density's bulk sits near t = s/a; nodes cut at 38/a missed it
     @pytest.mark.parametrize("x, y", [(0.5, 0.5 * math.sqrt(3.0)), (0.2, 1.3)])
-    @pytest.mark.parametrize("s", [10.0, 20.0, 30.0, 50.0])
-    def test_inverse_power_dirac_against_direct_sum(self, s, x, y):
-        # E = sum' (1 + |x|^2)^(-s) comes from O(1) Fourier terms that
-        # cancel (about 6e-10 at s = 30), so the gap is held absolute
+    # at a = 10, s = 150 the weights' factor e^(-a t) / Gamma(s) is subnormal
+    @pytest.mark.parametrize("a, s", [(1.0, 10.0), (1.0, 20.0), (1.0, 30.0),
+                                      (1.0, 50.0), (10.0, 150.0)])
+    def test_inverse_power_dirac_against_direct_sum(self, a, s, x, y):
+        # E = sum' (a + |x|^2)^(-s) comes from O(a^-s) Fourier terms that
+        # cancel (about 6e-10 at a = 1, s = 30), so the gap is held
+        # absolute, in units of a^-s
         L = LatticeParams(x, y)
-        rep = en.diffuse_energy(pot.inverse_power(1.0, s), msr.dirac(), L)
-        direct = direct_lattice_sum(lambda q: (1.0 + q) ** -s, L.basis())
-        assert abs(rep.value - direct) <= 1e-12
+        rep = en.diffuse_energy(pot.inverse_power(a, s), msr.dirac(), L)
+        direct = direct_lattice_sum(lambda q: (a + q) ** -s, L.basis())
+        assert abs(rep.value - direct) <= 1e-12 * a**-s
 
 
 class TestDirectOracle:
@@ -526,7 +540,8 @@ class TestBatchedEngine:
         for a, b in zip(whole, sliced):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("chunk", [en._CHUNK_CANDIDATES, 7, "origin"])
+    @pytest.mark.parametrize("chunk", [en._CHUNK_CANDIDATES, 7,
+                                       "origin-first", "origin-last"])
     def test_sums_in_box_order(self, chunk, monkeypatch):
         # each (column, head, lattice) sum is, bit for bit, a Python float
         # loop s += v over the lattice's kept points in the box's order, m
@@ -544,11 +559,12 @@ class TestBatchedEngine:
         m_max, n_max = lat.enumerate_points(bases, R)
         box = [(m, n) for m in range(-m_max, m_max + 1)
                for n in range(-n_max, n_max + 1) if (m, n) != (0, 0)]
-        if chunk == "origin":
-            # slices of as many rows as precede the origin: the second
-            # slice starts at the row that follows it
-            origin = box.index((0, 1))
-            chunk = origin * 2 * len(bases)  # (point, head) pairs per slice
+        if chunk in ("origin-first", "origin-last"):
+            # the origin's row of the (2 m_max + 1, 2 n_max + 1) grid starts
+            # the second slice, or ends the first
+            origin = m_max * (2 * n_max + 1) + n_max
+            rows = origin if chunk == "origin-first" else origin + 1
+            chunk = rows * 2 * len(bases)  # (point, head) pairs per slice
         monkeypatch.setattr(en, "_CHUNK_CANDIDATES", chunk)
         sums, counts = en._round_sums(h, bases, R, heads=2)
         assert sums.shape == (2, 2, 3)

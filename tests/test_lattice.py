@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -44,10 +45,12 @@ class TestFromParams:
             assert abs(covolume(L.basis()) - 1.0) <= 1e-14
 
     def test_scaled_basis_spans_the_lattice(self):
-        L = LatticeParams(0.3, 1.4, scale=9.0)
-        assert covolume(L.basis()) == pytest.approx(9.0, rel=1e-14)
-        got = lat.reduce(L.basis())
-        assert (got.x, got.y, got.scale) == pytest.approx((0.3, 1.4, 9.0))
+        # covolume 9 and the Gram matrix of the unit-density basis times 9:
+        # the same shape in D, at nine times the area per point
+        b = LatticeParams(0.3, 1.4, scale=9.0).basis()
+        unit = lat.basis_matrix(0.3, 1.4)
+        assert covolume(b) == pytest.approx(9.0, rel=1e-14)
+        assert b @ b.T == pytest.approx(9.0 * (unit @ unit.T), rel=1e-14)
 
     def test_outside_domain_rejected(self):
         with pytest.raises(lat.LatticeDomainError):
@@ -63,54 +66,7 @@ class TestFromParams:
             LatticeParams(0.0, 1.0, scale=scale)
 
 
-class TestReduce:
-    def test_identity_basis(self):
-        params = lat.reduce(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert (params.x, params.y) == pytest.approx((0.0, 1.0))
-        assert params.scale == pytest.approx(1.0)
-
-    def test_rectangular(self):
-        params = lat.reduce(np.array([[2.0, 0.0], [0.0, 0.5]]))
-        assert (params.x, params.y) == pytest.approx((0.0, 4.0))
-        assert params.scale == pytest.approx(1.0)
-
-    def test_triangular(self):
-        params = lat.reduce(triangular_basis())
-        assert (params.x, params.y) == pytest.approx((0.5, 0.5 * SQ3))
-
-    def test_roundtrip_on_domain(self, rng):
-        for _ in range(100):
-            L = random_lattice(rng)
-            got = lat.reduce(L.basis())
-            assert got.x == pytest.approx(L.x, abs=1e-12)
-            assert got.y == pytest.approx(L.y, abs=1e-12)
-
-    def test_rotation_and_mixing_invariance(self, rng):
-        # rotating and unimodularly remixing a basis must not change (x, y)
-        for _ in range(30):
-            L = random_lattice(rng)
-            m = L.basis()
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            rot = np.array(
-                [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
-            )
-            U = np.array([[1.0, 0.0], [rng.integers(-3, 4), 1.0]])
-            m2 = (U @ m) @ rot.T
-            got = lat.reduce(m2)
-            assert got.x == pytest.approx(L.x, abs=1e-9)
-            assert got.y == pytest.approx(L.y, abs=1e-9)
-
-    def test_scale_recorded(self):
-        params = lat.reduce(np.array([[3.0, 0.0], [0.0, 3.0]]))
-        assert params.scale == pytest.approx(9.0)
-        assert (params.x, params.y) == pytest.approx((0.0, 1.0))
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(lat.DegenerateBasisError):
-            lat.reduce(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        with pytest.raises(ValueError):
-            lat.reduce(np.eye(3))
-
+class TestReduced:
     def test_stack_matches_each_basis_alone(self, rng):
         # bases on D, remixed and rotated ones, long-skewed ones needing
         # many reduction steps, and equal-length pairs, in one stack
@@ -155,6 +111,24 @@ class TestDual:
         for _ in range(20):
             d = lat.dual(random_lattice(rng))
             assert d.scale == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [0.25, 1.0, 9.0])
+    def test_theta_over_inverse_transpose(self, s, rng):
+        # an oracle that shares no code with dual: theta summed over the
+        # rows of inv(B)^T, the textbook dual basis, by the engine
+        for _ in range(20):
+            L = random_lattice(rng)
+            L = LatticeParams(L.x, L.y, scale=s)
+            t = rng.uniform(0.2, 5.0)
+            rows = np.linalg.inv(L.basis()).T
+
+            def summand(pts, q):
+                return np.exp(-math.pi * t * q)
+
+            tail_of = partial(en.mixture_tail, [math.pi * t], [1.0])
+            want = 1.0 + en._summed(summand, tail_of, rows, 1e-13)[0].item()
+            got = en.theta(lat.dual(L), t, rtol=1e-13)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestMetric:

@@ -34,7 +34,7 @@ def _assigned_literal(path: Path, name: str):
 
 # every public name of the package; a name added or dropped shows here
 PUBLIC_NAMES = {
-    "TRIANGULAR", "LatticeParams", "dual", "metric", "reduce",
+    "TRIANGULAR", "LatticeParams", "dual", "metric",
     "RadialPotential", "eval_derivatives", "fourier", "gaussian",
     "inverse_power", "parse_potential",
     "RadialMeasure", "bessel_j", "dirac", "hankel", "hankel_moments",

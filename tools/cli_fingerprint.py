@@ -19,8 +19,11 @@ of the lattice-sum engine (``--y-max 1e5``), three ``minimize`` runs, five
 potential/particle kinds of ``energy`` at six lattices, two ``energy``
 queries for ``invpower:a=1,s=30`` (disk and dirac), whose Laplace nodes
 follow s, ``theta`` at five t, ``theta`` at t = 1e-5, whose box of 6.9M
-rows the engine builds in 27 slices, and two commands that exit 3: 53
-commands.
+rows the engine builds in 27 slices, an ``energy`` for the profile (its
+constant's ring-pair kernel and its transform without moments), a
+Gaussian-particle ``stability`` curve (its closed-form moments), an
+``energy`` for ``invpower:a=0.001,s=1.5``, whose derivative pass over its
+nodes runs in blocks, and two commands that exit 3: 56 commands.
 Outputs are written to stdout inside a scratch directory, which also holds
 the profile.  Exits 0 when every command ran; a command that raises fails
 the script.  CI runs it with ``python -W error::RuntimeWarning``, so a
@@ -78,6 +81,15 @@ def commands() -> list[list[str]]:
     cmds += [["theta", "--lattice", "0.2,1.3", "--t", t] for t in THETA_T]
     # a box of 6.9M rows, cut into 27 slices, one of them around the origin
     cmds.append(["theta", "--lattice", "0,1", "--t", "1e-5"])
+    cmds += [
+        ["energy", "--potential", GAUSS, "--measure", f"profile:file={PROFILE}",
+         "--lattice", "0.2,1.3"],
+        ["stability", "--potential", GAUSS, "--measure", "gauss:sigma=1",
+         "--eps", "0.1:2:0.1", "--format", "json"],
+        # a = 0.001 puts thousands of nodes on each point: blocks of them
+        ["energy", "--potential", "invpower:a=0.001,s=1.5", "--measure",
+         "disk:r=0.5", "--lattice", "0.2,1.3"],
+    ]
     cmds += [
         # a particle scale that makes the summand nan
         ["energy", "--potential", GAUSS, "--measure", "disk:r=1e308",
