@@ -48,7 +48,7 @@ class TestInversePower:
     def test_nodes_hold_at_every_s(self, a, s):
         r = np.array([0.0, 1.0, 5.0, 20.0])
         want = (a + r * r) ** (-s)
-        # (a + 400)^(-s) is 0 in floats past s = 140 or so; the other
+        # (a + 400)^(-s) is 0 in floats past s = 124 or so; the other
         # radii of those rows are normal floats
         r, want = r[want > 0.0], want[want > 0.0]
         got = pot.inverse_power(a, s).eval(r * r)

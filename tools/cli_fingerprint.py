@@ -86,7 +86,7 @@ def commands() -> list[list[str]]:
          "--lattice", "0.2,1.3"],
         ["stability", "--potential", GAUSS, "--measure", "gauss:sigma=1",
          "--eps", "0.1:2:0.1", "--format", "json"],
-        # a = 0.001 puts thousands of nodes on each point: blocks of them
+        # 183 nodes at about 10^5 points a round: the Phi pass runs in blocks
         ["energy", "--potential", "invpower:a=0.001,s=1.5", "--measure",
          "disk:r=0.5", "--lattice", "0.2,1.3"],
     ]
