@@ -129,14 +129,15 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
     ``h_eval(pts, q)`` gives (c, heads, n) values for n points: c columns
     of ``heads`` head columns each (a 1-D or (c, n) summand has one head).
     The box |m| <= m_max, |n| <= n_max of ``lat.enumerate_points`` has one
-    row (m, n) per coefficient, m-major, and the origin's row keeps no
-    point.  Each call takes a slice of rows over every lattice, about
-    ``_CHUNK_CANDIDATES`` (point, head) pairs, built from the rows' flat
-    indices.  ``np.add.at`` adds in index order onto what a sum holds, so
-    a (head, lattice) pair's terms are added one by one in box order
-    however the box is sliced, and no sum depends on the batch or the
-    other heads.  Returns the sums, (c, heads, k) for k lattices, and each
-    lattice's point count.
+    row (m, n) per coefficient, m-major.  Only the rows after the origin's
+    (m > 0, or m = 0 < n) are summed, then doubled: every summand is even
+    in p (radial H; the jet's a, b, q; T's column) and row -(m, n) holds
+    exactly minus the point of (m, n).  Each call takes a slice of rows
+    over every lattice, about ``_CHUNK_CANDIDATES`` (point, head) pairs,
+    built from the rows' flat indices.  ``np.add.at`` adds in index order
+    onto what a sum holds, so a pair's terms are added one by one in box
+    order however the box is sliced, and no sum depends on the batch or
+    the other heads.  Returns the sums, (c, heads, k), and the counts.
     """
     (m_max, n_max), k = lat.enumerate_points(bases, R), len(bases)
     width = 2 * n_max + 1
@@ -146,7 +147,7 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
     r2 = (R * R * (1.0 + 1e-12))[:, None]
     rows = max(1, _CHUNK_CANDIDATES // (heads * k))  # box rows per slice
     sums, counts = None, np.zeros(k, dtype=int)
-    for at in range(0, size, rows):
+    for at in range(origin + 1, size, rows):
         # row i is entry (m + m_max, n + n_max) of the (2 m_max + 1, width) grid
         m, n = divmod(np.arange(at, min(at + rows, size)) - m_max * width, width)
         n -= n_max
@@ -154,8 +155,6 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
         x, y = m * u1x + n * u2x, m * u1y + n * u2y
         q = x * x + y * y
         keep = q <= r2
-        if at <= origin < at + rows:
-            keep[:, origin - at] = False
         owner = np.nonzero(keep)[0]
         # the kept points as (n, 2), a transposed view of their x and y rows
         pts = np.array((x[keep], y[keep])).T
@@ -165,7 +164,7 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
         index = np.arange(0, sums.size, k)[:, None] + owner
         np.add.at(sums.reshape(-1), index.ravel(), vals.ravel())
         np.add.at(counts, owner, 1)
-    return sums.reshape(-1, heads, k), counts
+    return 2.0 * sums.reshape(-1, heads, k), 2 * counts
 
 
 def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):

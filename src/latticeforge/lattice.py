@@ -97,15 +97,16 @@ def _reduced(bases) -> np.ndarray:
     """
     b = np.array(bases, dtype=float).reshape(-1, 2, 2)
     u, v = b[:, 0], b[:, 1]  # views: the swaps below move rows of b
-    going = np.ones(len(b), dtype=bool)
-    while True:
-        uu = (u * u).sum(axis=1)
+    uu = (u * u).sum(axis=1)
+    # a stack of reduced bases, as any in D, comes back as it was given
+    going = (2.0 * np.abs((u * v).sum(axis=1)) > uu) | ((v * v).sum(axis=1) < uu)
+    while going.any():
         # a finished basis steps by 0, so it stays as it was
         v -= np.round((u * v).sum(axis=1) / uu * going)[:, None] * u
         going = (v * v).sum(axis=1) < uu  # v shorter than u: swap, reduce again
-        if not going.any():
-            return b
         b[going] = b[going, ::-1]
+        uu = (u * u).sum(axis=1)
+    return b
 
 
 def dual(L: LatticeParams) -> LatticeParams:
@@ -136,7 +137,7 @@ def enumerate_points(bases: np.ndarray, R, cap: int = 10**7) -> tuple[int, int]:
     ``bases`` is (k, 2, 2) with rows u1, u2 per lattice and ``R`` holds k
     cutoffs.  One box is shared by the stack; the caller builds its rows
     and keeps each lattice's points within its own R_i.  Raises
-    ShellCapError past ``cap`` candidates per lattice.
+    ShellCapError past ``cap`` rows, counted over the full box.
     """
     R = np.asarray(R, dtype=float)
     if not (R > 0).all():

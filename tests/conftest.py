@@ -24,17 +24,24 @@ def disk_psi_nodes(R: float, n: int = 256):
     return tuple(zip(s.tolist(), ws.tolist()))
 
 
-def direct_lattice_sum(F, basis, n: int = 30) -> float:
-    """sum'_{x in L} F(|x|^2) by brute force: over the coefficients (i, j)
-    of the basis rows with |i|, |j| <= n, origin left out, with no tail.
+def direct_lattice_points(basis, n: int = 30) -> np.ndarray:
+    """The points i u1 + j u2 of the basis rows with |i|, |j| <= n, origin
+    left out, as (points, 2): the full box of ``direct_lattice_sum``.
 
     For a reduced basis every point outside the box lies at least
-    (sqrt(3)/2) n |u1| from the origin.  ``F`` takes an array of squared
-    radii; the terms are added in ascending order.
+    (sqrt(3)/2) n |u1| from the origin.
     """
     m = np.arange(-n, n + 1)
     coef = np.stack(np.meshgrid(m, m), axis=-1).reshape(-1, 2).astype(float)
-    x = coef[(coef != 0.0).any(axis=1)] @ np.asarray(basis, dtype=float)
+    return coef[(coef != 0.0).any(axis=1)] @ np.asarray(basis, dtype=float)
+
+
+def direct_lattice_sum(F, basis, n: int = 30) -> float:
+    """sum'_{x in L} F(|x|^2) by brute force over ``direct_lattice_points``,
+    with no tail.  ``F`` takes an array of squared radii; the terms are
+    added in ascending order.
+    """
+    x = direct_lattice_points(basis, n)
     return float(np.sort(F(np.einsum("ij,ij->i", x, x))).sum())
 
 

@@ -16,8 +16,8 @@ import latticeforge.stability as stab
 from latticeforge import LatticeParams, TRIANGULAR
 
 from conftest import (convolved_gaussians, direct_gaussian_energy,
-                      direct_lattice_sum, every_rung_summed, fd_gradient_hessian,
-                      random_lattice)
+                      direct_lattice_points, direct_lattice_sum, every_rung_summed,
+                      fd_gradient_hessian, random_lattice)
 
 
 def _theta_z2_oracle(t: float) -> float:
@@ -63,8 +63,9 @@ class TestTheta:
             en.theta(TRIANGULAR, 0.0)
 
     def test_wide_box_is_built_slice_by_slice(self):
-        # t = 1e-5 sums a box of 6.9M rows, 111 MB as whole (m, n) floats:
-        # its slices of one engine chunk hold a few MB each
+        # t = 1e-5 sums a box of 6.9M rows, 111 MB as whole (m, n) floats,
+        # whose half after the origin, 3.5M rows, the engine builds in
+        # slices of one engine chunk that hold a few MB each
         tracemalloc.start()
         try:
             value = en.theta(LatticeParams(0.0, 1.0), 1e-5)
@@ -72,8 +73,9 @@ class TestTheta:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-        # the box-order sum; by Jacobi's identity theta(t) = theta(1/t) / t
-        assert value == 99999.99999975324
+        # twice the half box's box-order sum, plus 1; by Jacobi's identity
+        # theta(t) = theta(1/t) / t
+        assert value == 99999.99999978488
         assert value == pytest.approx(1e5, rel=1e-11)
 
 
@@ -543,13 +545,14 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("chunk", [en._CHUNK_CANDIDATES, 7,
                                        "origin-first", "origin-last"])
     def test_sums_in_box_order(self, chunk, monkeypatch):
-        # each (column, head, lattice) sum is, bit for bit, a Python float
-        # loop s += v over the lattice's kept points in the box's order, m
-        # then n, without the origin; the values use only + * /, which round
+        # each (column, head, lattice) sum is, bit for bit, twice a Python
+        # float loop s += v over the lattice's kept points of the half box
+        # after the origin (m > 0, or m = 0 < n) in the box's order, m then
+        # n; the values are even in (x, y) and use only + * /, which round
         # the same in numpy and Python
         def values(x, y, q):
             return [[1.0 / (1.0 + q), 1.0 / (3.0 + q)],
-                    [x / (1.0 + q), x * y / (2.0 + q)]]
+                    [x * x / (1.0 + q), x * y / (2.0 + q)]]
 
         def h(pts, q):
             return np.array(values(pts[:, 0], pts[:, 1], q))
@@ -557,13 +560,12 @@ class TestBatchedEngine:
         bases = lat.basis_matrix(np.array([0.5, 0.1, 0.3]), np.array([0.9, 3.0, 1.5]))
         R = np.array([5.0, 7.0, 6.0])
         m_max, n_max = lat.enumerate_points(bases, R)
-        box = [(m, n) for m in range(-m_max, m_max + 1)
-               for n in range(-n_max, n_max + 1) if (m, n) != (0, 0)]
+        box = [(m, n) for m in range(0, m_max + 1)
+               for n in range(-n_max, n_max + 1) if m > 0 or n > 0]
         if chunk in ("origin-first", "origin-last"):
-            # the origin's row of the (2 m_max + 1, 2 n_max + 1) grid starts
-            # the second slice, or ends the first
-            origin = m_max * (2 * n_max + 1) + n_max
-            rows = origin if chunk == "origin-first" else origin + 1
+            # the first slice starts at (0, 1), next to the origin, and runs
+            # past the end of the m = 0 row, or ends on it
+            rows = n_max + 1 if chunk == "origin-first" else n_max
             chunk = rows * 2 * len(bases)  # (point, head) pairs per slice
         monkeypatch.setattr(en, "_CHUNK_CANDIDATES", chunk)
         sums, counts = en._round_sums(h, bases, R, heads=2)
@@ -578,8 +580,116 @@ class TestBatchedEngine:
                     for c, row in enumerate(values(x, y, q)):
                         for head, v in enumerate(row):
                             want[c][head] += v
-            assert counts[j] == kept
-            assert sums[..., j].tolist() == want
+            assert counts[j] == 2 * kept
+            assert sums[..., j].tolist() == [[2.0 * v for v in c] for c in want]
+
+
+def full_box_points(basis, R: float):
+    """The nonzero points of the brute-force full box of ``basis`` (in D)
+    that lie within R, with the engine's 1e-12 slack, and their |p|^2."""
+    # every point outside the box lies beyond (sqrt(3)/2) n |u1| > R
+    n = math.ceil(2.0 * R / (math.sqrt(3.0) * np.linalg.norm(basis[0]))) + 1
+    pts = direct_lattice_points(basis, n)
+    q = np.einsum("ij,ij->i", pts, pts)
+    keep = q <= R * R * (1.0 + 1e-12)
+    return pts[keep], q[keep]
+
+
+class TestHalfBox:
+    """The engine evaluates the half box after the origin, m > 0 or
+    m = 0 < n, and doubles its sums and counts."""
+
+    def test_sums_match_the_full_box(self, monkeypatch, rng):
+        # theta, E (two kinds, batched), the jet's seven columns and T
+        # (five eps as heads) against fsum over the brute-force full box
+        # within each (head, lattice)'s R, to 2e-15 of the sum of |terms|
+        calls, real = [], en._summed
+
+        def recording(h_eval, tail_of, bases, rtol, heads=1):
+            out = real(h_eval, tail_of, bases, rtol, heads)
+            calls.append((h_eval, np.reshape(bases, (-1, 2, 2)), heads, out))
+            return out
+
+        monkeypatch.setattr(en, "_summed", recording)
+        monkeypatch.setattr(stab, "_summed", recording)
+        Ls = [TRIANGULAR, LatticeParams(0.0, 1.0)] + [random_lattice(rng)
+                                                      for _ in range(10)]
+        xs, ys = np.array([L.x for L in Ls]), np.array([L.y for L in Ls])
+        P, disk = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        for L in Ls:
+            en.theta(L, 0.7)
+        en.diffuse_energy_fn(P, disk)(xs, ys)
+        en.diffuse_energy_fn(pot.inverse_power(1.0, 2.0),
+                             msr.radial_gaussian(0.5))(xs, ys)
+        en.diffuse_energy_jet(P, disk)(xs, ys)
+        stab.t_coefficient_diffuse(P, disk, np.array([0.0, 0.3, 0.6031, 1.0, 3.0]))
+        assert len(calls) == len(Ls) + 4
+        for h_eval, bases, heads, (sums, R, _, terms) in calls:
+            for j, basis in enumerate(bases):
+                for head in range(heads):
+                    pts, q = full_box_points(basis, R[head, j])
+                    vals = np.reshape(h_eval(pts, q), (-1, heads, len(q)))[:, head]
+                    want = np.array([math.fsum(v) for v in vals])
+                    scale = np.array([math.fsum(v) for v in np.abs(vals)])
+                    assert np.all(np.abs(sums[:, head, j] - want) <= 2e-15 * scale)
+                    assert terms[head, j] == len(q)
+
+    def test_summand_sees_only_the_half_box(self, monkeypatch, rng):
+        # a small chunk cuts the box into slices; the points the summand is
+        # given are m u1 + n u2 with m > 0, or m = 0 < n, once each, and
+        # are half the full box's points within R
+        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 16)
+        for L in [TRIANGULAR, LatticeParams(0.0, 1.0)] + [random_lattice(rng)
+                                                          for _ in range(8)]:
+            basis, seen = L.basis(), []
+
+            def h(pts, q):
+                seen.append(pts)
+                return q
+
+            en._round_sums(h, basis[None], np.array([4.0]))
+            assert len(seen) > 1
+            coef = np.concatenate(seen) @ np.linalg.inv(basis)
+            assert np.abs(coef - np.round(coef)).max() < 1e-9
+            m, n = np.round(coef).astype(int).T
+            assert np.all((m > 0) | ((m == 0) & (n > 0)))
+            assert len(set(zip(m, n))) == len(m)
+            assert 2 * len(m) == len(full_box_points(basis, 4.0)[1])
+
+    @pytest.mark.parametrize("s", [1.0, 0.6, 2.5])
+    def test_terms_used_counts_the_full_box(self, s, rng):
+        P, mu = pot.gaussian(2.0), msr.uniform_disk(0.8)
+        for L in [TRIANGULAR, LatticeParams(0.0, 1.0)] + [random_lattice(rng)
+                                                          for _ in range(8)]:
+            L = LatticeParams(L.x, L.y, scale=s)
+            rep = en.diffuse_energy(P, mu, L)
+            # E sums over L / s (its dual, turned by 90 degrees)
+            pts, _ = full_box_points(L.basis() / s, rep.cutoff_R)
+            assert rep.terms_used == len(pts)
+
+    def test_sliced_batch_matches_each_lattice_alone(self, monkeypatch):
+        # the batch's half box is cut into several slices, each lattice's
+        # own into fewer: every lattice still gets the same bits
+        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 1 << 8)
+        H, tail_of = en._fourier_summand(pot.fourier(pot.gaussian(math.pi)),
+                                         msr.uniform_disk(1.0))
+        h = lambda pts, q: H(q)
+        xs, ys = np.meshgrid(np.linspace(0.0, 0.5, 3), np.linspace(1.0, 3.0, 3))
+        bases = lat.basis_matrix(xs.ravel(), ys.ravel())
+        slices, enumerate_points = [], lat.enumerate_points
+
+        def recording(b, R):
+            m_max, n_max = enumerate_points(b, R)
+            rows = (2 * m_max + 1) * (2 * n_max + 1) // 2  # after the origin
+            slices.append(-(-rows // (en._CHUNK_CANDIDATES // len(b))))
+            return m_max, n_max
+
+        monkeypatch.setattr(lat, "enumerate_points", recording)
+        batch = [v.reshape(-1) for v in en._summed(h, tail_of, bases, 1e-10)]
+        assert slices[0] > 1
+        for i, basis in enumerate(bases):
+            alone = [v.reshape(-1) for v in en._summed(h, tail_of, basis, 1e-10)]
+            assert [v[0] for v in alone] == [v[i] for v in batch]
 
 
 class TestHeads:

@@ -86,6 +86,16 @@ class TestReduced:
             assert u @ u <= v @ v and abs(u @ v) <= 0.5 * (u @ u)
             assert covolume(got) == pytest.approx(covolume(b), rel=1e-12)
 
+    def test_reduced_bases_come_back_as_given(self, rng):
+        # bases of D, and a reduced basis holding a -0.0 that any loop pass
+        # would make +0.0: v -= round(u.v / u.u) u steps v by -0.0 u here
+        bases = [random_lattice(rng).basis() for _ in range(20)]
+        bases.append(np.array([[0.1, 1.0], [-1.2, -0.0]]))
+        stack = np.array(bases)
+        got = lat._reduced(stack)
+        assert got.tobytes() == stack.tobytes()
+        assert got is not stack
+
 
 class TestDual:
     def test_square_self_dual(self):
@@ -150,8 +160,9 @@ class TestMetric:
             assert lat.metric(A, C) <= lat.metric(A, B) + lat.metric(B, C) + 1e-12
 
 
-def engine_points(L: LatticeParams, R: float) -> np.ndarray:
-    """The points the lattice-sum engine sums over for L at cutoff R."""
+def half_box_points(L: LatticeParams, R: float) -> np.ndarray:
+    """The points the lattice-sum engine evaluates for L at cutoff R: those
+    of the half box after the origin, whose sums it doubles."""
     seen = []
 
     def h(pts, q):
@@ -160,6 +171,12 @@ def engine_points(L: LatticeParams, R: float) -> np.ndarray:
 
     en._round_sums(h, lat.basis_matrix(L.x, L.y)[None], np.array([R]))
     return seen[0]
+
+
+def engine_points(L: LatticeParams, R: float) -> np.ndarray:
+    """The points the engine's sums stand for: its half box and the negations."""
+    half = half_box_points(L, R)
+    return np.concatenate([half, -half])
 
 
 class TestEnumerateShells:
@@ -181,10 +198,13 @@ class TestEnumerateShells:
         )
 
     def test_closed_under_negation(self, rng):
-        pts = engine_points(random_lattice(rng), 3.0)
-        seen = {tuple(np.round(p, 9)) for p in pts}
-        for p in pts:
-            assert tuple(np.round(-p, 9)) in seen
+        # the half box holds no point's negation, so doubling its sums
+        # counts each point of the closed disk once
+        half = half_box_points(random_lattice(rng), 3.0)
+        seen = {tuple(np.round(p, 9)) for p in half}
+        assert len(seen) == len(half) > 0
+        for p in half:
+            assert tuple(np.round(-p, 9)) not in seen
 
     def test_matches_brute_force(self, rng):
         for _ in range(50):

@@ -14,14 +14,16 @@ The commands cover the figure stability curve (csv, json, svg), a
 tabulated-profile curve, 40x40 disk and Gaussian scans (csv, json), a 4x4
 inverse-power scan with the energy's constant (``scan --potential
 invpower:a=1,s=2 --measure disk:r=1 --x-steps 4 --y-steps 4``), a 2x40
-disk scan up to y = 1e5 whose column boxes are cut into up to four slices
-of the lattice-sum engine (``--y-max 1e5``), three ``minimize`` runs, five
+disk scan up to y = 1e5 whose column boxes are cut into up to two slices
+of the lattice-sum engine (``--y-max 1e5``; the engine sums the half of
+each box after the origin), three ``minimize`` runs, five
 potential/particle kinds of ``energy`` at six lattices, two ``energy``
 queries for ``invpower:a=1,s=30`` (disk and dirac), whose Laplace nodes
 follow s, ``theta`` at five t, ``theta`` at t = 1e-5, whose box of 6.9M
-rows the engine builds in 27 slices, an ``energy`` for the profile (its
-constant's ring-pair kernel and its transform without moments), a
-Gaussian-particle ``stability`` curve (its closed-form moments), an
+rows the engine sums in 14 slices of its 3.5M rows after the origin, an
+``energy`` for the profile (its constant's ring-pair kernel and its
+transform without moments), a Gaussian-particle ``stability`` curve (its
+closed-form moments), an
 ``energy`` for ``invpower:a=0.001,s=1.5``, whose derivative pass over its
 nodes runs in blocks, and two commands that exit 3: 56 commands.
 Outputs are written to stdout inside a scratch directory, which also holds
@@ -79,7 +81,7 @@ def commands() -> list[list[str]]:
              for mu, L in (("disk:r=0.3", "0.5,0.8660254037844386"),
                            ("dirac", "0.2,1.3"))]
     cmds += [["theta", "--lattice", "0.2,1.3", "--t", t] for t in THETA_T]
-    # a box of 6.9M rows, cut into 27 slices, one of them around the origin
+    # a box of 6.9M rows, whose 3.5M after the origin are cut into 14 slices
     cmds.append(["theta", "--lattice", "0,1", "--t", "1e-5"])
     cmds += [
         ["energy", "--potential", GAUSS, "--measure", f"profile:file={PROFILE}",
