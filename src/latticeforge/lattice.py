@@ -98,7 +98,7 @@ def _reduced(bases) -> np.ndarray:
     b = np.array(bases, dtype=float).reshape(-1, 2, 2)
     u, v = b[:, 0], b[:, 1]  # views: the swaps below move rows of b
     uu = (u * u).sum(axis=1)
-    # a stack of reduced bases, as any in D, comes back as it was given
+    # a stack of reduced bases (those of D off its arc |u1| = |u2|) comes back as given
     going = (2.0 * np.abs((u * v).sum(axis=1)) > uu) | ((v * v).sum(axis=1) < uu)
     while going.any():
         # a finished basis steps by 0, so it stays as it was
