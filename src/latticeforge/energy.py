@@ -133,8 +133,10 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
     (m > 0, or m = 0 < n) are summed, then doubled: every summand is even
     in p (radial H; the jet's a, b, q; T's column) and row -(m, n) holds
     exactly minus the point of (m, n).  Each call takes a slice of rows
-    over every lattice, about ``_CHUNK_CANDIDATES`` (point, head) pairs,
-    built from the rows' flat indices.  ``np.add.at`` adds in index order
+    over every lattice, built from the rows' flat indices: one row or more,
+    about ``_CHUNK_CANDIDATES`` (point, head) pairs while heads times
+    lattices is at most that (``stability.t_coefficient_diffuse`` passes one
+    lattice and at most that many heads).  ``np.add.at`` adds in index order
     onto what a sum holds, so a pair's terms are added one by one in box
     order however the box is sliced, and no sum depends on the batch or
     the other heads.  Returns the sums, (c, heads, k), and the counts.
@@ -190,12 +192,17 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
     the every-rung ladder and keeps its values bit for bit.  When no rung
     can stop, NonconvergenceError is raised before any further round, as
     it is when a stop column is not finite.  Returns arrays (sums, R,
-    bounds, terms): sums (c, heads, k) and the others (heads, k).
+    bounds, terms): sums (c, heads, k) and the others (heads, k), empty
+    from no round when there is no lattice or no head.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be finite and > 0, got {rtol}")
     bases = np.asarray(bases, dtype=float).reshape(-1, 2, 2)
     k, rho = len(bases), _packing_radius(bases)
+    if not (k and heads):  # the summand on no points counts its columns c
+        c = len(np.atleast_2d(h_eval(np.zeros((0, 2)), np.zeros(0))))
+        empty = np.zeros((heads, k))
+        return np.zeros((c, heads, k)), empty, empty, empty.astype(int)
     tail, R = tail_of(rho), np.maximum(6.0 * rho, 2.0)
     bound, rung = tail(R), np.zeros(k, dtype=int)
     # every nonzero point has |x| >= 2 rho, so tail(0) bounds |S| at any R

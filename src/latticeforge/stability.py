@@ -5,11 +5,11 @@ is a multiple T of the identity, so T is half its trace: one radial column
 summed by the lattice-sum engine of ``energy`` next to E itself.  The
 engine stops on E's certified tail, so ``rtol`` is relative to E and T
 shares E's cutoff without a tail bound of its own.  Every T is a head of
-the engine's one head axis: a scalar eps is one head, and a curve sums a
-slice of eps in one engine call, where the eps share the triangular point
-set, one Phi pass and the tail, and each eps is a head with columns
-(E, T) that stops on its own E, so each T is bit for bit its scalar call.
-Sign changes are bisected for every bracket at once, one call per level.
+the engine's one head axis: a scalar eps is one head, and a curve sums its
+eps in one engine call, where the eps share the triangular point set, one
+Phi pass and the tail, and each eps is a head with columns (E, T) that
+stops on its own E, so each T is bit for bit its scalar call.  Sign
+changes are bisected for every bracket at once, one call per level.
 The finite-difference check of T, a Hessian of E(x, y) on a 3x3 stencil,
 lives in the tests.
 """
@@ -20,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from . import energy
 from .energy import _fourier_summand, _summed
 from .lattice import TRIANGULAR, basis_matrix
 from .measure import MeasureSpecError, RadialMeasure
@@ -34,13 +35,6 @@ __all__ = [
 
 # width at which bisection stops refining a sign change of T
 _ZERO_XTOL = 0.01
-
-# most eps times particle nodes (1 for a closed form) summed in one engine
-# call: the summand holds a few (eps, point, node) arrays at once.  The size
-# also trades speed: eps that stop at an early rung leave with their slice
-# (a 20-eps ring-profile curve ran 1.35-1.7x faster in slices of 3 eps),
-# while one call shares each round's box (6-eps curves ran 1.1-1.8x faster)
-_SLICE_WORK = 1 << 7
 
 
 def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
@@ -62,41 +56,38 @@ def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
         return np.stack([h, q * (q * d2 + 2.0 * d1)])
 
     basis = basis_matrix(TRIANGULAR.x, TRIANGULAR.y)
-    T = _summed(cols, tail_of, basis, rtol, heads or 1)[0][1, :, 0] * (2.0 / 3.0)
-    return T if heads else float(T[0])
+    T = _summed(cols, tail_of, basis, rtol, 1 if heads is None else heads)[0][1, :, 0]
+    return float(T[0]) * (2.0 / 3.0) if heads is None else T * (2.0 / 3.0)
 
 
 def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
                           rtol: float = 1e-10):
     """T of the diffuse energy E_{h_eps} at the triangular lattice.
 
-    A float for a scalar eps; for a 1-D array of eps, an array of T summed
-    in one engine call on the shared triangular point set (each eps bit for
-    bit its scalar call, stopping on its own E).
+    A float for a scalar eps; for a 1-D array of eps, an array of T, from
+    one ``t_coefficient`` call per batch of at most the engine's
+    ``_CHUNK_CANDIDATES`` eps.  A batch shares the triangular point set, a
+    Phi pass and the tail, and each eps stops on its own E, so each T is
+    bit for bit its scalar call in any batch.
     """
     e = np.asarray(eps, dtype=float)
     if e.ndim > 1 or not np.all((e >= 0) & (e < np.inf)):
         raise MeasureSpecError(f"scale factor must be finite and >= 0, got {eps}")
-    H, tail_of = _fourier_summand(fourier(P), mu, e.reshape(-1))
-    T = t_coefficient(partial(H, derivatives=True), tail_of, rtol, e.size)
+    flat, per, Phi = e.reshape(-1), energy._CHUNK_CANDIDATES, fourier(P)
+    T = []
+    for batch in np.split(flat, np.arange(per, flat.size, per)):  # one if empty
+        H, tail_of = _fourier_summand(Phi, mu, batch)
+        T.append(t_coefficient(partial(H, derivatives=True), tail_of, rtol, batch.size))
+    T = np.concatenate(T)
     return T if e.ndim else float(T[0])
-
-
-def _t_values(P: RadialPotential, mu: RadialMeasure, eps: np.ndarray,
-              rtol: float) -> np.ndarray:
-    """T at each eps, in slices that bound the summand's memory."""
-    per = max(1, _SLICE_WORK // max(1, len(mu.psi_nodes)))
-    return np.concatenate(
-        [t_coefficient_diffuse(P, mu, eps[lo:lo + per], rtol=rtol)
-         for lo in range(0, len(eps), per)] or [np.zeros(0)])
 
 
 def stability_curve(P: RadialPotential, mu: RadialMeasure, eps_grid,
                     rtol: float = 1e-10) -> list[tuple[float, float]]:
-    """T_{h_eps} along a grid of concentration parameters: one engine call
-    per slice of the grid (``_SLICE_WORK``)."""
+    """T_{h_eps} along a grid of concentration parameters, from one
+    ``t_coefficient_diffuse`` call."""
     eps = np.asarray(eps_grid, dtype=float).reshape(-1)
-    return list(zip(eps.tolist(), _t_values(P, mu, eps, rtol).tolist()))
+    return list(zip(eps.tolist(), t_coefficient_diffuse(P, mu, eps, rtol).tolist()))
 
 
 def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
@@ -113,7 +104,7 @@ def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
     lo, hi, flo = eps[flips], eps[flips + 1], T[flips]
     while (open_ := np.flatnonzero(hi - lo > _ZERO_XTOL)).size:
         mid = 0.5 * (lo[open_] + hi[open_])
-        fm = _t_values(P, mu, mid, rtol)
+        fm = t_coefficient_diffuse(P, mu, mid, rtol)
         left = flo[open_] * fm <= 0.0
         hi[open_[left]] = mid[left]
         lo[open_[~left]], flo[open_[~left]] = mid[~left], fm[~left]

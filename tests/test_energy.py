@@ -734,6 +734,28 @@ class TestHeads:
         for a, b in zip((total, R, bound, terms), sliced):
             assert np.array_equal(a, b)
 
+    def test_empty_batches_run_no_round(self, monkeypatch):
+        # no head or no lattice: empty sums of the summand's two columns,
+        # with no box built
+        def no_round(*args):
+            raise AssertionError("an empty batch ran an engine round")
+
+        monkeypatch.setattr(en, "_round_sums", no_round)
+        tail_of = partial(en.mixture_tail, [1.0], [1.0])
+        bases = lat.basis_matrix(np.array([0.5, 0.0, 0.2]), np.array([0.9, 1.0, 2.5]))
+        for scales, b, shape in [(np.zeros(0), bases, (0, 3)),
+                                 (np.ones(3), bases[:0], (3, 0))]:
+            total, *rest = en._summed(self._summand(scales), tail_of, b, 1e-10,
+                                      heads=len(scales))
+            assert total.shape == (2,) + shape
+            assert [v.shape for v in rest] == [shape] * 3
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        E, none = en.diffuse_energy_fn(P, mu), np.zeros(0)
+        assert E(none, none).shape == (0,)
+        assert E(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2)
+        jet = en.diffuse_energy_jet(P, mu)(none, none)
+        assert [v.shape for v in jet] == [(0,), (0, 2), (0, 2, 2)]
+
     def test_one_shape_for_every_summand(self):
         # the same summand as (n,), (1, n) and (1, 1, n) values: sums come
         # back (1, 1, k) and R, bounds and terms (1, k), all identical

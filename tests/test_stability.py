@@ -327,10 +327,9 @@ class TestBatchedCurve:
         for e, t in zip(self.EPS.tolist(), batched.tolist()):
             assert t == stab.t_coefficient_diffuse(P, mu, e)
             assert t == _t_by_scaled_measure(P, mu, e)
-        # a chunk budget of 64 point x eps pairs slices every round's box
-        # into many summand calls, and a slice budget of 4 splits the curve
-        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 64)
-        monkeypatch.setattr(stab, "_SLICE_WORK", 4)
+        # a chunk budget of 4 splits the curve into batches of 4, 4 and 1
+        # eps, and slices every round's box into one-row summand calls
+        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 4)
         curve = stab.stability_curve(P, mu, self.EPS)
         assert [e for e, _ in curve] == self.EPS.tolist()
         assert [t for _, t in curve] == batched.tolist()
@@ -346,22 +345,51 @@ class TestBatchedCurve:
             with pytest.raises(msr.MeasureSpecError):
                 stab.t_coefficient_diffuse(P, mu, eps)
 
-    def test_one_engine_call_per_slice(self, monkeypatch):
-        calls = []
-        orig = stab.t_coefficient_diffuse
+    def test_one_engine_call_per_curve(self, monkeypatch):
+        calls, sums = [], []
+        orig, summed = stab.t_coefficient_diffuse, stab._summed
 
         def recording(P, mu, eps, rtol=1e-10):
             calls.append(len(eps))
             return orig(P, mu, eps, rtol)
 
+        def recording_sum(h_eval, tail_of, bases, rtol, heads=1):
+            sums.append(heads)
+            return summed(h_eval, tail_of, bases, rtol, heads)
+
         monkeypatch.setattr(stab, "t_coefficient_diffuse", recording)
+        monkeypatch.setattr(stab, "_summed", recording_sum)
         P, grid = pot.gaussian(math.pi), np.linspace(0.05, 5.0, 100)
         stab.stability_curve(P, msr.uniform_disk(1.0), grid)
-        assert calls == [100]
-        # a profile's nodes count against the slice: 128 // 40 = 3 eps
-        calls.clear()
+        assert calls == sums == [100]
+        # a profile's nodes do not split the curve
+        calls.clear(), sums.clear()
         stab.stability_curve(P, _ring_profile(), grid[:20])
-        assert calls == [3, 3, 3, 3, 3, 3, 2]
+        assert calls == sums == [20]
+
+    def test_batches_hold_at_most_the_chunk_budget(self, monkeypatch):
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        eps = np.linspace(0.0, 5.0, 3001)
+        whole = stab.t_coefficient_diffuse(P, mu, eps)
+        heads = []
+        orig = stab.t_coefficient
+
+        def recording(H, tail_of, rtol=1e-10, n=None):
+            heads.append(n)
+            return orig(H, tail_of, rtol, n)
+
+        monkeypatch.setattr(stab, "t_coefficient", recording)
+        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 1 << 10)
+        batched = stab.t_coefficient_diffuse(P, mu, eps)
+        assert heads == [1024, 1024, 953]
+        assert np.array_equal(batched, whole)
+
+    def test_no_eps_gives_no_t(self, monkeypatch):
+        monkeypatch.setattr(en, "_round_sums", None)  # no round may run
+        for mu in _PARTICLES.values():
+            T = stab.t_coefficient_diffuse(pot.inverse_power(1.0, 2.0), mu, [])
+            assert T.shape == (0,)
+            assert stab.stability_curve(pot.gaussian(math.pi), mu, []) == []
 
 
 class TestLockstepSignChanges:

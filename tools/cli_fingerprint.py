@@ -23,9 +23,10 @@ follow s, ``theta`` at five t, ``theta`` at t = 1e-5, whose box of 6.9M
 rows the engine sums in 14 slices of its 3.5M rows after the origin, an
 ``energy`` for the profile (its constant's ring-pair kernel and its
 transform without moments), a Gaussian-particle ``stability`` curve (its
-closed-form moments), an
-``energy`` for ``invpower:a=0.001,s=1.5``, whose derivative pass over its
-nodes runs in blocks, and two commands that exit 3: 56 commands.
+closed-form moments), an inverse-power ``stability`` curve for the profile
+(20 eps on one Phi pass, and bisection levels with several brackets open),
+an ``energy`` for ``invpower:a=0.001,s=1.5``, whose derivative pass over
+its nodes runs in blocks, and two commands that exit 3: 57 commands.
 Outputs are written to stdout inside a scratch directory, which also holds
 the profile.  Exits 0 when every command ran; a command that raises fails
 the script.  CI runs it with ``python -W error::RuntimeWarning``, so a
@@ -88,6 +89,9 @@ def commands() -> list[list[str]]:
          "--lattice", "0.2,1.3"],
         ["stability", "--potential", GAUSS, "--measure", "gauss:sigma=1",
          "--eps", "0.1:2:0.1", "--format", "json"],
+        # 20 profile eps on one Phi pass, bisected with several brackets open
+        ["stability", "--potential", "invpower:a=1,s=2", "--measure",
+         f"profile:file={PROFILE}", "--eps", "0.25:5:0.25", "--format", "json"],
         # 183 nodes at about 10^5 points a round: the Phi pass runs in blocks
         ["energy", "--potential", "invpower:a=0.001,s=1.5", "--measure",
          "disk:r=0.5", "--lattice", "0.2,1.3"],
