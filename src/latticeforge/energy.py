@@ -10,8 +10,9 @@ degrees and scaled by 1/s.  The summand is radial, so the sum runs over
 the points of L / s, with no dual basis.  All sums run over the basis
 they are given and are truncated at a radius with a certified tail
 bound derived from a disk-packing estimate.  The packing radius comes
-from the Lagrange-Gauss reduced basis, so the bound is certified for any
-(x, y) with y > 0, not only near D.
+from an obtuse superbase, Lagrange-Gauss reduced where the given basis
+does not make one, so the bound is certified for any (x, y) with y > 0,
+not only near D.
 """
 
 from __future__ import annotations
@@ -114,13 +115,26 @@ _REACH_SLACK = 1.0 + 2.0**-20
 def _packing_radius(bases: np.ndarray) -> np.ndarray:
     """Half the shortest lattice vector, per basis of a (k, 2, 2) stack.
 
-    The shortest of u1, u2, u1 + u2 and u1 - u2 for the Lagrange-Gauss
-    reduced rows u1, u2, which holds a shortest vector for any basis.
+    The shortest of u1, u2, u1 + u2 and u1 - u2 for basis rows u1, u2
+    whose superbase v = (u1, -s u2, s u2 - u1), s the sign of u1 . u2, is
+    obtuse: v_i . v_j <= 0 for i != j, which holds where |u1 . u2| <=
+    min(|u1|^2, |u2|^2).  By Selling's formula |sum c_i v_i|^2 =
+    sum_{i<j} -(v_i . v_j) (c_i - c_j)^2, a shortest vector is then one of
+    the v_i, so such rows serve as given; every other basis is first
+    Lagrange-Gauss reduced, and reduced rows are obtuse.
     """
-    reduced = lat._reduced(bases)
-    u1, u2 = reduced[:, 0], reduced[:, 1]
-    vs = np.stack([u1, u2, u1 + u2, u1 - u2])
-    return 0.5 * np.sqrt(np.einsum("...i,...i->...", vs, vs).min(axis=0))
+
+    def norms(b):  # |v|^2 of the four vectors, (4, k)
+        u1, u2 = b[:, 0], b[:, 1]
+        vs = np.stack([u1, u2, u1 + u2, u1 - u2])
+        return np.einsum("...i,...i->...", vs, vs)
+
+    nn = norms(bases)
+    dot = np.einsum("ki,ki->k", bases[:, 0], bases[:, 1])
+    other = ~(np.abs(dot) <= np.minimum(nn[0], nn[1]))  # nan rows too
+    if other.any():
+        nn[:, other] = norms(lat._reduced(bases[other]))
+    return 0.5 * np.sqrt(nn.min(axis=0))
 
 
 def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):

@@ -437,6 +437,47 @@ class TestPackingRadius:
         rho = en._packing_radius(basis[None])
         assert rho[0] == pytest.approx(0.5 * shortest, rel=1e-12)
 
+    @staticmethod
+    def _by_reduced_rows(bases):
+        """rho from the four vectors of every basis's Lagrange-Gauss rows."""
+        reduced = lat._reduced(bases)
+        u1, u2 = reduced[:, 0], reduced[:, 1]
+        vs = np.stack([u1, u2, u1 + u2, u1 - u2])
+        return 0.5 * np.sqrt(np.einsum("...i,...i->...", vs, vs).min(axis=0))
+
+    @staticmethod
+    def _stacks(rng):
+        # the triangular basis, whose |u2|^2 is one ulp below |u1|^2; bases
+        # of D, the arc included; and bases far from D, stacked with them
+        tri = lat.basis_matrix(TRIANGULAR.x, TRIANGULAR.y)[None]
+        x = rng.uniform(0.0, 0.5, 200)
+        y = np.sqrt(1.0 - x * x) + np.where(np.arange(200) < 20, 0.0,
+                                            rng.exponential(0.5, 200))
+        D = lat.basis_matrix(x, y)
+        wild = lat.basis_matrix(rng.uniform(-5.0, 5.0, 100), rng.uniform(0.02, 3.0, 100))
+        mixed = np.concatenate([D, wild, tri])[rng.permutation(301)]
+        return {"triangular": tri, "D": D, "far from D": wild, "mixed": mixed,
+                "mixed, scaled": 1e3 * mixed}
+
+    def test_bit_for_bit_the_reduced_route(self, rng):
+        for name, bases in self._stacks(rng).items():
+            got = en._packing_radius(bases)
+            assert got.tobytes() == self._by_reduced_rows(bases).tobytes(), name
+            for b, r in zip(bases, got):  # no basis depends on the stack
+                assert en._packing_radius(b[None])[0] == r
+
+    def test_reduces_only_bases_without_an_obtuse_superbase(self, rng, monkeypatch):
+        seen, orig = [], lat._reduced
+        monkeypatch.setattr(lat, "_reduced", lambda b: seen.append(len(b)) or orig(b))
+        stacks = self._stacks(rng)
+        for name in ("triangular", "D"):
+            en._packing_radius(stacks[name])
+        assert seen == []
+        en._packing_radius(stacks["mixed"])
+        u1, u2 = stacks["mixed"][:, 0], stacks["mixed"][:, 1]
+        obtuse = np.abs((u1 * u2).sum(1)) <= np.minimum((u1 * u1).sum(1), (u2 * u2).sum(1))
+        assert 0 < seen[0] == np.count_nonzero(~obtuse) < 301
+
 
 class TestBatchedEngine:
     def test_mixed_batch_matches_each_lattice_alone(self, monkeypatch):

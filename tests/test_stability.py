@@ -11,6 +11,7 @@ import latticeforge.measure as msr
 import latticeforge.potential as pot
 import latticeforge.stability as stab
 from latticeforge import TRIANGULAR, LatticeParams
+from latticeforge.cli import _parse_range
 from latticeforge.energy import (
     _fourier_summand, diffuse_energy_fn, diffuse_energy_jet, mixture_tail,
 )
@@ -65,6 +66,31 @@ class TestTCoefficient:
         _, hess = fd_gradient_hessian(E, TRIANGULAR, step=1e-4)
         assert hess[0, 0] == pytest.approx(T, rel=1e-4)
         assert hess[1, 1] == pytest.approx(T, rel=1e-4)
+
+    def test_summand_called_once_per_shell(self):
+        P, eps = pot.gaussian(math.pi), np.array([0.3, 0.6031, 2.5])
+        H, tail_of = _fourier_summand(pot.fourier(P), _ring_profile(), eps)
+        shells, points = [], []
+
+        def recording(q):
+            shells.append(q.copy())
+            return H(q, derivatives=True)
+
+        T = stab.t_coefficient(recording, tail_of, heads=eps.size)
+        # each round's distinct q, in increasing order
+        assert shells and all(np.all(np.diff(q) > 0.0) for q in shells)
+
+        def every_point(pts, q):
+            points.append(q.size)
+            h, d1, d2 = H(q, derivatives=True)
+            return np.stack([h, q * (q * d2 + 2.0 * d1)])
+
+        basis = lat.basis_matrix(TRIANGULAR.x, TRIANGULAR.y)
+        sums = en._summed(every_point, tail_of, basis, 1e-10, eps.size)[0]
+        assert T.tobytes() == (sums[1, :, 0] * (2.0 / 3.0)).tobytes()
+        # a shell of the half box holds three or six points, whose q are
+        # not all equal to the bit: |u2|^2 is one ulp below |u1|^2
+        assert len(points) == len(shells) and 2 * sum(map(len, shells)) <= sum(points)
 
     def test_nonconvergent_sum_raises(self, monkeypatch):
         # e^(-1e-9 q) needs a cutoff near 10^5 to close its tail; a
@@ -401,20 +427,65 @@ class TestLockstepSignChanges:
         assert len(want) >= 3
         assert stab.sign_changes(P, mu, curve) == want
 
-    def test_one_call_per_level(self, monkeypatch):
-        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
-        curve = stab.stability_curve(P, mu, np.linspace(0.05, 5.0, 100))
-        sizes = []
-        orig = stab.t_coefficient_diffuse
+    # coarse grids, on which the secant's path misses: past eps = 5 the
+    # zeros of the disk's T are about 0.23 apart
+    COARSE = [("disk", "0.5:20:0.5"), ("disk", "5:20:5"), ("profile", "0.25:20:0.25")]
+
+    @pytest.mark.parametrize("kind, grid", COARSE)
+    def test_matches_sequential_bisection_on_coarse_grids(self, kind, grid):
+        P, mu = pot.gaussian(math.pi), _PARTICLES[kind]
+        curve = stab.stability_curve(P, mu, _parse_range(grid))
+        want = _sequential_sign_changes(P, mu, curve)
+        assert len(want) >= 2
+        assert stab.sign_changes(P, mu, curve) == want
+
+    @staticmethod
+    def _recorded(P, mu, curve, monkeypatch):
+        """The zeros of the curve, and the eps of each engine request."""
+        requests, orig = [], stab.t_coefficient_diffuse
 
         def recording(P, mu, eps, rtol=1e-10):
-            sizes.append(len(eps))
+            requests.append(np.asarray(eps).tolist())
             return orig(P, mu, eps, rtol)
 
         monkeypatch.setattr(stab, "t_coefficient_diffuse", recording)
-        zeros = stab.sign_changes(P, mu, curve)
-        # brackets 0.05 wide: three halvings reach the 0.01 width
-        assert len(zeros) == 19 and sizes == [19, 19, 19]
+        return stab.sign_changes(P, mu, curve), requests
+
+    def test_requests_on_the_secant_path(self, monkeypatch):
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        curve = stab.stability_curve(P, mu, np.linspace(0.05, 5.0, 100))
+        zeros, requests = self._recorded(P, mu, curve, monkeypatch)
+        # brackets 0.05 wide: three halvings reach the 0.01 width, and the
+        # secant's path holds every midpoint bisection visits
+        assert len(zeros) == 19 and len(requests) <= 2
+        assert sum(map(len, requests)) == 57
+
+    @staticmethod
+    def _bisection_tree(lo, hi):
+        """Every midpoint bisection of [lo, hi] can form, by its depth."""
+        depth, stack = {}, [(lo, hi, 1)]
+        while stack:
+            lo, hi, d = stack.pop()
+            if hi - lo > stab._ZERO_XTOL:
+                mid = 0.5 * (lo + hi)
+                depth[mid] = d
+                stack += [(lo, mid, d + 1), (mid, hi, d + 1)]
+        return depth
+
+    @pytest.mark.parametrize("kind, grid", [("disk", "0.05:5:0.05")] + COARSE)
+    def test_every_request_is_a_bisection_node(self, kind, grid, monkeypatch):
+        P, mu = pot.gaussian(math.pi), _PARTICLES[kind]
+        curve = stab.stability_curve(P, mu, _parse_range(grid))
+        _, requests = self._recorded(P, mu, curve, monkeypatch)
+        trees = [self._bisection_tree(e0, e1)
+                 for (e0, t0), (e1, t1) in zip(curve, curve[1:]) if t0 * t1 < 0.0]
+        taken = [0] * len(trees)  # requests that hold a node of each bracket
+        for eps in requests:
+            owners = [[b for b, tree in enumerate(trees) if e in tree] for e in eps]
+            assert all(len(o) == 1 for o in owners)
+            for b in {o[0] for o in owners}:
+                taken[b] += 1
+        assert all(0 < n <= max(tree.values()) for n, tree in zip(taken, trees))
 
     @pytest.mark.parametrize("curve, want", [
         ([(0.0, 2.0), (0.5, 1.0), (1.0, 0.0)], [1.0]),

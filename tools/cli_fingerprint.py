@@ -25,8 +25,10 @@ rows the engine sums in 14 slices of its 3.5M rows after the origin, an
 transform without moments), a Gaussian-particle ``stability`` curve (its
 closed-form moments), an inverse-power ``stability`` curve for the profile
 (20 eps on one Phi pass, and bisection levels with several brackets open),
-an ``energy`` for ``invpower:a=0.001,s=1.5``, whose derivative pass over
-its nodes runs in blocks, and two commands that exit 3: 57 commands.
+two ``stability`` curves on coarse grids (disk on 0.5:20:0.5, profile on
+0.25:20:0.25), whose bisection misses the secant's path, an ``energy``
+for ``invpower:a=0.001,s=1.5``, whose derivative pass over its nodes runs
+in blocks, and two commands that exit 3: 59 commands.
 Outputs are written to stdout inside a scratch directory, which also holds
 the profile.  Exits 0 when every command ran; a command that raises fails
 the script.  CI runs it with ``python -W error::RuntimeWarning``, so a
@@ -92,6 +94,12 @@ def commands() -> list[list[str]]:
         # 20 profile eps on one Phi pass, bisected with several brackets open
         ["stability", "--potential", "invpower:a=1,s=2", "--measure",
          f"profile:file={PROFILE}", "--eps", "0.25:5:0.25", "--format", "json"],
+        # coarse grids, whose zeros the secant's path misses: the disk's
+        # past eps = 5 lie about 0.23 apart
+        ["stability", "--potential", GAUSS, "--measure", "disk:r=1",
+         "--eps", "0.5:20:0.5", "--format", "json"],
+        ["stability", "--potential", GAUSS, "--measure", f"profile:file={PROFILE}",
+         "--eps", "0.25:20:0.25", "--format", "json"],
         # 183 nodes at about 10^5 points a round: the Phi pass runs in blocks
         ["energy", "--potential", "invpower:a=0.001,s=1.5", "--measure",
          "disk:r=0.5", "--lattice", "0.2,1.3"],
