@@ -36,7 +36,6 @@ from .energy import (
 )
 from .stability import (
     sign_changes,
-    stability_curve,
     t_coefficient,
     t_coefficient_diffuse,
 )

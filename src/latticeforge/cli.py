@@ -56,9 +56,7 @@ def _write_text(path: str, text: str) -> None:
 _WIDTH, _HEIGHT, _MARGIN = 800, 400, 40
 
 
-def _write_svg(path: str, xs, ys) -> None:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+def _write_svg(path: str, xs: np.ndarray, ys: np.ndarray) -> None:
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(min(ys.min(), 0.0)), float(max(ys.max(), 0.0))
     if x1 == x0:
@@ -135,12 +133,12 @@ _NUMBER_RULES = (
 )
 
 
-def _check_finite(name: str, at, values, args) -> None:
-    """Exit 3 rather than write a value that overflowed on its way."""
+def _check_finite(name: str, values, at, args) -> None:
+    """Exit 3 rather than write a value that overflowed; ``at(i)`` names value i."""
     bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
     if bad.size:
         raise NonconvergenceError(
-            f"{name} is not finite at {at[bad[0]]}; a scale in "
+            f"{name} is not finite at {at(bad[0])}; a scale in "
             f"{_sum_args(args)} overflows")
 
 
@@ -220,7 +218,7 @@ def run(args) -> int:
     if cmd == "energy":
         L = _parse_lattice(args.lattice)
         report = energy.diffuse_energy(P, mu, L, rtol=args.rtol)
-        _check_finite("E", [f"--lattice {args.lattice}"], [report.value], args)
+        _check_finite("E", report.value, lambda i: f"--lattice {args.lattice}", args)
         payload = {"command": "energy", "lattice": [L.x, L.y]}
         payload.update(asdict(report))
         _write_json(args.output, payload)
@@ -230,6 +228,8 @@ def run(args) -> int:
         E = energy.diffuse_energy_fn(P, mu, rtol=args.rtol,
                                      include_constant=True)
         scan = optimize.grid_scan(E, args.x_steps, args.y_steps, args.y_max)
+        _check_finite("E", scan.grid[:, 2],
+                      lambda i: f"(x, y) = {tuple(scan.grid[i, :2].tolist())}", args)
         if args.format == "csv":
             _write_csv(args.output, ["x", "y", "E"], scan.grid)
         else:
@@ -241,19 +241,17 @@ def run(args) -> int:
         return 0
 
     if cmd == "stability":
-        eps_grid = _parse_range(args.eps)
-        curve = stability.stability_curve(P, mu, eps_grid, rtol=args.rtol)
-        _check_finite("T", [f"eps = {e!r}" for e, _ in curve],
-                      [t for _, t in curve], args)
+        eps = _parse_range(args.eps)
+        T = stability.t_coefficient_diffuse(P, mu, eps, rtol=args.rtol)
+        _check_finite("T", T, lambda i: f"eps = {eps[i].item()!r}", args)
+        curve = np.column_stack([eps, T])
         if args.format == "svg":
-            _write_svg(args.output, [e for e, _ in curve],
-                       [t for _, t in curve])
+            _write_svg(args.output, eps, T)
         elif args.format == "json":
-            zeros = stability.sign_changes(P, mu, curve, rtol=args.rtol)
             _write_json(args.output, {
                 "command": "stability",
-                "curve": [[e, t] for e, t in curve],
-                "sign_changes": zeros,
+                "curve": curve.tolist(),
+                "sign_changes": stability.sign_changes(P, mu, eps, T, rtol=args.rtol),
             })
         else:
             _write_csv(args.output, ["eps", "T"], curve)
@@ -269,7 +267,7 @@ def run(args) -> int:
                 point=(x, y), energy=E(x, y), dist_to_triangular=0.0,
                 iterations=0, converged=True,
                 certificate="completely monotone summand (Theorem 2)")
-            _check_finite("E", ["the triangular lattice"], [best.energy], args)
+            _check_finite("E", best.energy, lambda i: "the triangular lattice", args)
             candidates = []
         else:
             best, candidates = optimize.global_minimize(

@@ -29,6 +29,8 @@ __all__ = [
 
 # inclusive slack for membership tests on the boundary of D
 _DOMAIN_TOL = 1e-9
+# most rows of a coefficient box (read at each enumerate_points call)
+_POINT_CAP = 10**7
 
 
 class LatticeDomainError(ValueError):
@@ -116,20 +118,13 @@ def dual(L: LatticeParams) -> LatticeParams:
     return LatticeParams(L.x, L.y, 1.0 / L.scale)
 
 
-def _dx_corrected(x1: float, x2: float) -> float:
-    best = math.inf
-    for k in (-1, 0, 1):
-        best = min(best, abs(x1 - x2 - k), abs(x1 + x2 - k))
-    return best
-
-
 def metric(L1: LatticeParams, L2: LatticeParams) -> float:
     """Distance on D respecting the x -> -x and x -> x+1 identifications."""
-    dx = _dx_corrected(L1.x, L2.x)
+    dx = min(abs(L1.x + c * L2.x - k) for c in (-1.0, 1.0) for k in (-1, 0, 1))
     return math.hypot(dx, L1.y - L2.y)
 
 
-def enumerate_points(bases: np.ndarray, R, cap: int = 10**7) -> tuple[int, int]:
+def enumerate_points(bases: np.ndarray, R) -> tuple[int, int]:
     """Half-widths (m_max, n_max) of the coefficient box |m| <= m_max,
     |n| <= n_max that holds every point m*u1 + n*u2 of norm <= R_i of each
     lattice in a stack.
@@ -137,7 +132,7 @@ def enumerate_points(bases: np.ndarray, R, cap: int = 10**7) -> tuple[int, int]:
     ``bases`` is (k, 2, 2) with rows u1, u2 per lattice and ``R`` holds k
     cutoffs.  One box is shared by the stack; the caller builds its rows
     and keeps each lattice's points within its own R_i.  Raises
-    ShellCapError past ``cap`` rows, counted over the full box.
+    ShellCapError past ``_POINT_CAP`` rows, counted over the full box.
     """
     R = np.asarray(R, dtype=float)
     if not (R > 0).all():
@@ -149,8 +144,7 @@ def enumerate_points(bases: np.ndarray, R, cap: int = 10**7) -> tuple[int, int]:
     reach = np.floor((R / det)[:, None] * lengths[:, ::-1] + 1e-9).max(axis=0)
     m_max, n_max = (int(v) + 1 for v in reach)
     size = (2 * m_max + 1) * (2 * n_max + 1)
-    if size > cap:
-        raise ShellCapError(
-            f"shell enumeration at R={R.max()} needs more than {cap} candidates"
-        )
+    if size > _POINT_CAP:
+        raise ShellCapError(f"shell enumeration at R={R.max()} needs more "
+                            f"than {_POINT_CAP} candidates")
     return m_max, n_max

@@ -24,6 +24,7 @@ from functools import cached_property, reduce
 import numpy as np
 from scipy.special import i0e, i1e, j0, j1
 
+from . import potential
 from .potential import RadialPotential
 
 __all__ = [
@@ -251,6 +252,20 @@ def _family(mu: RadialMeasure, t, moments: bool, scale):
                           R * R * (12.0 * J2 / (Xs * Xs) - 4.0 * J1 / Xs))
             return A0, A1, A2
         ss, ws = mu.nodes()
+        per = max(1, potential._EVAL_PAIRS // len(ss))  # (eps, t) pairs a block
+        if np.size(scale) * t.size > per:
+            # blocks of whole eps rows, or of one row's t: each (eps, t) pair
+            # sums its nodes alike in any block
+            tf, es = t.reshape(-1), np.reshape(scale, (-1, 1))
+            rows, cols = max(1, per // tf.size), min(per, tf.size)
+            out = np.empty((3 if moments else 1, len(es), tf.size))
+            for i in range(0, len(es), rows):
+                for j in range(0, tf.size, cols):
+                    out[:, i:i + rows, j:j + cols] = _family(
+                        mu, tf[j:j + cols], moments, es[i:i + rows])
+            shape = np.broadcast_shapes(np.shape(scale), t.shape)
+            out = out.reshape(out.shape[:1] + shape)
+            return tuple(out) if moments else out[0]
         ss = np.multiply.outer(scale, ss)  # (m,), or (k, 1, m) for an eps column
         x = 2.0 * math.pi * (t[..., None] * ss)  # t.shape + (m,)
         J0 = bessel_j(0, x)

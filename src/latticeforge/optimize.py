@@ -52,6 +52,8 @@ _MAX_STEP = 0.5
 _ARMIJO = 1e-4
 # grid cells that seed the refinement
 _K_SEEDS = 5
+# most trial points of a seed (read at each refinement)
+_MAX_ITER = 2000
 
 
 def _project(p: np.ndarray) -> np.ndarray:
@@ -104,13 +106,14 @@ def _newton_directions(p: np.ndarray, g: np.ndarray, H: np.ndarray):
     return d
 
 
-def _refine(jet, starts, tol: float, max_iter: int) -> list[MinimizeResult]:
+def _refine(jet, starts, tol: float) -> list[MinimizeResult]:
     """Projected Newton from every start at once, one jet call per step.
 
     Each call evaluates the trial point of every seed still running; a
     trial that passes the Armijo test moves its seed and brings the
     gradient and Hessian of its next step, a failed one halves the step.
-    A seed stops when its (projected) step is shorter than ``tol``.
+    A seed stops when its (projected) step is shorter than ``tol``; one
+    that evaluates ``_MAX_ITER`` trials first raises MaxIterationsError.
     """
     p = _project(np.asarray(starts, dtype=float))
     f, g, H = (np.array(v, dtype=float) for v in jet(p[:, 0], p[:, 1]))
@@ -123,8 +126,8 @@ def _refine(jet, starts, tol: float, max_iter: int) -> list[MinimizeResult]:
         run, trial, move = run[going], trial[going], move[going]
         if not run.size:
             break
-        if iters[run].max() >= max_iter:
-            raise MaxIterationsError(f"no convergence within {max_iter} iterations")
+        if iters[run].max() >= _MAX_ITER:
+            raise MaxIterationsError(f"no convergence within {_MAX_ITER} iterations")
         iters[run] += 1
         ft, gt, Ht = jet(trial[:, 0], trial[:, 1])
         ok = ft <= f[run] + _ARMIJO * np.minimum((g[run] * move).sum(axis=1), 0.0)
@@ -137,15 +140,13 @@ def _refine(jet, starts, tol: float, max_iter: int) -> list[MinimizeResult]:
             for (x, y), e, n in zip(p.tolist(), f.tolist(), iters.tolist())]
 
 
-def local_minimize(jet, start, tol: float = 1e-7,
-                   max_iter: int = 2000) -> MinimizeResult:
+def local_minimize(jet, start, tol: float = 1e-7) -> MinimizeResult:
     """Projected Newton over D from one start (see ``global_minimize``)."""
-    return _refine(jet, [start], tol, max_iter)[0]
+    return _refine(jet, [start], tol)[0]
 
 
 def global_minimize(E, jet, x_steps: int = 40, y_steps: int = 40,
-                    y_max: float = 4.0, tol: float = 1e-7,
-                    max_iter: int = 2000):
+                    y_max: float = 4.0, tol: float = 1e-7):
     """Grid scan of ``E`` followed by projected Newton from the best cells.
 
     ``jet(xs, ys)`` takes arrays of shape (k,) and returns E (k,), its
@@ -157,6 +158,6 @@ def global_minimize(E, jet, x_steps: int = 40, y_steps: int = 40,
     """
     grid = grid_scan(E, x_steps, y_steps, y_max).grid
     seeds = grid[_ranked(grid)[:_K_SEEDS], :2]
-    candidates = _refine(jet, seeds, tol, max_iter)
+    candidates = _refine(jet, seeds, tol)
     best = min(candidates, key=lambda r: (r.energy, r.point[0], r.point[1]))
     return best, candidates

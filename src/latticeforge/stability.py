@@ -9,8 +9,9 @@ the engine's one head axis: a scalar eps is one head, and a curve sums its
 eps in one engine call, where the eps share the triangular point set, one
 Phi pass and the tail, and each eps is a head with columns (E, T) that
 stops on its own E, so each T is bit for bit its scalar call.  The
-summand is evaluated once per distinct q of a shell.  Sign changes are
-bisected for every bracket at once: each engine request holds the next
+summand is evaluated once per distinct q of a shell.  ``sign_changes``
+takes the arrays (eps, T) of one such request and bisects the sign
+changes of every bracket at once: each engine request holds the next
 midpoint of every open bracket and, where the curve is smooth enough to
 predict it, the midpoints after it on the secant zero's path.  The
 finite-difference check of T, a Hessian of E(x, y) on a 3x3 stencil,
@@ -33,7 +34,6 @@ from .potential import RadialPotential, fourier
 __all__ = [
     "t_coefficient",
     "t_coefficient_diffuse",
-    "stability_curve",
     "sign_changes",
 ]
 
@@ -90,21 +90,14 @@ def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
     return T if e.ndim else float(T[0])
 
 
-def stability_curve(P: RadialPotential, mu: RadialMeasure, eps_grid,
-                    rtol: float = 1e-10) -> list[tuple[float, float]]:
-    """T_{h_eps} along a grid of concentration parameters, from one
-    ``t_coefficient_diffuse`` call."""
-    eps = np.asarray(eps_grid, dtype=float).reshape(-1)
-    return list(zip(eps.tolist(), t_coefficient_diffuse(P, mu, eps, rtol).tolist()))
-
-
-def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
+def sign_changes(P: RadialPotential, mu: RadialMeasure, eps, T,
                  rtol: float = 1e-10) -> list[float]:
     """Zeros of T along a precomputed curve, in grid order.
 
-    A grid point where T is exactly 0 is a zero.  A sign change between two
-    grid points is bisected to width ``_ZERO_XTOL`` by the rule of one
-    bracket alone: the midpoint m = (lo + hi) / 2 becomes hi where
+    ``eps`` and ``T`` are the 1-D arrays of one ``t_coefficient_diffuse``
+    request.  A grid point where T is exactly 0 is a zero.  A sign change
+    between two grid points is bisected to width ``_ZERO_XTOL`` by the rule
+    of one bracket alone: the midpoint m = (lo + hi) / 2 becomes hi where
     T(lo) T(m) <= 0 and lo otherwise.  Each engine request serves every
     open bracket: it holds the bracket's next midpoint and, along
     ``_secant_path``, the midpoints bisection visits after it if the zero
@@ -115,8 +108,7 @@ def sign_changes(P: RadialPotential, mu: RadialMeasure, curve,
     bracket's own bisection, bit for bit its scalar call, and no bracket
     takes more requests than bisection has levels.
     """
-    eps = np.array([e for e, _ in curve], dtype=float)
-    T = np.array([t for _, t in curve], dtype=float)
+    eps, T = np.asarray(eps, dtype=float), np.asarray(T, dtype=float)
     flips = np.flatnonzero(T[:-1] * T[1:] < 0.0)
     # the larger |second divided difference| of the curve at a bracket's
     # two ends; nan where the curve has no grid neighbour

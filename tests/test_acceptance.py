@@ -97,8 +97,8 @@ def figure_curve():
     mu = msr.uniform_disk(1.0)
     start = time.perf_counter()
     grid = np.arange(0.05, 5.0001, 0.05)
-    curve = stab.stability_curve(P, mu, grid)
-    zeros = stab.sign_changes(P, mu, curve)
+    T = stab.t_coefficient_diffuse(P, mu, grid)
+    zeros = stab.sign_changes(P, mu, grid, T)
     elapsed = time.perf_counter() - start
     return P, mu, zeros, elapsed
 

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -107,11 +106,11 @@ class TestStability:
         assert run_cli(args) == 0
         assert json.loads(capsys.readouterr().out)["curve"] != loose["curve"]
         P, mu = potential.gaussian(20.0), measure.uniform_disk(1.0)
-        curve = stability.stability_curve(
-            P, mu, cli._parse_range("0.5:0.7:0.1"), rtol=1e-3)
-        assert loose["curve"] == [[e, t] for e, t in curve]
+        eps = cli._parse_range("0.5:0.7:0.1")
+        T = stability.t_coefficient_diffuse(P, mu, eps, rtol=1e-3)
+        assert loose["curve"] == [[e, t] for e, t in zip(eps.tolist(), T.tolist())]
         assert loose["sign_changes"] == stability.sign_changes(
-            P, mu, curve, rtol=1e-3)
+            P, mu, eps, T, rtol=1e-3)
 
     def test_json_with_sign_changes(self, tmp_path):
         out = tmp_path / "curve.json"
@@ -269,10 +268,7 @@ class TestExitCodeContract:
     def small_point_cap(self, monkeypatch):
         # a 10^4-candidate cap makes a too-wide sum fail at once instead of
         # after building boxes of up to 10^7 candidates
-        monkeypatch.setattr(
-            lattice, "enumerate_points",
-            functools.partial(lattice.enumerate_points, cap=10**4),
-        )
+        monkeypatch.setattr(lattice, "_POINT_CAP", 10**4)
 
     @pytest.mark.parametrize("argv, code, needle", [
         (["theta", "--lattice", "0,1", "--t", "1e-6"], 3, "--t 1e-06"),
@@ -352,6 +348,12 @@ class TestExitCodeContract:
                                    "--format", "json"], 3, "not finite"),
         (["stability"] + _GAUSS + ["--measure", "disk:r=1e300", "--eps", "0:1:0.5",
                                    "--format", "svg"], 3, "not finite"),
+        # fhat(0) = sum w pi / t overflows, so every E of the grid is inf:
+        # exit 3, not inf in the CSV or Infinity in the JSON
+        (["scan", "--potential", "laplace:atoms=[(1e-300,5e7),(1e-300,5e7)]"], 3,
+         "E is not finite at (x, y) = (0.0, 1.0); a scale in --potential laplace"),
+        (["scan", "--potential", "laplace:atoms=[(1e-300,5e7),(1e-300,5e7)]",
+          "--format", "json"], 3, "E is not finite at (x, y) = (0.0, 1.0)"),
         # J1 is nan at X = inf: the engine stops in round 1, not at the cap
         (["energy", "--potential", "gaussian:alpha=2", "--measure", "disk:r=1e308",
           "--lattice", "0,1"], 3, "lattice sum is not finite (nan) at cutoff R = "),

@@ -536,10 +536,7 @@ class TestBatchedEngine:
         assert got[1, 0] == E(0.3, 1.5)
 
     def test_cap_reached_through_batch(self, monkeypatch):
-        monkeypatch.setattr(
-            lat, "enumerate_points",
-            partial(lat.enumerate_points, cap=100),
-        )
+        monkeypatch.setattr(lat, "_POINT_CAP", 100)
         E = en.diffuse_energy_fn(pot.gaussian(50.0), msr.dirac())
         with pytest.raises(lat.ShellCapError):
             E(np.linspace(0.0, 0.5, 8), np.full(8, 2.0))
@@ -548,10 +545,7 @@ class TestBatchedEngine:
     def test_non_finite_sum_raises_at_once(self, bad, monkeypatch):
         # a nan sum never meets the tail test and an inf one meets it at
         # once: both raise in round 1, long before the point cap
-        monkeypatch.setattr(
-            lat, "enumerate_points",
-            partial(lat.enumerate_points, cap=10**4),
-        )
+        monkeypatch.setattr(lat, "_POINT_CAP", 10**4)
         calls = []
 
         def h(pts, q):

@@ -225,10 +225,10 @@ class TestEnumerateShells:
                 np.sort(np.linalg.norm(want, axis=1)), abs=1e-12
             )
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(lat, "_POINT_CAP", 1000)
         with pytest.raises(lat.ShellCapError):
-            lat.enumerate_points(lat.basis_matrix(0.0, 1.0)[None], [1e5],
-                                 cap=1000)
+            lat.enumerate_points(lat.basis_matrix(0.0, 1.0)[None], [1e5])
 
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
+import latticeforge.energy as en
 import latticeforge.measure as msr
 import latticeforge.potential as pot
+from latticeforge import LatticeParams
 
 from conftest import convolved_gaussians, disk_psi_nodes
 
@@ -291,6 +294,64 @@ class TestHankelMomentsArray:
         with pytest.raises(ValueError):
             msr.hankel_moments(msr.uniform_disk(1.0), 1.0,
                                np.array([1.0, 0.0]))
+
+
+def _ring(samples: int):
+    """A smooth ring on [0, 1.2]: psi-density s exp(-((s - 0.6) / 0.2)^2)."""
+    s = np.linspace(0.0, 1.2, samples)
+    return msr.profile(zip(s, s * np.exp(-(((s - 0.6) / 0.2) ** 2))))
+
+
+class TestBlockedProfileTransform:
+    """A profile's node sums run in blocks of (eps, t) pairs under
+    ``potential._EVAL_PAIRS`` (pair, node) entries."""
+
+    MU = _ring(41)  # 40 nodes: the density is 0 at s = 0
+    EPS = np.array([0.0, 0.3, 0.0, 1.0, 2.5])
+    T = np.concatenate([[0.0], np.linspace(0.1, 6.0, 22)])
+
+    @staticmethod
+    def _bits(out):
+        out = out if isinstance(out, tuple) else (out,)
+        return [(a.shape, a.tobytes()) for a in out]
+
+    # a budget below one pair's nodes (one pair a block), of 3 pairs (one
+    # eps row in blocks of t) and of 50 pairs (two whole eps rows a block)
+    @pytest.mark.parametrize("pairs", [1, 3, 50])
+    @pytest.mark.parametrize("eps, t", [
+        (None, T), (None, T[1:].reshape(2, 11)), (None, T[:0]), (EPS, T), (EPS, T[:0]),
+    ], ids=["t", "t-2d", "empty-t", "eps", "eps-empty-t"])
+    def test_blocks_match_one_block(self, pairs, eps, t, monkeypatch):
+        m = len(self.MU.psi_nodes)
+        want = [self._bits(msr._transform(self.MU, t, moments, eps))
+                for moments in (False, True)]
+        sizes, bessel_j = [], msr.bessel_j
+
+        def recording(n, x):
+            sizes.append(np.size(x))
+            return bessel_j(n, x)
+
+        monkeypatch.setattr(msr, "bessel_j", recording)
+        monkeypatch.setattr(pot, "_EVAL_PAIRS", pairs * m)
+        got = [self._bits(msr._transform(self.MU, t, moments, eps))
+               for moments in (False, True)]
+        assert got == want
+        # no Bessel argument array holds more than the budget's entries, and
+        # more pairs than the budget take more than one block's 3 calls
+        assert max(sizes, default=0) <= pairs * m
+        assert (len(sizes) > 3) == ((1 if eps is None else eps.size) * t.size > pairs)
+
+    def test_long_profile_energy_memory(self):
+        # 80 nodes at about 10^5 points a round: in one pass, (point, node)
+        # arrays of about 165 MB
+        tracemalloc.start()
+        try:
+            en.diffuse_energy(pot.inverse_power(1e-3, 1.5), _ring(81),
+                              LatticeParams(0.2, 1.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestOneTransformPerFamily:

@@ -42,8 +42,7 @@ PUBLIC_NAMES = {
     "self_convolution_at_zero", "uniform_disk",
     "EnergyReport", "diffuse_energy", "diffuse_energy_fn",
     "diffuse_energy_jet", "theta",
-    "sign_changes", "stability_curve", "t_coefficient",
-    "t_coefficient_diffuse",
+    "sign_changes", "t_coefficient", "t_coefficient_diffuse",
     "Landscape", "MinimizeResult", "global_minimize", "grid_scan",
     "local_minimize",
 }

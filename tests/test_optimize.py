@@ -134,10 +134,11 @@ class TestLocalMinimize:
         assert res.point[0] == pytest.approx(0.5, abs=1e-5)
         assert res.point[1] == pytest.approx(1.2, abs=1e-5)
 
-    def test_max_iterations(self):
+    def test_max_iterations(self, monkeypatch):
         f = _sum_jet  # pushes toward the domain boundary corner
+        monkeypatch.setattr(opt, "_MAX_ITER", 50)
         with pytest.raises(opt.MaxIterationsError):
-            opt.local_minimize(f, (0.3, 2.0), tol=0.0, max_iter=50)
+            opt.local_minimize(f, (0.3, 2.0), tol=0.0)
 
 
 class TestGlobalMinimize:
@@ -168,7 +169,7 @@ class TestGlobalMinimize:
 
         seen = []
 
-        def refine(jet, starts, tol, max_iter):
+        def refine(jet, starts, tol):
             seen.append(np.asarray(starts).tolist())
             return [opt.MinimizeResult((x, y), 0.0, 0.0, 0, True) for x, y in starts]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 
@@ -95,8 +96,7 @@ class TestTCoefficient:
     def test_nonconvergent_sum_raises(self, monkeypatch):
         # e^(-1e-9 q) needs a cutoff near 10^5 to close its tail; a
         # 10^4-candidate cap stops the growing cutoff after a few rounds
-        monkeypatch.setattr(lat, "enumerate_points",
-                            partial(lat.enumerate_points, cap=10**4))
+        monkeypatch.setattr(lat, "_POINT_CAP", 10**4)
         with pytest.raises(lat.ShellCapError):
             stab.t_coefficient(*_exp_summand(1e-9))
 
@@ -146,8 +146,7 @@ class TestDiffuseHDerivatives:
 class TestStabilityCurve:
     def test_dirac_constant_in_eps(self):
         P = pot.gaussian(math.pi)
-        curve = stab.stability_curve(P, msr.dirac(), [0.2, 1.0, 3.0])
-        ts = [t for _, t in curve]
+        ts = stab.t_coefficient_diffuse(P, msr.dirac(), np.array([0.2, 1.0, 3.0]))
         assert ts[0] == pytest.approx(ts[1], rel=1e-12)
         assert ts[1] == pytest.approx(ts[2], rel=1e-12)
         assert ts[0] == pytest.approx(_gaussian_theta_T(1.0), rel=1e-9)
@@ -155,9 +154,8 @@ class TestStabilityCurve:
     def test_sign_change_bracketing(self):
         P = pot.gaussian(math.pi)
         mu = msr.uniform_disk(1.0)
-        grid = [0.4, 0.55, 0.7, 0.85]
-        curve = stab.stability_curve(P, mu, grid)
-        zeros = stab.sign_changes(P, mu, curve)
+        grid = np.array([0.4, 0.55, 0.7, 0.85])
+        zeros = stab.sign_changes(P, mu, grid, stab.t_coefficient_diffuse(P, mu, grid))
         assert len(zeros) == 2
         # refined zeros stay inside their grid brackets
         assert 0.55 < zeros[0] < 0.7
@@ -315,8 +313,10 @@ def _t_by_scaled_measure(P, mu, eps, rtol=1e-10):
     return stab.t_coefficient(partial(H, derivatives=True), tail_of, rtol)
 
 
-def _sequential_sign_changes(P, mu, curve, rtol=1e-10):
+def _sequential_sign_changes(P, mu, eps, T, rtol=1e-10):
     """Sign changes bisected one bracket after another, one T per midpoint."""
+    curve = list(zip(np.asarray(eps, dtype=float).tolist(),
+                     np.asarray(T, dtype=float).tolist()))
     zeros = []
     for (e0, t0), (e1, t1) in zip(curve, curve[1:]):
         if t0 == 0.0:
@@ -356,9 +356,7 @@ class TestBatchedCurve:
         # a chunk budget of 4 splits the curve into batches of 4, 4 and 1
         # eps, and slices every round's box into one-row summand calls
         monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 4)
-        curve = stab.stability_curve(P, mu, self.EPS)
-        assert [e for e, _ in curve] == self.EPS.tolist()
-        assert [t for _, t in curve] == batched.tolist()
+        assert stab.t_coefficient_diffuse(P, mu, self.EPS).tolist() == batched.tolist()
 
     def test_scalar_gives_a_float(self):
         T = stab.t_coefficient_diffuse(pot.gaussian(math.pi), msr.uniform_disk(1.0), 0.5)
@@ -386,11 +384,11 @@ class TestBatchedCurve:
         monkeypatch.setattr(stab, "t_coefficient_diffuse", recording)
         monkeypatch.setattr(stab, "_summed", recording_sum)
         P, grid = pot.gaussian(math.pi), np.linspace(0.05, 5.0, 100)
-        stab.stability_curve(P, msr.uniform_disk(1.0), grid)
+        stab.t_coefficient_diffuse(P, msr.uniform_disk(1.0), grid)
         assert calls == sums == [100]
         # a profile's nodes do not split the curve
         calls.clear(), sums.clear()
-        stab.stability_curve(P, _ring_profile(), grid[:20])
+        stab.t_coefficient_diffuse(P, _ring_profile(), grid[:20])
         assert calls == sums == [20]
 
     def test_batches_hold_at_most_the_chunk_budget(self, monkeypatch):
@@ -410,22 +408,36 @@ class TestBatchedCurve:
         assert heads == [1024, 1024, 953]
         assert np.array_equal(batched, whole)
 
+    def test_many_profile_eps_memory(self):
+        # 800 eps of a 100-node ring: in one pass, (eps, point, node) arrays
+        # of about 100 MB
+        s = np.linspace(0.0, 1.2, 101)
+        mu = msr.profile(zip(s, s * np.exp(-(((s - 0.6) / 0.2) ** 2))))
+        tracemalloc.start()
+        try:
+            stab.t_coefficient_diffuse(pot.gaussian(math.pi), mu, np.linspace(0.0, 5.0, 800))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_no_eps_gives_no_t(self, monkeypatch):
         monkeypatch.setattr(en, "_round_sums", None)  # no round may run
         for mu in _PARTICLES.values():
             T = stab.t_coefficient_diffuse(pot.inverse_power(1.0, 2.0), mu, [])
             assert T.shape == (0,)
-            assert stab.stability_curve(pot.gaussian(math.pi), mu, []) == []
+            assert stab.sign_changes(pot.gaussian(math.pi), mu, [], T) == []
 
 
 class TestLockstepSignChanges:
     @pytest.mark.parametrize("kind", ["disk", "profile"])
     def test_matches_sequential_bisection(self, kind):
         P, mu = pot.gaussian(math.pi), _PARTICLES[kind]
-        curve = stab.stability_curve(P, mu, np.linspace(0.3, 3.0, 28))
-        want = _sequential_sign_changes(P, mu, curve)
+        eps = np.linspace(0.3, 3.0, 28)
+        T = stab.t_coefficient_diffuse(P, mu, eps)
+        want = _sequential_sign_changes(P, mu, eps, T)
         assert len(want) >= 3
-        assert stab.sign_changes(P, mu, curve) == want
+        assert stab.sign_changes(P, mu, eps, T) == want
 
     # coarse grids, on which the secant's path misses: past eps = 5 the
     # zeros of the disk's T are about 0.23 apart
@@ -434,14 +446,15 @@ class TestLockstepSignChanges:
     @pytest.mark.parametrize("kind, grid", COARSE)
     def test_matches_sequential_bisection_on_coarse_grids(self, kind, grid):
         P, mu = pot.gaussian(math.pi), _PARTICLES[kind]
-        curve = stab.stability_curve(P, mu, _parse_range(grid))
-        want = _sequential_sign_changes(P, mu, curve)
+        eps = _parse_range(grid)
+        T = stab.t_coefficient_diffuse(P, mu, eps)
+        want = _sequential_sign_changes(P, mu, eps, T)
         assert len(want) >= 2
-        assert stab.sign_changes(P, mu, curve) == want
+        assert stab.sign_changes(P, mu, eps, T) == want
 
     @staticmethod
-    def _recorded(P, mu, curve, monkeypatch):
-        """The zeros of the curve, and the eps of each engine request."""
+    def _recorded(P, mu, eps, T, monkeypatch):
+        """The zeros of the curve (eps, T), and the eps of each engine request."""
         requests, orig = [], stab.t_coefficient_diffuse
 
         def recording(P, mu, eps, rtol=1e-10):
@@ -449,12 +462,13 @@ class TestLockstepSignChanges:
             return orig(P, mu, eps, rtol)
 
         monkeypatch.setattr(stab, "t_coefficient_diffuse", recording)
-        return stab.sign_changes(P, mu, curve), requests
+        return stab.sign_changes(P, mu, eps, T), requests
 
     def test_requests_on_the_secant_path(self, monkeypatch):
         P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
-        curve = stab.stability_curve(P, mu, np.linspace(0.05, 5.0, 100))
-        zeros, requests = self._recorded(P, mu, curve, monkeypatch)
+        eps = np.linspace(0.05, 5.0, 100)
+        T = stab.t_coefficient_diffuse(P, mu, eps)
+        zeros, requests = self._recorded(P, mu, eps, T, monkeypatch)
         # brackets 0.05 wide: three halvings reach the 0.01 width, and the
         # secant's path holds every midpoint bisection visits
         assert len(zeros) == 19 and len(requests) <= 2
@@ -475,8 +489,10 @@ class TestLockstepSignChanges:
     @pytest.mark.parametrize("kind, grid", [("disk", "0.05:5:0.05")] + COARSE)
     def test_every_request_is_a_bisection_node(self, kind, grid, monkeypatch):
         P, mu = pot.gaussian(math.pi), _PARTICLES[kind]
-        curve = stab.stability_curve(P, mu, _parse_range(grid))
-        _, requests = self._recorded(P, mu, curve, monkeypatch)
+        eps = _parse_range(grid)
+        T = stab.t_coefficient_diffuse(P, mu, eps)
+        _, requests = self._recorded(P, mu, eps, T, monkeypatch)
+        curve = list(zip(eps.tolist(), T.tolist()))
         trees = [self._bisection_tree(e0, e1)
                  for (e0, t0), (e1, t1) in zip(curve, curve[1:]) if t0 * t1 < 0.0]
         taken = [0] * len(trees)  # requests that hold a node of each bracket
@@ -487,15 +503,15 @@ class TestLockstepSignChanges:
                 taken[b] += 1
         assert all(0 < n <= max(tree.values()) for n, tree in zip(taken, trees))
 
-    @pytest.mark.parametrize("curve, want", [
-        ([(0.0, 2.0), (0.5, 1.0), (1.0, 0.0)], [1.0]),
-        ([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)], [0.0, 1.0]),
-        ([(0.0, 1.0), (0.5, 0.0), (1.0, 1.0)], [0.5]),
-        ([(1.0, 0.0)], [1.0]),
-        ([], []),
+    @pytest.mark.parametrize("eps, T, want", [
+        ([0.0, 0.5, 1.0], [2.0, 1.0, 0.0], [1.0]),
+        ([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0]),
+        ([0.0, 0.5, 1.0], [1.0, 0.0, 1.0], [0.5]),
+        ([1.0], [0.0], [1.0]),
+        ([], [], []),
     ])
-    def test_exact_zeros_at_grid_points(self, curve, want):
+    def test_exact_zeros_at_grid_points(self, eps, T, want):
         # no sign flips, so no T is evaluated
         P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
-        assert stab.sign_changes(P, mu, curve) == want
-        assert _sequential_sign_changes(P, mu, curve) == want
+        assert stab.sign_changes(P, mu, eps, T) == want
+        assert _sequential_sign_changes(P, mu, eps, T) == want

@@ -28,7 +28,8 @@ closed-form moments), an inverse-power ``stability`` curve for the profile
 two ``stability`` curves on coarse grids (disk on 0.5:20:0.5, profile on
 0.25:20:0.25), whose bisection misses the secant's path, an ``energy``
 for ``invpower:a=0.001,s=1.5``, whose derivative pass over its nodes runs
-in blocks, and two commands that exit 3: 59 commands.
+in blocks, the same potential for the profile, whose transform runs in
+blocks of (t, ring node) pairs, and two commands that exit 3: 60 commands.
 Outputs are written to stdout inside a scratch directory, which also holds
 the profile.  Exits 0 when every command ran; a command that raises fails
 the script.  CI runs it with ``python -W error::RuntimeWarning``, so a
@@ -103,6 +104,9 @@ def commands() -> list[list[str]]:
         # 183 nodes at about 10^5 points a round: the Phi pass runs in blocks
         ["energy", "--potential", "invpower:a=0.001,s=1.5", "--measure",
          "disk:r=0.5", "--lattice", "0.2,1.3"],
+        # and the profile's transform, over its 39 ring nodes, runs in blocks
+        ["energy", "--potential", "invpower:a=0.001,s=1.5", "--measure",
+         f"profile:file={PROFILE}", "--lattice", "0.2,1.3"],
     ]
     cmds += [
         # a particle scale that makes the summand nan
