@@ -118,9 +118,16 @@ def dual(L: LatticeParams) -> LatticeParams:
     return LatticeParams(L.x, L.y, 1.0 / L.scale)
 
 
+def _dx_corrected(x1: float, x2: float) -> float:
+    best = math.inf
+    for k in (-1, 0, 1):
+        best = min(best, abs(x1 - x2 - k), abs(x1 + x2 - k))
+    return best
+
+
 def metric(L1: LatticeParams, L2: LatticeParams) -> float:
     """Distance on D respecting the x -> -x and x -> x+1 identifications."""
-    dx = min(abs(L1.x + c * L2.x - k) for c in (-1.0, 1.0) for k in (-1, 0, 1))
+    dx = _dx_corrected(L1.x, L2.x)
     return math.hypot(dx, L1.y - L2.y)
 
 

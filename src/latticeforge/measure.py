@@ -258,14 +258,12 @@ def _family(mu: RadialMeasure, t, moments: bool, scale):
             # sums its nodes alike in any block
             tf, es = t.reshape(-1), np.reshape(scale, (-1, 1))
             rows, cols = max(1, per // tf.size), min(per, tf.size)
-            out = np.empty((3 if moments else 1, len(es), tf.size))
-            for i in range(0, len(es), rows):
-                for j in range(0, tf.size, cols):
-                    out[:, i:i + rows, j:j + cols] = _family(
-                        mu, tf[j:j + cols], moments, es[i:i + rows])
+            out = np.block([[np.asarray(_family(mu, tf[j:j + cols], moments, e))
+                             for j in range(0, tf.size, cols)]
+                            for e in np.split(es, range(rows, len(es), rows))])
             shape = np.broadcast_shapes(np.shape(scale), t.shape)
-            out = out.reshape(out.shape[:1] + shape)
-            return tuple(out) if moments else out[0]
+            out = out.reshape(out.shape[:-2] + shape)
+            return tuple(out) if moments else out
         ss = np.multiply.outer(scale, ss)  # (m,), or (k, 1, m) for an eps column
         x = 2.0 * math.pi * (t[..., None] * ss)  # t.shape + (m,)
         J0 = bessel_j(0, x)

@@ -348,12 +348,6 @@ class TestExitCodeContract:
                                    "--format", "json"], 3, "not finite"),
         (["stability"] + _GAUSS + ["--measure", "disk:r=1e300", "--eps", "0:1:0.5",
                                    "--format", "svg"], 3, "not finite"),
-        # fhat(0) = sum w pi / t overflows, so every E of the grid is inf:
-        # exit 3, not inf in the CSV or Infinity in the JSON
-        (["scan", "--potential", "laplace:atoms=[(1e-300,5e7),(1e-300,5e7)]"], 3,
-         "E is not finite at (x, y) = (0.0, 1.0); a scale in --potential laplace"),
-        (["scan", "--potential", "laplace:atoms=[(1e-300,5e7),(1e-300,5e7)]",
-          "--format", "json"], 3, "E is not finite at (x, y) = (0.0, 1.0)"),
         # J1 is nan at X = inf: the engine stops in round 1, not at the cap
         (["energy", "--potential", "gaussian:alpha=2", "--measure", "disk:r=1e308",
           "--lattice", "0,1"], 3, "lattice sum is not finite (nan) at cutoff R = "),
@@ -378,6 +372,12 @@ class TestExitCodeContract:
          2, "invpower s=171.0 is too large"),
         (["energy", "--potential", "invpower:a=1,s=1e300", "--lattice", "0,1"],
          2, "invpower s=1e+300 is too large"),
+        # fhat(0) = sum w pi / t overflows, so every E of the grid is inf:
+        # exit 3, not inf in the CSV or Infinity in the JSON
+        (["scan", "--potential", "laplace:atoms=[(1e-300,5e7),(1e-300,5e7)]"], 3,
+         "E is not finite at (x, y) = (0.0, 1.0); a scale in --potential laplace"),
+        (["scan", "--potential", "laplace:atoms=[(1e-300,5e7),(1e-300,5e7)]",
+          "--format", "json"], 3, "E is not finite at (x, y) = (0.0, 1.0)"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code

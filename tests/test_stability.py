@@ -503,15 +503,16 @@ class TestLockstepSignChanges:
                 taken[b] += 1
         assert all(0 < n <= max(tree.values()) for n, tree in zip(taken, trees))
 
-    @pytest.mark.parametrize("eps, T, want", [
-        ([0.0, 0.5, 1.0], [2.0, 1.0, 0.0], [1.0]),
-        ([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0]),
-        ([0.0, 0.5, 1.0], [1.0, 0.0, 1.0], [0.5]),
-        ([1.0], [0.0], [1.0]),
-        ([], [], []),
+    # each curve is its (eps, T) arrays
+    @pytest.mark.parametrize("curve, want", [
+        (([0.0, 0.5, 1.0], [2.0, 1.0, 0.0]), [1.0]),
+        (([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]), [0.0, 1.0]),
+        (([0.0, 0.5, 1.0], [1.0, 0.0, 1.0]), [0.5]),
+        (([1.0], [0.0]), [1.0]),
+        (([], []), []),
     ])
-    def test_exact_zeros_at_grid_points(self, eps, T, want):
+    def test_exact_zeros_at_grid_points(self, curve, want):
         # no sign flips, so no T is evaluated
         P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
-        assert stab.sign_changes(P, mu, eps, T) == want
-        assert _sequential_sign_changes(P, mu, eps, T) == want
+        assert stab.sign_changes(P, mu, *curve) == want
+        assert _sequential_sign_changes(P, mu, *curve) == want
