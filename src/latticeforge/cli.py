@@ -159,13 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats, lattice_arg=False):
-        p.add_argument("--potential", required=True,
-                       help="gaussian:alpha=<f> | invpower:a=<f>,s=<f> | "
-                            "laplace:atoms=[(t,w),...]")
-        p.add_argument("--measure", default="dirac",
-                       help="dirac | disk:r=<f> | gauss:sigma=<f> | "
-                            "profile:file=<path>")
+    def add_common(p, formats, lattice_arg=False, specs=True):
+        if specs:
+            p.add_argument("--potential", required=True,
+                           help="gaussian:alpha=<f> | invpower:a=<f>,s=<f> | "
+                                "laplace:atoms=[(t,w),...]")
+            p.add_argument("--measure", default="dirac",
+                           help="dirac | disk:r=<f> | gauss:sigma=<f> | "
+                                "profile:file=<path>")
         if lattice_arg:
             p.add_argument("--lattice", required=True, help="x,y in D")
         p.add_argument("--rtol", type=float, default=1e-10)
@@ -176,11 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, ["json"], lattice_arg=True)
 
     p = sub.add_parser("theta", help="lattice theta function")
-    p.add_argument("--lattice", required=True, help="x,y in D")
+    add_common(p, ["json"], lattice_arg=True, specs=False)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--rtol", type=float, default=1e-12)
-    p.add_argument("--output", default="-")
-    p.add_argument("--format", choices=["json"], default="json")
+    p.set_defaults(rtol=1e-12)
 
     p = sub.add_parser("scan", help="energy landscape over D")
     add_common(p, ["csv", "json"])
@@ -275,20 +274,9 @@ def run(args) -> int:
                 x_steps=args.x_steps, y_steps=args.y_steps,
                 y_max=args.y_max, tol=args.tol,
             )
-        payload = {
-            "command": "minimize",
-            "point": list(best.point),
-            "energy": best.energy,
-            "dist_to_triangular": best.dist_to_triangular,
-            "iterations": best.iterations,
-            "converged": best.converged,
-            "candidates": [
-                {"point": list(c.point), "energy": c.energy}
-                for c in candidates
-            ],
-        }
-        if best.certificate is not None:
-            payload["certificate"] = best.certificate
+        payload = {k: v for k, v in asdict(best).items() if v is not None}
+        payload.update(command="minimize", candidates=[
+            {"point": list(c.point), "energy": c.energy} for c in candidates])
         _write_json(args.output, payload)
         return 0
 

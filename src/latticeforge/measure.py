@@ -336,35 +336,6 @@ def self_convolution_at_zero(P: RadialPotential, mu: RadialMeasure) -> float:
     return float(ws @ K)
 
 
-def parse_measure(spec: str) -> RadialMeasure:
-    """Parse the CLI grammar: dirac, disk:r=<f>, gauss:sigma=<f>,
-    profile:file=<path> (CSV rows s,density)."""
-    head, _, rest = spec.partition(":")
-    try:
-        if head == "dirac" and not rest:
-            return dirac()
-        if head == "disk":
-            key, _, val = rest.partition("=")
-            if key != "r":
-                raise MeasureSpecError(f"unknown key '{key}' in '{spec}'")
-            return uniform_disk(float(val))
-        if head == "gauss":
-            key, _, val = rest.partition("=")
-            if key != "sigma":
-                raise MeasureSpecError(f"unknown key '{key}' in '{spec}'")
-            return radial_gaussian(float(val))
-        if head == "profile":
-            key, _, val = rest.partition("=")
-            if key != "file":
-                raise MeasureSpecError(f"unknown key '{key}' in '{spec}'")
-            return profile(_read_profile_csv(val))
-    except MeasureSpecError:
-        raise
-    except ValueError as exc:
-        raise MeasureSpecError(f"bad measure spec '{spec}': {exc}") from exc
-    raise MeasureSpecError(f"unknown measure '{head}'")
-
-
 def _read_profile_csv(path: str) -> list[tuple[float, float]]:
     try:
         with open(path) as fh:
@@ -380,3 +351,17 @@ def _read_profile_csv(path: str) -> list[tuple[float, float]]:
         s_str, _, d_str = line.partition(",")
         rows.append((float(s_str), float(d_str)))
     return rows
+
+
+_MEASURES = {
+    "dirac": (dirac, {}),
+    "disk": (uniform_disk, {"r": float}),
+    "gauss": (radial_gaussian, {"sigma": float}),
+    "profile": (profile, {"file": _read_profile_csv}),
+}
+
+
+def parse_measure(spec: str) -> RadialMeasure:
+    """Parse the CLI grammar (``potential._parse_spec``): dirac, disk:r=<f>,
+    gauss:sigma=<f>, profile:file=<path> (CSV rows s,density)."""
+    return potential._parse_spec(spec, MeasureSpecError, _MEASURES)

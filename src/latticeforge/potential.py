@@ -216,40 +216,26 @@ def fourier(P: RadialPotential) -> RadialPotential:
     return P._fourier
 
 
-def parse_potential(spec: str) -> RadialPotential:
-    """Parse the CLI grammar: gaussian:alpha=<f>, invpower:a=<f>,s=<f>,
-    laplace:atoms=[(t,w),...]."""
+def _parse_spec(spec: str, error: type[ValueError], kinds: dict):
+    """Read ``kind`` or ``kind:key=value,...``: ``kinds`` maps each kind to
+    its constructor and one value parser per key, in argument order.  Each
+    key is given exactly once, in any order; a kind's only key takes the
+    rest of the spec, commas included.  Bad keys and values raise ``error``."""
     head, _, rest = spec.partition(":")
+    if head not in kinds:
+        raise error(f"unknown kind '{head}' in '{spec}'; one of {', '.join(kinds)}")
+    build, parsers = kinds[head]
+    parts = (rest.split(",") if len(parsers) > 1 else [rest]) if rest else []
+    given = dict(part.split("=", 1) for part in parts if "=" in part)
+    if len(given) != len(parts) or given.keys() != parsers.keys():
+        raise error(f"bad spec '{spec}': {head} keys are {', '.join(parsers) or 'none'}"
+                    ", each given once as key=value")
     try:
-        if head == "gaussian":
-            args = _parse_kv(rest, ["alpha"])
-            return gaussian(args["alpha"])
-        if head == "invpower":
-            args = _parse_kv(rest, ["a", "s"])
-            return inverse_power(args["a"], args["s"])
-        if head == "laplace":
-            key, _, val = rest.partition("=")
-            if key != "atoms":
-                raise PotentialSpecError(f"unknown key '{key}' in '{spec}'")
-            return from_atoms(_parse_pairs(val))
-    except PotentialSpecError:
+        return build(*[parse(given[key]) for key, parse in parsers.items()])
+    except error:
         raise
     except ValueError as exc:
-        raise PotentialSpecError(f"bad potential spec '{spec}': {exc}") from exc
-    raise PotentialSpecError(f"unknown potential '{head}'")
-
-
-def _parse_kv(text: str, keys: list[str]) -> dict[str, float]:
-    out = {}
-    for part in text.split(","):
-        key, sep, val = part.partition("=")
-        if not sep or key not in keys:
-            raise PotentialSpecError(f"unexpected token '{part}'")
-        out[key] = float(val)
-    missing = [k for k in keys if k not in out]
-    if missing:
-        raise PotentialSpecError(f"missing keys {missing}")
-    return out
+        raise error(f"bad spec '{spec}': {exc}") from exc
 
 
 def _parse_pairs(text: str) -> list[tuple[float, float]]:
@@ -268,3 +254,16 @@ def _parse_pairs(text: str) -> list[tuple[float, float]]:
     if not pairs:
         raise PotentialSpecError("empty atom list")
     return pairs
+
+
+_POTENTIALS = {
+    "gaussian": (gaussian, {"alpha": float}),
+    "invpower": (inverse_power, {"a": float, "s": float}),
+    "laplace": (from_atoms, {"atoms": _parse_pairs}),
+}
+
+
+def parse_potential(spec: str) -> RadialPotential:
+    """Parse the CLI grammar (``_parse_spec``): gaussian:alpha=<f>,
+    invpower:a=<f>,s=<f>, laplace:atoms=[(t,w),...]."""
+    return _parse_spec(spec, PotentialSpecError, _POTENTIALS)

@@ -1,8 +1,11 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +381,11 @@ class TestExitCodeContract:
          "E is not finite at (x, y) = (0.0, 1.0); a scale in --potential laplace"),
         (["scan", "--potential", "laplace:atoms=[(1e-300,5e7),(1e-300,5e7)]",
           "--format", "json"], 3, "E is not finite at (x, y) = (0.0, 1.0)"),
+        # each key of a spec is given once: a repeat is not the last value
+        (["energy", "--potential", "gaussian:alpha=1,alpha=2", "--lattice", "0,1"],
+         2, "'gaussian:alpha=1,alpha=2'"),
+        (["energy", "--potential", "invpower:a=1,s=2,s=3", "--lattice", "0,1"],
+         2, "'invpower:a=1,s=2,s=3'"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code
@@ -494,3 +502,38 @@ def test_cli_import_leaves_out_quadrature(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_readme_spec_grammar_parses(tmp_path):
+    # each form on README's spec lines, filled in with sample values, parses
+    # to its kind; the CLI help and the parsers' tables hold the same forms
+    csv = tmp_path / "ring.csv"
+    csv.write_text("0,0\n0.5,1\n1,0\n")
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    forms = {family: re.findall(r"`([^`]*)`", items) for family, items in
+             re.findall(r"(Potential|Measure) specs: ((?:`[^`]*`(?:, )?)+)", text)}
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help.split(" | ") for a in sub.choices["energy"]._actions
+             if a.dest in ("potential", "measure")}
+    assert forms == {"Potential": helps["potential"], "Measure": helps["measure"]}
+    blanks = {"<f>": "2", "(t,w),...": "(1,0.5),(2,0.25)", "<path>": str(csv)}
+
+    def fill(form):
+        for blank, value in blanks.items():
+            form = form.replace(blank, value)
+        return form
+
+    filled = {family: {form.partition(":")[0]: fill(form) for form in found}
+              for family, found in forms.items()}
+    potentials = {"gaussian": potential.gaussian(2.0),
+                  "invpower": potential.inverse_power(2.0, 2.0),
+                  "laplace": potential.from_atoms([(1, 0.5), (2, 0.25)])}
+    assert filled["Potential"].keys() == potential._POTENTIALS.keys()
+    for kind, spec in filled["Potential"].items():
+        assert potential.parse_potential(spec) == potentials[kind], spec
+    kinds = {"dirac": "dirac", "disk": "disk", "gauss": "gaussian",
+             "profile": "profile"}
+    assert filled["Measure"].keys() == measure._MEASURES.keys()
+    for head, spec in filled["Measure"].items():
+        assert measure.parse_measure(spec).kind == kinds[head], spec
