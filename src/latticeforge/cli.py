@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -219,7 +218,7 @@ def run(args) -> int:
         report = energy.diffuse_energy(P, mu, L, rtol=args.rtol)
         _check_finite("E", report.value, lambda i: f"--lattice {args.lattice}", args)
         payload = {"command": "energy", "lattice": [L.x, L.y]}
-        payload.update(asdict(report))
+        payload.update(vars(report))  # the report's fields, in order
         _write_json(args.output, payload)
         return 0
 
@@ -274,7 +273,7 @@ def run(args) -> int:
                 x_steps=args.x_steps, y_steps=args.y_steps,
                 y_max=args.y_max, tol=args.tol,
             )
-        payload = {k: v for k, v in asdict(best).items() if v is not None}
+        payload = {k: v for k, v in vars(best).items() if v is not None}
         payload.update(command="minimize", candidates=[
             {"point": list(c.point), "energy": c.energy} for c in candidates])
         _write_json(args.output, payload)

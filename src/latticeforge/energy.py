@@ -277,12 +277,13 @@ def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps=None):
         if not derivatives:
             g = _transform(mu, np.sqrt(q), False)
             return Phi.eval(q) * g * g
-        A0, A1, A2 = _transform(mu, np.sqrt(q), True, eps)
+        t = np.sqrt(q)
+        A0, A1, A2 = _transform(mu, t, True, eps)
         P0, P1, P2 = eval_derivatives(Phi, q, (0, 1, 2))
         # an overflowing particle scale leaves inf or nan here, quietly
         with np.errstate(over="ignore", invalid="ignore"):
             G2 = A0 * A0
-            dG2 = -(2.0 * math.pi / np.sqrt(q)) * A1 * A0
+            dG2 = -(2.0 * math.pi / t) * A1 * A0
             d2G2 = (
                 (math.pi / q**1.5) * A0 * A1
                 + (2.0 * math.pi**2 / q) * A1 * A1

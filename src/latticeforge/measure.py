@@ -58,10 +58,15 @@ _J2_SERIES = [(-1) ** k / (math.factorial(k) * math.factorial(k + 2))
 
 def _j2(x, J0, J1):
     """J2(x) = 2 J1/x - J0 from x = 1 on; below it, where that difference
-    cancels, the series to k = 7 (it errs by under 1e-16 there)."""
-    u = np.minimum(x, 1.0) ** 2 / 4.0
-    series = reduce(lambda acc, c: acc * u + c, _J2_SERIES)  # Horner
-    return np.where(x < 1.0, u * series, 2.0 * J1 / np.maximum(x, 1.0) - J0)
+    cancels, the series to k = 7 (it errs by under 1e-16 there), written
+    over the entries x < 1 of the first."""
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0
+        out = np.asarray(2.0 * J1 / x - J0)
+    small = x < 1.0
+    if small.any():
+        u = x[small] ** 2 / 4.0
+        out[small] = u * reduce(lambda acc, c: acc * u + c, _J2_SERIES)  # Horner
+    return out
 
 
 _BESSEL = (j0, j1, lambda x: _j2(x, j0(x), j1(x)))
@@ -217,18 +222,20 @@ def _transform(mu: RadialMeasure, t: np.ndarray, moments: bool, eps=None):
         return _family(mu, t, moments, 1.0)
     eps = np.asarray(eps, dtype=float).reshape((-1,) + (1,) * np.ndim(t))
     out = _family(mu, t, moments, eps)
-    # np.where also gives a dirac's t-shaped output its eps axis
-    if not moments:
-        return np.where(eps == 0.0, 1.0, out)
-    return tuple(np.where(eps == 0.0, point, a) for point, a in zip((1.0, 0.0, 0.0), out))
+    # each output is a fresh (eps, t) array: the point mass goes in its rows
+    point = eps.reshape(-1) == 0.0
+    for a, value in zip(out if moments else (out,), (1.0, 0.0, 0.0)):
+        a[point] = value
+    return out
 
 
 def _family(mu: RadialMeasure, t, moments: bool, scale):
     """``_transform`` of mu dilated by ``scale``: 1.0 (exact), or a column of
     eps that broadcasts against t and gives the outputs their eps axis."""
     if mu.kind == "dirac":
-        A0 = np.ones_like(t)
-        return (A0, np.zeros_like(t), np.zeros_like(t)) if moments else A0
+        shape = np.broadcast_shapes(np.shape(scale), np.shape(t))
+        A0 = np.ones(shape)
+        return (A0, np.zeros(shape), np.zeros(shape)) if moments else A0
     with np.errstate(over="ignore", invalid="ignore"):
         if mu.kind == "gaussian":
             s2 = np.float_power(scale * mu.param, 2.0)  # C pow, as float ** is
@@ -239,18 +246,23 @@ def _family(mu: RadialMeasure, t, moments: bool, scale):
         if mu.kind == "disk":
             R = scale * mu.param
             X = 2.0 * math.pi * R * t
-            # series of J1, J2 around zero below X = 1e-4
+            J1 = bessel_j(1, X)
+            A0 = np.asarray(2.0 * J1 / X)
+            if moments:
+                J2 = _j2(X, bessel_j(0, X), J1)
+                A1 = np.asarray(R * 2.0 * J2 / X)
+                A2 = np.asarray(R * R * (12.0 * J2 / (X * X) - 4.0 * J1 / X))
+            # below X = 1e-4, where J1/X and J2/X^2 lose their digits (0/0
+            # at X = 0), the series around zero replace those entries
             small = X < 1e-4
-            Xs = np.where(small, 1.0, X)
-            J1 = bessel_j(1, Xs)
-            A0 = np.where(small, 1.0 - X * X / 8.0, 2.0 * J1 / Xs)
-            if not moments:
-                return A0
-            J2 = _j2(Xs, bessel_j(0, Xs), J1)
-            A1 = np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * J2 / Xs)
-            A2 = np.where(small, R * R * (-0.5 + X * X / 8.0),
-                          R * R * (12.0 * J2 / (Xs * Xs) - 4.0 * J1 / Xs))
-            return A0, A1, A2
+            if small.any():
+                Xs = X[small]
+                A0[small] = 1.0 - Xs * Xs / 8.0
+                if moments:
+                    Rs = np.broadcast_to(R, X.shape)[small]
+                    A1[small] = Rs * Xs / 4.0 * (1.0 - Xs * Xs / 12.0)
+                    A2[small] = Rs * Rs * (-0.5 + Xs * Xs / 8.0)
+            return (A0, A1, A2) if moments else A0
         ss, ws = mu.nodes()
         per = max(1, potential._EVAL_PAIRS // len(ss))  # (eps, t) pairs a block
         if np.size(scale) * t.size > per:

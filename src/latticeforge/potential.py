@@ -239,21 +239,15 @@ def _parse_spec(spec: str, error: type[ValueError], kinds: dict):
 
 
 def _parse_pairs(text: str) -> list[tuple[float, float]]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise PotentialSpecError(f"expected [...] list, got '{text}'")
-    body = text[1:-1].replace(" ", "")
-    pairs = []
-    while body:
-        if not body.startswith("("):
-            raise PotentialSpecError(f"expected '(' at '{body}'")
-        close = body.index(")")
-        t_str, _, w_str = body[1:close].partition(",")
-        pairs.append((float(t_str), float(w_str)))
-        body = body[close + 1 :].lstrip(",")
-    if not pairs:
-        raise PotentialSpecError("empty atom list")
-    return pairs
+    """Read [(t,w),(t,w),...]: one or more pairs, one comma between pairs
+    and none after the last; spaces are ignored."""
+    body = text.replace(" ", "")
+    if not (body.startswith("[(") and body.endswith(")]")):
+        raise ValueError("expected a list [(t,w),...] of one or more atoms")
+    pairs = [item.split(",") for item in body[2:-2].split("),(")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("expected atoms (t,w) separated by single commas")
+    return [(float(t), float(w)) for t, w in pairs]
 
 
 _POTENTIALS = {

@@ -9,7 +9,9 @@ the engine's one head axis: a scalar eps is one head, and a curve sums its
 eps in one engine call, where the eps share the triangular point set, one
 Phi pass and the tail, and each eps is a head with columns (E, T) that
 stops on its own E, so each T is bit for bit its scalar call.  The
-summand is evaluated once per distinct q of a shell.  ``sign_changes``
+summand is evaluated once per shell N = m^2 + mn + n^2 of the triangular
+lattice, at its exact q = (2/sqrt 3) N, which the points' x^2 + y^2 miss
+by an ulp or so.  ``sign_changes``
 takes the arrays (eps, T) of one such request and bisects the sign
 changes of every bracket at once: each engine request holds the next
 midpoint of every open bracket and, where the curve is smooth enough to
@@ -40,6 +42,12 @@ __all__ = [
 # width at which bisection stops refining a sign change of T
 _ZERO_XTOL = 0.01
 
+# the unit-density triangular basis, whose shell N holds the points at
+# q = N / _SHELL
+_BASIS = basis_matrix(TRIANGULAR.x, TRIANGULAR.y)
+_BASIS.flags.writeable = False
+_SHELL = math.sqrt(3.0) / 2.0
+
 
 def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
     """T = d^2E/dx^2 of E = sum' H(|p|^2) at the triangular lattice (x, y).
@@ -52,19 +60,22 @@ def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
     y^2 Laplacian(q) = 2 q, so with y^2 = 3/4, T = (2/3) sum' q^2 H'' + 2 q H',
     a radial column summed in one engine call next to H, whose tail stops
     both sums at ``rtol`` relative to E; each head stops on its own E.
-    The points of a triangular shell share q, most of them to the bit, so
-    H is called on the distinct q only, in increasing order, and its
-    values are expanded back to the points.  Returns a float, or an array
-    of ``heads``.
+    The point m u1 + n u2 lies on the shell N = m^2 + mn + n^2, an
+    integer, at q = N / (sqrt(3)/2) exactly, so each point takes its N as
+    rint(q sqrt(3)/2), H is called once per shell present, on the exact q
+    of those shells in increasing order, and its values are expanded back
+    to the points.  Returns a float, or an array of ``heads``.
     """
 
     def cols(pts, q):
-        shells, at = np.unique(q, return_inverse=True)
+        N = np.rint(q * _SHELL).astype(np.intp)  # each point's shell
+        count = np.bincount(N)
+        shells = np.flatnonzero(count) / _SHELL  # the exact q of each shell
         h, d1, d2 = H(shells)
+        at = (np.cumsum(count > 0) - 1)[N]
         return np.stack([h, shells * (shells * d2 + 2.0 * d1)])[..., at]
 
-    basis = basis_matrix(TRIANGULAR.x, TRIANGULAR.y)
-    T = _summed(cols, tail_of, basis, rtol, 1 if heads is None else heads)[0][1, :, 0]
+    T = _summed(cols, tail_of, _BASIS, rtol, 1 if heads is None else heads)[0][1, :, 0]
     return float(T[0]) * (2.0 / 3.0) if heads is None else T * (2.0 / 3.0)
 
 
@@ -82,11 +93,13 @@ def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
     if e.ndim > 1 or not np.all((e >= 0) & (e < np.inf)):
         raise MeasureSpecError(f"scale factor must be finite and >= 0, got {eps}")
     flat, per, Phi = e.reshape(-1), energy._CHUNK_CANDIDATES, fourier(P)
-    T = []
-    for batch in np.split(flat, np.arange(per, flat.size, per)):  # one if empty
+
+    def curve(batch):
         H, tail_of = _fourier_summand(Phi, mu, batch)
-        T.append(t_coefficient(partial(H, derivatives=True), tail_of, rtol, batch.size))
-    T = np.concatenate(T)
+        return t_coefficient(partial(H, derivatives=True), tail_of, rtol, batch.size)
+
+    T = curve(flat) if flat.size <= per else np.concatenate(
+        [curve(batch) for batch in np.split(flat, np.arange(per, flat.size, per))])
     return T if e.ndim else float(T[0])
 
 

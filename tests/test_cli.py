@@ -386,6 +386,13 @@ class TestExitCodeContract:
          2, "'gaussian:alpha=1,alpha=2'"),
         (["energy", "--potential", "invpower:a=1,s=2,s=3", "--lattice", "0,1"],
          2, "'invpower:a=1,s=2,s=3'"),
+        # an atom list has one comma between pairs and none after the last
+        (["energy", "--potential", "laplace:atoms=[(1,1)(2,0.5)]", "--lattice", "0,1"],
+         2, "'laplace:atoms=[(1,1)(2,0.5)]'"),
+        (["energy", "--potential", "laplace:atoms=[(1,1),,,(2,0.5)]",
+          "--lattice", "0,1"], 2, "'laplace:atoms=[(1,1),,,(2,0.5)]'"),
+        (["energy", "--potential", "laplace:atoms=[(1,1),(2,0.5),]",
+          "--lattice", "0,1"], 2, "'laplace:atoms=[(1,1),(2,0.5),]'"),
     ])
     def test_bad_input(self, argv, code, needle, capsys):
         assert run_cli(argv) == code

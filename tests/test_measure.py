@@ -457,6 +457,79 @@ class TestMomentsFromJ0J1:
         assert not any(a.flags.writeable for a in first)
 
 
+class TestSeriesPatchedByIndex:
+    """The transforms write their series and point-mass entries over the
+    regular formula by index; each value is that of the two-branch
+    ``np.where`` formulas, bit for bit."""
+
+    # X = 2 pi R t from 1e-9 to 60: both sides of the 1e-4 and 1 switches,
+    # and X = 0 itself
+    X = np.concatenate([[0.0], np.logspace(-9.0, -3.0, 25),
+                        np.linspace(1e-3, 60.0, 4001)])
+
+    @staticmethod
+    def _j2_by_where(x, J0, J1):
+        u = np.minimum(x, 1.0) ** 2 / 4.0
+        series = 0.0
+        for c in msr._J2_SERIES:
+            series = series * u + c
+        return np.where(x < 1.0, u * series, 2.0 * J1 / np.maximum(x, 1.0) - J0)
+
+    @classmethod
+    def _disk_by_where(cls, R, t):
+        X = 2.0 * math.pi * R * t
+        small = X < 1e-4
+        Xs = np.where(small, 1.0, X)
+        J1 = msr.j1(Xs)
+        J2 = cls._j2_by_where(Xs, msr.j0(Xs), J1)
+        return (np.where(small, 1.0 - X * X / 8.0, 2.0 * J1 / Xs),
+                np.where(small, R * X / 4.0 * (1.0 - X * X / 12.0), R * 2.0 * J2 / Xs),
+                np.where(small, R * R * (-0.5 + X * X / 8.0),
+                         R * R * (12.0 * J2 / (Xs * Xs) - 4.0 * J1 / Xs)))
+
+    def test_j2(self):
+        x = self.X
+        want = self._j2_by_where(x, msr.j0(x), msr.j1(x))
+        assert msr.bessel_j(2, x).tobytes() == want.tobytes()
+        # and scalars, which take the 0-d path
+        for v in (0.0, 0.5, 1.0, 3.0):
+            assert msr.bessel_j(2, v) == self._j2_by_where(v, msr.j0(v), msr.j1(v))
+
+    @pytest.mark.parametrize("R", [1.0, 2.5])
+    def test_disk(self, R):
+        t = self.X / (2.0 * math.pi * R)
+        want = self._disk_by_where(R, t)
+        got = msr._transform(msr.uniform_disk(R), t, True)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert msr._transform(msr.uniform_disk(R), t, False).tobytes() == \
+            want[0].tobytes()
+        # a 0-d t, as ``hankel`` passes a scalar
+        for v in (0.0, 1e-6, 0.5):
+            assert msr.hankel(msr.uniform_disk(R), v) == \
+                self._disk_by_where(R, np.array([v]))[0][0]
+
+    @pytest.mark.parametrize("eps", [[0.0, 1e-6, 0.3, 1.0, 2.5], [0.3, 1.0]])
+    @pytest.mark.parametrize("kind", ["dirac", "disk", "gauss", "profile"])
+    def test_eps_axis(self, kind, eps):
+        mu = TestHankelMomentsArray._measure(kind)
+        eps = np.array(eps)
+        col = eps[:, None]
+        t = self.X[1:] / (2.0 * math.pi)
+        for moments in (False, True):
+            if kind == "disk":
+                family = self._disk_by_where(col * mu.param, t)
+            else:  # the other families have one formula for all entries
+                family = msr._family(mu, t, True, col)
+            want = [np.where(col == 0.0, point, a)
+                    for point, a in zip((1.0, 0.0, 0.0), family)]
+            got = msr._transform(mu, t, moments, eps)
+            got = got if moments else (got,)
+            assert len(got) == (3 if moments else 1)
+            for a, b in zip(got, want):
+                assert a.shape == eps.shape + t.shape
+                assert a.tobytes() == b.tobytes()
+
+
 class TestSelfConvolution:
     def test_dirac_collapses(self):
         P = pot.gaussian(2.0)

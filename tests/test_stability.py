@@ -78,20 +78,25 @@ class TestTCoefficient:
             return H(q, derivatives=True)
 
         T = stab.t_coefficient(recording, tail_of, heads=eps.size)
-        # each round's distinct q, in increasing order
-        assert shells and all(np.all(np.diff(q) > 0.0) for q in shells)
 
         def every_point(pts, q):
-            points.append(q.size)
+            points.append(pts.copy())
             h, d1, d2 = H(q, derivatives=True)
             return np.stack([h, q * (q * d2 + 2.0 * d1)])
 
         basis = lat.basis_matrix(TRIANGULAR.x, TRIANGULAR.y)
         sums = en._summed(every_point, tail_of, basis, 1e-10, eps.size)[0]
-        assert T.tobytes() == (sums[1, :, 0] * (2.0 / 3.0)).tobytes()
-        # a shell of the half box holds three or six points, whose q are
-        # not all equal to the bit: |u2|^2 is one ulp below |u1|^2
-        assert len(points) == len(shells) and 2 * sum(map(len, shells)) <= sum(points)
+        # each call takes the exact q = (2/sqrt 3) N of the shells
+        # N = m^2 + mn + n^2 its points lie on, once each, N increasing
+        assert shells and len(points) == len(shells)
+        for q, pts in zip(shells, points):
+            m, n = np.rint(np.linalg.solve(basis.T, pts.T)).astype(int)
+            N = np.unique(m * m + m * n + n * n)
+            assert np.all(np.diff(N) > 0) and q.tolist() == (N / (math.sqrt(3) / 2)).tolist()
+        # those q differ from the points' x^2 + y^2 by an ulp or so, and so
+        # does T from the every-point sum
+        every = sums[1, :, 0] * (2.0 / 3.0)
+        assert np.abs(T - every).max() <= 1e-15 * np.abs(every).max()
 
     def test_nonconvergent_sum_raises(self, monkeypatch):
         # e^(-1e-9 q) needs a cutoff near 10^5 to close its tail; a

@@ -26,10 +26,11 @@ transform without moments), a Gaussian-particle ``stability`` curve (its
 closed-form moments), an inverse-power ``stability`` curve for the profile
 (20 eps on one Phi pass, and bisection levels with several brackets open),
 two ``stability`` curves on coarse grids (disk on 0.5:20:0.5, profile on
-0.25:20:0.25), whose bisection misses the secant's path, an ``energy``
+0.25:20:0.25), whose bisection misses the secant's path, a disk curve on
+0:1:0.25, whose first eps is the point mass, an ``energy``
 for ``invpower:a=0.001,s=1.5``, whose derivative pass over its nodes runs
 in blocks, the same potential for the profile, whose transform runs in
-blocks of (t, ring node) pairs, and two commands that exit 3: 60 commands.
+blocks of (t, ring node) pairs, and two commands that exit 3: 61 commands.
 Outputs are written to stdout inside a scratch directory, which also holds
 the profile.  Exits 0 when every command ran; a command that raises fails
 the script.  CI runs it with ``python -W error::RuntimeWarning``, so a
@@ -101,6 +102,9 @@ def commands() -> list[list[str]]:
          "--eps", "0.5:20:0.5", "--format", "json"],
         ["stability", "--potential", GAUSS, "--measure", f"profile:file={PROFILE}",
          "--eps", "0.25:20:0.25", "--format", "json"],
+        # a grid from eps = 0, where the particle is the point mass
+        ["stability", "--potential", GAUSS, "--measure", "disk:r=1",
+         "--eps", "0:1:0.25", "--format", "json"],
         # 183 nodes at about 10^5 points a round: the Phi pass runs in blocks
         ["energy", "--potential", "invpower:a=0.001,s=1.5", "--measure",
          "disk:r=0.5", "--lattice", "0.2,1.3"],
