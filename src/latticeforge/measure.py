@@ -63,9 +63,8 @@ def _j2(x, J0, J1):
     with np.errstate(invalid="ignore"):  # 0/0 at x = 0
         out = np.asarray(2.0 * J1 / x - J0)
     small = x < 1.0
-    if small.any():
-        u = x[small] ** 2 / 4.0
-        out[small] = u * reduce(lambda acc, c: acc * u + c, _J2_SERIES)  # Horner
+    u = x[small] ** 2 / 4.0
+    out[small] = u * reduce(lambda acc, c: acc * u + c, _J2_SERIES)  # Horner
     return out
 
 

@@ -68,11 +68,10 @@ def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
     """
 
     def cols(pts, q):
-        N = np.rint(q * _SHELL).astype(np.intp)  # each point's shell
-        count = np.bincount(N)
-        shells = np.flatnonzero(count) / _SHELL  # the exact q of each shell
+        # each point's shell N, and the exact q of each shell present
+        shells, at = np.unique(np.rint(q * _SHELL).astype(np.intp), return_inverse=True)
+        shells = shells / _SHELL
         h, d1, d2 = H(shells)
-        at = (np.cumsum(count > 0) - 1)[N]
         return np.stack([h, shells * (shells * d2 + 2.0 * d1)])[..., at]
 
     T = _summed(cols, tail_of, _BASIS, rtol, 1 if heads is None else heads)[0][1, :, 0]
@@ -93,13 +92,11 @@ def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
     if e.ndim > 1 or not np.all((e >= 0) & (e < np.inf)):
         raise MeasureSpecError(f"scale factor must be finite and >= 0, got {eps}")
     flat, per, Phi = e.reshape(-1), energy._CHUNK_CANDIDATES, fourier(P)
-
-    def curve(batch):
+    T = []
+    for batch in np.split(flat, np.arange(per, flat.size, per)):  # one if empty
         H, tail_of = _fourier_summand(Phi, mu, batch)
-        return t_coefficient(partial(H, derivatives=True), tail_of, rtol, batch.size)
-
-    T = curve(flat) if flat.size <= per else np.concatenate(
-        [curve(batch) for batch in np.split(flat, np.arange(per, flat.size, per))])
+        T.append(t_coefficient(partial(H, derivatives=True), tail_of, rtol, batch.size))
+    T = np.concatenate(T)
     return T if e.ndim else float(T[0])
 
 
