@@ -72,8 +72,8 @@ def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho):
     """Tail-bound closure for phi(r) = sum w exp(-t r^2).
 
     ``rho`` may be an array of packing radii; the closure then takes an
-    array R of the same shape and returns one bound per entry.  Each call
-    evaluates one (R entries, nodes) array.
+    array R of the same shape, or with leading axes before it, and returns
+    one bound per entry.  Each call evaluates one (R entries, nodes) array.
     """
     ts = np.asarray(ts, dtype=float)
     ws = np.asarray(ws, dtype=float)
@@ -100,8 +100,8 @@ def mixture_tail(ts: np.ndarray, ws: np.ndarray, rho):
 # The lattice-sum engine
 # ---------------------------------------------------------------------------
 
-# candidates (lattices x box x heads) broadcast at once; larger batches go
-# in chunks
+# candidates (lattices x box, or eps x shells) broadcast at once; larger
+# batches go in chunks
 _CHUNK_CANDIDATES = 1 << 18
 
 # rungs of each lattice's cutoff ladder
@@ -137,23 +137,21 @@ def _packing_radius(bases: np.ndarray) -> np.ndarray:
     return 0.5 * np.sqrt(nn.min(axis=0))
 
 
-def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
+def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray):
     """Sum of h over each lattice's points within its R, and their count.
 
-    ``h_eval(pts, q)`` gives (c, heads, n) values for n points: c columns
-    of ``heads`` head columns each (a 1-D or (c, n) summand has one head).
-    The box |m| <= m_max, |n| <= n_max of ``lat.enumerate_points`` has one
-    row (m, n) per coefficient, m-major.  Only the rows after the origin's
-    (m > 0, or m = 0 < n) are summed, then doubled: every summand is even
-    in p (radial H; the jet's a, b, q; T's column) and row -(m, n) holds
-    exactly minus the point of (m, n).  Each call takes a slice of rows
-    over every lattice, built from the rows' flat indices: one row or more,
-    about ``_CHUNK_CANDIDATES`` (point, head) pairs while heads times
-    lattices is at most that (``stability.t_coefficient_diffuse`` passes one
-    lattice and at most that many heads).  ``np.add.at`` adds in index order
-    onto what a sum holds, so a pair's terms are added one by one in box
-    order however the box is sliced, and no sum depends on the batch or
-    the other heads.  Returns the sums, (c, heads, k), and the counts.
+    ``h_eval(pts, q)`` gives (c, n) values for n points: c columns (a 1-D
+    summand has one).  The box |m| <= m_max, |n| <= n_max of
+    ``lat.enumerate_points`` has one row (m, n) per coefficient, m-major.
+    Only the rows after the origin's (m > 0, or m = 0 < n) are summed, then
+    doubled: every summand is even in p (radial H; the jet's a, b, q) and
+    row -(m, n) holds exactly minus the point of (m, n).  Each call takes a
+    slice of rows over every lattice, built from the rows' flat indices:
+    one row or more, about ``_CHUNK_CANDIDATES`` points while the lattices
+    number at most that.  ``np.add.at`` adds in index order onto what a sum
+    holds, so a lattice's terms are added one by one in box order however
+    the box is sliced, and no sum depends on the batch.  Returns the sums,
+    (c, k), and the counts.
     """
     (m_max, n_max), k = lat.enumerate_points(bases, R), len(bases)
     width = 2 * n_max + 1
@@ -161,7 +159,7 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
     # basis entries as (lattices, 1) columns
     u1x, u1y, u2x, u2y = bases.reshape(-1, 4, 1).transpose(1, 0, 2)
     r2 = (R * R * (1.0 + 1e-12))[:, None]
-    rows = max(1, _CHUNK_CANDIDATES // (heads * k))  # box rows per slice
+    rows = max(1, _CHUNK_CANDIDATES // k)  # box rows per slice
     sums, counts = None, np.zeros(k, dtype=int)
     for at in range(origin + 1, size, rows):
         # row i is entry (m + m_max, n + n_max) of the (2 m_max + 1, width) grid
@@ -175,56 +173,53 @@ def _round_sums(h_eval, bases: np.ndarray, R: np.ndarray, heads: int = 1):
         # the kept points as (n, 2), a transposed view of their x and y rows
         pts = np.array((x[keep], y[keep])).T
         vals = np.asarray(h_eval(pts, q[keep]))
-        # sums[i, j] is (column, head) i of lattice j, at flat index i k + j
+        # sums[i, j] is column i of lattice j, at flat index i k + j
         sums = np.zeros((math.prod(vals.shape[:-1]), k)) if sums is None else sums
         index = np.arange(0, sums.size, k)[:, None] + owner
         np.add.at(sums.reshape(-1), index.ravel(), vals.ravel())
         np.add.at(counts, owner, 1)
-    return 2.0 * sums.reshape(-1, heads, k), 2 * counts
+    return 2.0 * sums, 2 * counts
 
 
-def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
-    """Adaptive truncated sums of h over the nonzero points of each lattice.
+def _stop_rule(round_sums, tail, rho: np.ndarray, rtol: float, ladder=None):
+    """The stop rule of every adaptive lattice sum: its cutoffs, skipped
+    rungs, stop test and errors.
 
-    ``bases`` is a (k, 2, 2) stack of basis rows (or one (2, 2) basis);
-    ``tail_of(rho)`` builds the tail bound R -> bound for packing radii rho;
-    ``h_eval`` is a summand of ``heads`` heads as ``_round_sums`` takes it.
+    ``rho`` holds the packing radii of k cutoff ladders R_j = max(6 rho, 2)
+    1.5^j, j < ``_RUNGS``, each rung the product of the one below and 1.5,
+    and ``tail(R)`` bounds each ladder's sums beyond its R.  Pair i of n (a
+    sum with its stop column) climbs ladder ``ladder[i]``; by default pair
+    i climbs ladder i.  ``round_sums(live, R)`` sums the pairs ``live``, an
+    increasing index array, at their ladders' R and returns their stop
+    column S; it keeps whatever else it sums for them, since a pair that has
+    stopped is not given again.
 
-    Each lattice has a ladder of ``_RUNGS`` cutoffs R_j = max(6 rho, 2)
-    1.5^j.  Each (head, lattice) pair stops at the first rung where its
-    tail bound is within ``rtol`` of its sum (of its first column, the stop
-    column), tail(R) <= rtol max(|S|, 1e-300), and keeps the sums, R,
-    bound and terms of that rung; a lattice leaves the batch when all its
-    heads have stopped.  A lattice is summed only at rungs where a pair
-    can stop: before each round it moves up to the first rung where
-    tail(R_j) <= rtol reach, with reach a bound on |S| at any later rung.
-    Before the first round reach is tail(0), which bounds the sum over
-    every nonzero point; after a round it is the largest |S| + tail(R)
-    over the heads still running, as every later sum lies within tail(R)
-    of this one (times ``_REACH_SLACK`` for rounding).  A skipped rung
-    fails the stop test of every pair, so each pair stops at the rung of
-    the every-rung ladder and keeps its values bit for bit.  When no rung
-    can stop, NonconvergenceError is raised before any further round, as
-    it is when a stop column is not finite.  Returns arrays (sums, R,
-    bounds, terms): sums (c, heads, k) and the others (heads, k), empty
-    from no round when there is no lattice or no head.
+    Pair i stops at the first rung where tail(R) <= rtol max(|S_i|, 1e-300).
+    A ladder is summed only at rungs where one of its pairs can stop:
+    before each round it moves up to the first rung where tail(R_j) <=
+    rtol reach, with reach a bound on |S| at any later rung.  Before the
+    first round reach is tail(0), which bounds the sum over every nonzero
+    point; after a round it is the largest |S| + tail(R) over the ladder's
+    pairs still running, as every later sum lies within tail(R) of this
+    one (times ``_REACH_SLACK`` for rounding).  A skipped rung fails the
+    stop test of every pair, so each pair stops at the rung of the
+    every-rung ladder.  When no rung can stop, NonconvergenceError is
+    raised before any further round, as it is when a stop column is not
+    finite.  Returns (R, bound) of each pair at its stop rung, (2, n); with
+    no pair, no round runs.
     """
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"rtol must be finite and > 0, got {rtol}")
-    bases = np.asarray(bases, dtype=float).reshape(-1, 2, 2)
-    k, rho = len(bases), _packing_radius(bases)
-    if not (k and heads):  # the summand on no points counts its columns c
-        c = len(np.atleast_2d(h_eval(np.zeros((0, 2)), np.zeros(0))))
-        empty = np.zeros((heads, k))
-        return np.zeros((c, heads, k)), empty, empty, empty.astype(int)
-    tail, R = tail_of(rho), np.maximum(6.0 * rho, 2.0)
-    bound, rung = tail(R), np.zeros(k, dtype=int)
+    k = len(rho)
+    ladder = np.arange(k) if ladder is None else ladder
+    R, rung = np.maximum(6.0 * rho, 2.0), np.zeros(k, dtype=int)
     # every nonzero point has |x| >= 2 rho, so tail(0) bounds |S| at any R
-    cap = rtol * np.maximum(tail(np.zeros(k)) * _REACH_SLACK, 1e-300)
-    up = np.flatnonzero(bound > cap)  # the lattices that leave their rung
-    # live[h, j]: head h of lattice active[j] is still summing
-    active, live = np.arange(k), np.ones((heads, k), dtype=bool)
-    kept, record = None, np.zeros((3, heads, k))  # sums; R, bound, terms
+    reach, bound = tail(np.stack([np.zeros(k), R]))
+    cap = rtol * np.maximum(reach * _REACH_SLACK, 1e-300)
+    up = np.flatnonzero(bound > cap)  # the ladders that leave their rung
+    live, stop = np.arange(len(ladder)), np.zeros((2, len(ladder)))
+    if not live.size:
+        return stop
     while True:
         while up.size:
             R[up] *= 1.5
@@ -237,26 +232,51 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float, heads: int = 1):
             # a rung whose tail exceeds rtol * reach cannot stop any pair
             # (a nan on either side keeps the rung)
             up = up[bound[up] > cap[up]]
-        sums, terms = _round_sums(h_eval, bases[active], R[active], heads)
-        kept = np.empty_like(sums) if kept is None else kept  # round 1 runs all
-        h, j = np.nonzero(live)
-        kept[:, h, active[j]] = sums[:, h, j]
-        record[:, h, active[j]] = R[active[j]], bound[active[j]], terms[j]
-        S = sums[0]
-        bad = np.argwhere(live & ~np.isfinite(S))
+        at = ladder[live]
+        S = round_sums(live, R[at])
+        bad = np.flatnonzero(~np.isfinite(S))
         if bad.size:  # nan never stops, and inf stops at once
-            h, j = bad[0]
-            raise NonconvergenceError(f"lattice sum is not finite ({S[h, j]}) "
-                                      f"at cutoff R = {R[active[j]]:g}")
-        live &= ~(bound[active] <= rtol * np.maximum(np.abs(S), 1e-300))
+            raise NonconvergenceError(f"lattice sum is not finite ({S[bad[0]]}) "
+                                      f"at cutoff R = {R[at[bad[0]]]:g}")
+        stop[:, live] = R[at], bound[at]
+        going = ~(bound[at] <= rtol * np.maximum(np.abs(S), 1e-300))
+        live, at = live[going], at[going]
+        if not live.size:
+            return stop
         # every later sum lies within tail(R) of this one
-        reach = np.where(live, np.abs(S), 0.0).max(axis=0) + bound[active]
-        cap[active] = rtol * np.maximum(reach * _REACH_SLACK, 1e-300)
-        going = live.any(axis=0)
-        active, live = active[going], live[:, going]
-        if not active.size:
-            return kept, record[0], record[1], record[2].astype(int)
-        up = active
+        reach = np.zeros(k)
+        np.maximum.at(reach, at, np.abs(S[going]))
+        up = np.flatnonzero(np.bincount(at, minlength=k))
+        cap[up] = rtol * np.maximum((reach[up] + bound[up]) * _REACH_SLACK, 1e-300)
+
+
+def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float):
+    """Adaptive truncated sums of h over the nonzero points of each lattice.
+
+    ``bases`` is a (k, 2, 2) stack of basis rows (or one (2, 2) basis);
+    ``tail_of(rho)`` builds the tail bound R -> bound for packing radii rho;
+    ``h_eval`` is a summand as ``_round_sums`` takes it.  Each lattice
+    climbs its own ladder of ``_stop_rule``, stopping on its first column,
+    and keeps the sums, R, bound and terms of its stop rung; a lattice
+    leaves the batch when it stops.  Returns arrays (sums, R, bounds, terms): sums
+    (c, k) and the others (k,), empty from no round when there is no
+    lattice.
+    """
+    bases = np.asarray(bases, dtype=float).reshape(-1, 2, 2)
+    rho, terms = _packing_radius(bases), np.zeros(len(bases), dtype=int)
+    kept = None
+
+    def round_sums(live, R):
+        nonlocal kept
+        sums, terms[live] = _round_sums(h_eval, bases[live], R)
+        kept = np.empty((len(sums), len(bases))) if kept is None else kept  # round 1 runs all
+        kept[:, live] = sums
+        return sums[0]
+
+    R, bound = _stop_rule(round_sums, tail_of(rho), rho, rtol)
+    if kept is None:  # no lattice: the summand on no points counts its columns c
+        kept = np.zeros((len(np.atleast_2d(h_eval(np.zeros((0, 2)), np.zeros(0)))), 0))
+    return kept, R, bound, terms
 
 
 def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps=None):
@@ -370,7 +390,7 @@ def diffuse_energy_fn(P: RadialPotential, mu: RadialMeasure,
     def E(x, y):
         x = np.asarray(x, dtype=float)
         bases = lat.basis_matrix(x.ravel(), np.ravel(y))
-        val = _summed(lambda pts, q: H(q), tail_of, bases, rtol)[0][0, 0] + const
+        val = _summed(lambda pts, q: H(q), tail_of, bases, rtol)[0][0] + const
         return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
     return E
@@ -397,8 +417,7 @@ def diffuse_energy_jet(P: RadialPotential, mu: RadialMeasure,
                          d2 * a * a, d2 * a * b, d2 * b * b])
 
     def jet(x, y):
-        sums = _summed(cols, tail_of, lat.basis_matrix(x, y), rtol)[0]
-        E, a, b, q, aa, ab, bb = sums[:, 0]
+        E, a, b, q, aa, ab, bb = _summed(cols, tail_of, lat.basis_matrix(x, y), rtol)[0]
         y = np.asarray(y, dtype=float)[:, None]
         hxy = 2.0 * (ab - a)
         hess = np.stack([4.0 * aa + q + b, hxy, hxy, bb + q - b], axis=-1) / (y * y)

@@ -2,33 +2,34 @@
 
 At the triangular point the Hessian of any radial-summand lattice energy
 is a multiple T of the identity, so T is half its trace: one radial column
-summed by the lattice-sum engine of ``energy`` next to E itself.  The
-engine stops on E's certified tail, so ``rtol`` is relative to E and T
-shares E's cutoff without a tail bound of its own.  Every T is a head of
-the engine's one head axis: a scalar eps is one head, and a curve sums its
-eps in one engine call, where the eps share the triangular point set, one
-Phi pass and the tail, and each eps is a head with columns (E, T) that
-stops on its own E, so each T is bit for bit its scalar call.  The
-summand is evaluated once per shell N = m^2 + mn + n^2 of the triangular
-lattice, at its exact q = (2/sqrt 3) N, which the points' x^2 + y^2 miss
-by an ulp or so.  ``sign_changes``
-takes the arrays (eps, T) of one such request and bisects the sign
-changes of every bracket at once: each engine request holds the next
-midpoint of every open bracket and, where the curve is smooth enough to
-predict it, the midpoints after it on the secant zero's path.  The
-finite-difference check of T, a Hessian of E(x, y) on a 3x3 stencil,
-lives in the tests.
+summed next to E itself.  The triangular lattice's points lie on shells
+N = m^2 + mn + n^2 of known multiplicity r(N), at the exact q = (2/sqrt 3)
+N, which the points' x^2 + y^2 miss by an ulp or so, so T is summed over
+shells, not points.  The sum climbs the cutoff ladder of the lattice-sum
+engine of ``energy`` under the same stop rule and stops on E's certified
+tail, so ``rtol`` is relative to E and T shares E's cutoff without a tail
+bound of its own.  A scalar eps is one head, and a curve sums its eps in
+one request, where the eps share the shells, one Phi pass and the tail,
+and each eps is a head with columns (E, T) that stops on its own E; each
+head's sum runs shell after shell in increasing N, so each T is bit for
+bit its scalar call.  ``sign_changes`` takes the arrays (eps, T) of one
+such request and bisects the sign changes of every bracket at once: each
+request holds the next midpoint of every open bracket and, where the
+curve is smooth enough to predict it, the midpoints after it on the
+secant zero's path.  The finite-difference check of T, a Hessian of
+E(x, y) on a 3x3 stencil, lives in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import energy
-from .energy import _fourier_summand, _summed
+from . import lattice as lat
+from .energy import _fourier_summand
 from .lattice import TRIANGULAR, basis_matrix
 from .measure import MeasureSpecError, RadialMeasure
 from .potential import RadialPotential, fourier
@@ -42,11 +43,72 @@ __all__ = [
 # width at which bisection stops refining a sign change of T
 _ZERO_XTOL = 0.01
 
-# the unit-density triangular basis, whose shell N holds the points at
-# q = N / _SHELL
+# the unit-density triangular basis, whose shell N = m^2 + mn + n^2 holds
+# the points m u1 + n u2, at q = N / _SHELL, and its packing radius
 _BASIS = basis_matrix(TRIANGULAR.x, TRIANGULAR.y)
 _BASIS.flags.writeable = False
 _SHELL = math.sqrt(3.0) / 2.0
+_RHO = energy._packing_radius(_BASIS[None])
+_RHO.flags.writeable = False
+
+
+@lru_cache(maxsize=energy._RUNGS)
+def _shells(R: float):
+    """The shells N of the triangular lattice whose exact q = N / _SHELL
+    lies within R (with the engine's 1e-12 slack), increasing, and their
+    multiplicities r(N), as read-only arrays.
+
+    Rotation by 60 degrees maps m u1 + n u2 to -n u1 + (m + n) u2, and
+    every nonzero point has one image in the sector m > 0, n >= 0, so r(N)
+    is six times N's count there.  The sector is taken from the box of
+    ``lattice.enumerate_points``, so its point cap applies when a table is
+    built; a table is kept per R, as the ladder's R are the same for every
+    request.
+    """
+    m_max, n_max = lat.enumerate_points(_BASIS[None], np.array([R]))
+    m, n = np.arange(1, m_max + 1)[:, None], np.arange(n_max + 1)
+    N = (m * m + m * n + n * n).ravel()
+    shells, count = np.unique(N[N / _SHELL <= R * R * (1.0 + 1e-12)], return_counts=True)
+    r = 6 * count
+    shells.flags.writeable = r.flags.writeable = False
+    return shells, r
+
+
+def _shell_sums(H, tail_of, rtol: float, heads: int):
+    """Sums (E, T's column) of ``heads`` summands over the shells of the
+    triangular lattice, and (R, bound) where each stopped, each (2, heads).
+
+    Every head climbs ``energy._stop_rule``'s one ladder of the triangular
+    packing radius and stops on its own E.  A round calls H on the exact q
+    of the shells new since the last round only, in slices of at most
+    ``_CHUNK_CANDIDATES`` (shell, head) pairs, and adds r(N) times each
+    shell's values to a running total per head, one shell after another in
+    increasing N (``np.cumsum``, carried across slices and rounds), so a
+    head's sums are bit for bit the same alone, in any batch and under any
+    slicing.
+    """
+    total, kept, done = np.zeros((2, heads)), np.zeros((2, heads)), 0
+
+    def round_sums(live, R):
+        nonlocal total, done
+        # a larger R's table extends a smaller one's: its new shells follow
+        shells, r = (v[done:] for v in _shells(R[0]))
+        done += shells.size
+        per = max(1, energy._CHUNK_CANDIDATES // heads)
+        for at in range(0, shells.size, per):
+            q = shells[at:at + per] / _SHELL
+            h, d1, d2 = (np.reshape(v, (heads, -1)) for v in H(q))
+            # (column, head, shell): r(N) (H, q (q H'' + 2 H')) per shell,
+            # the first shell's onto the running total
+            vals = np.stack([h, q * (q * d2 + 2.0 * d1)]) * r[at:at + per]
+            vals[..., 0] += total
+            total = np.cumsum(vals, axis=-1)[..., -1]
+        kept[:, live] = total[:, live]
+        return total[0, live]
+
+    stop = energy._stop_rule(round_sums, tail_of(_RHO), _RHO, rtol,
+                             np.zeros(heads, dtype=int))
+    return kept, stop
 
 
 def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
@@ -58,24 +120,13 @@ def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
     identity, so T is half its trace, sum' H'' |grad q|^2 + H' Laplacian(q).
     With a = p0 p1 and b = p1^2 - p0^2, y^2 |grad q|^2 = 4 a^2 + b^2 = q^2 and
     y^2 Laplacian(q) = 2 q, so with y^2 = 3/4, T = (2/3) sum' q^2 H'' + 2 q H',
-    a radial column summed in one engine call next to H, whose tail stops
-    both sums at ``rtol`` relative to E; each head stops on its own E.
-    The point m u1 + n u2 lies on the shell N = m^2 + mn + n^2, an
-    integer, at q = N / (sqrt(3)/2) exactly, so each point takes its N as
-    rint(q sqrt(3)/2), H is called once per shell present, on the exact q
-    of those shells in increasing order, and its values are expanded back
-    to the points.  Returns a float, or an array of ``heads``.
+    a radial column summed over the lattice's shells next to H by
+    ``_shell_sums``, whose tail stops both sums at ``rtol`` relative to E;
+    each head stops on its own E.  Returns a float, or an array of
+    ``heads``.
     """
-
-    def cols(pts, q):
-        # each point's shell N, and the exact q of each shell present
-        shells, at = np.unique(np.rint(q * _SHELL).astype(np.intp), return_inverse=True)
-        shells = shells / _SHELL
-        h, d1, d2 = H(shells)
-        return np.stack([h, shells * (shells * d2 + 2.0 * d1)])[..., at]
-
-    T = _summed(cols, tail_of, _BASIS, rtol, 1 if heads is None else heads)[0][1, :, 0]
-    return float(T[0]) * (2.0 / 3.0) if heads is None else T * (2.0 / 3.0)
+    T = _shell_sums(H, tail_of, rtol, 1 if heads is None else heads)[0][1] * (2.0 / 3.0)
+    return float(T[0]) if heads is None else T
 
 
 def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
@@ -84,9 +135,9 @@ def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
 
     A float for a scalar eps; for a 1-D array of eps, an array of T, from
     one ``t_coefficient`` call per batch of at most the engine's
-    ``_CHUNK_CANDIDATES`` eps.  A batch shares the triangular point set, a
-    Phi pass and the tail, and each eps stops on its own E, so each T is
-    bit for bit its scalar call in any batch.
+    ``_CHUNK_CANDIDATES`` eps.  A batch shares the triangular lattice's
+    shells, a Phi pass and the tail, and each eps stops on its own E, so
+    each T is bit for bit its scalar call in any batch.
     """
     e = np.asarray(eps, dtype=float)
     if e.ndim > 1 or not np.all((e >= 0) & (e < np.inf)):
@@ -108,7 +159,7 @@ def sign_changes(P: RadialPotential, mu: RadialMeasure, eps, T,
     request.  A grid point where T is exactly 0 is a zero.  A sign change
     between two grid points is bisected to width ``_ZERO_XTOL`` by the rule
     of one bracket alone: the midpoint m = (lo + hi) / 2 becomes hi where
-    T(lo) T(m) <= 0 and lo otherwise.  Each engine request serves every
+    T(lo) T(m) <= 0 and lo otherwise.  Each request serves every
     open bracket: it holds the bracket's next midpoint and, along
     ``_secant_path``, the midpoints bisection visits after it if the zero
     sits at the secant zero.  After the request each bracket walks its

@@ -116,36 +116,30 @@ def check_completely_monotone(F, r_samples, max_order: int) -> bool:
     return True
 
 
-def every_rung_summed(h_eval, tail_of, bases, rtol: float, heads: int = 1):
+def every_rung_summed(h_eval, tail_of, bases, rtol: float):
     """``energy._summed`` without skipped rungs: every active lattice is
-    summed at every rung R0 1.5^j of its ladder, j < 40, until each
-    (head, lattice) pair's tail bound is within ``rtol`` of its sum.
-    Same arguments and returns (sums, R, bounds, terms)."""
+    summed at every rung R0 1.5^j of its ladder, j < 40, until its tail
+    bound is within ``rtol`` of its sum.  Same arguments and returns
+    (sums, R, bounds, terms)."""
     bases = np.asarray(bases, dtype=float).reshape(-1, 2, 2)
     k = len(bases)
     rho = en._packing_radius(bases)
     tail = tail_of(rho)
-    at_lattice, at_pair = np.zeros((3, k)), np.zeros((3, heads, k))
-    R, bound, terms = at_lattice
+    R, bound, terms = np.zeros((3, k))
     R[:] = np.maximum(6.0 * rho, 2.0)
-    run = np.ones((heads, k), dtype=bool)
-    total = kept = None
+    kept = None
     active = np.arange(k)
     for _ in range(40):
-        bound[:] = tail(R)
-        sums, terms[active] = en._round_sums(h_eval, bases[active], R[active], heads)
-        if total is None:
-            total, kept = sums, np.empty_like(sums)
-        total[..., active] = sums
-        np.copyto(kept, total, where=run)
-        np.copyto(at_pair, at_lattice[:, None], where=run)
-        S = total[0]
-        if not np.isfinite(S[run]).all():
+        bound[active] = tail(R)[active]
+        sums, terms[active] = en._round_sums(h_eval, bases[active], R[active])
+        kept = np.empty((len(sums), k)) if kept is None else kept
+        kept[:, active] = sums
+        S = sums[0]
+        if not np.isfinite(S).all():
             raise en.NonconvergenceError("lattice sum is not finite")
-        run &= ~(bound <= rtol * np.maximum(np.abs(S), 1e-300))
-        active = np.logical_or.reduce(run).nonzero()[0]
+        active = active[~(bound[active] <= rtol * np.maximum(np.abs(S), 1e-300))]
         if not active.size:
-            return kept, at_pair[0], at_pair[1], at_pair[2].astype(int)
+            return kept, R, bound, terms.astype(int)
         R[active] *= 1.5
     raise en.NonconvergenceError("lattice sum did not meet the tail tolerance")
 

@@ -350,15 +350,15 @@ class TestSkippedRungs:
         holds the summand calls of each engine call."""
         real, rounds = en._summed, []
 
-        def checked(h_eval, tail_of, bases, rtol, heads=1):
+        def checked(h_eval, tail_of, bases, rtol):
             calls = []
 
             def counted(pts, q):
                 calls.append(len(q))
                 return h_eval(pts, q)
 
-            got = real(counted, tail_of, bases, rtol, heads)
-            want = every_rung_summed(h_eval, tail_of, bases, rtol, heads)
+            got = real(counted, tail_of, bases, rtol)
+            want = every_rung_summed(h_eval, tail_of, bases, rtol)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
@@ -366,7 +366,6 @@ class TestSkippedRungs:
             return got
 
         monkeypatch.setattr(en, "_summed", checked)
-        monkeypatch.setattr(stab, "_summed", checked)
         return rounds
 
     @pytest.mark.parametrize("mu", [msr.uniform_disk(1.0), msr.radial_gaussian(1.0)])
@@ -386,10 +385,31 @@ class TestSkippedRungs:
         assert len(rounds) == 2
 
     def test_figure_curve_heads(self, rounds):
+        # T climbs the same ladder over the triangular lattice's shells,
+        # with no engine call: the first rung, R = 3.22, cannot stop any eps
+        # at rtol 1e-10, so the curve's 100 eps run one round, one H call,
+        # and each stops where the every-rung ladder over its points stops
         eps = 0.05 * np.arange(1, 101)
-        stab.t_coefficient_diffuse(pot.gaussian(math.pi), msr.uniform_disk(1.0), eps)
-        # the first rung, R = 3.22, cannot stop any eps at rtol 1e-10
-        assert rounds == [1]
+        Phi, disk = pot.fourier(pot.gaussian(math.pi)), msr.uniform_disk(1.0)
+        H, tail_of = en._fourier_summand(Phi, disk, eps)
+        calls = []
+
+        def counted(q):
+            calls.append(q.size)
+            return H(q, derivatives=True)
+
+        sums, (R, _) = stab._shell_sums(counted, tail_of, 1e-10, eps.size)
+        assert len(calls) == 1 and rounds == []
+        for i, e in enumerate(eps.tolist()):
+            Hi = en._fourier_summand(Phi, disk, np.array([e]))[0]
+
+            def cols(pts, q):
+                h, d1, d2 = (v[0] for v in Hi(q, derivatives=True))
+                return np.stack([h, q * (q * d2 + 2.0 * d1)])
+
+            want, R_want = every_rung_summed(cols, tail_of, stab._BASIS, 1e-10)[:2]
+            assert R[i] == R_want[0]
+            assert abs(sums[1, i] - want[1, 0]) <= 1e-15 * np.abs(sums[1]).max()
 
     @pytest.mark.parametrize("t", [1e-3, 1e3])
     def test_theta(self, rounds, t):
@@ -580,14 +600,14 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("chunk", [en._CHUNK_CANDIDATES, 7,
                                        "origin-first", "origin-last"])
     def test_sums_in_box_order(self, chunk, monkeypatch):
-        # each (column, head, lattice) sum is, bit for bit, twice a Python
+        # each (column, lattice) sum is, bit for bit, twice a Python
         # float loop s += v over the lattice's kept points of the half box
         # after the origin (m > 0, or m = 0 < n) in the box's order, m then
         # n; the values are even in (x, y) and use only + * /, which round
         # the same in numpy and Python
         def values(x, y, q):
-            return [[1.0 / (1.0 + q), 1.0 / (3.0 + q)],
-                    [x * x / (1.0 + q), x * y / (2.0 + q)]]
+            return [1.0 / (1.0 + q), 1.0 / (3.0 + q),
+                    x * x / (1.0 + q), x * y / (2.0 + q)]
 
         def h(pts, q):
             return np.array(values(pts[:, 0], pts[:, 1], q))
@@ -601,22 +621,21 @@ class TestBatchedEngine:
             # the first slice starts at (0, 1), next to the origin, and runs
             # past the end of the m = 0 row, or ends on it
             rows = n_max + 1 if chunk == "origin-first" else n_max
-            chunk = rows * 2 * len(bases)  # (point, head) pairs per slice
+            chunk = rows * len(bases)  # points per slice
         monkeypatch.setattr(en, "_CHUNK_CANDIDATES", chunk)
-        sums, counts = en._round_sums(h, bases, R, heads=2)
-        assert sums.shape == (2, 2, 3)
+        sums, counts = en._round_sums(h, bases, R)
+        assert sums.shape == (4, 3)
         for j, (((ax, ay), (bx, by)), r) in enumerate(zip(bases.tolist(), R.tolist())):
-            want, kept = [[0.0, 0.0], [0.0, 0.0]], 0
+            want, kept = [0.0] * 4, 0
             for m, n in box:
                 x, y = m * ax + n * bx, m * ay + n * by
                 q = x * x + y * y
                 if q <= r * r * (1.0 + 1e-12):
                     kept += 1
-                    for c, row in enumerate(values(x, y, q)):
-                        for head, v in enumerate(row):
-                            want[c][head] += v
+                    for c, v in enumerate(values(x, y, q)):
+                        want[c] += v
             assert counts[j] == 2 * kept
-            assert sums[..., j].tolist() == [[2.0 * v for v in c] for c in want]
+            assert sums[:, j].tolist() == [2.0 * v for v in want]
 
 
 def full_box_points(basis, R: float):
@@ -635,18 +654,25 @@ class TestHalfBox:
     m = 0 < n, and doubles its sums and counts."""
 
     def test_sums_match_the_full_box(self, monkeypatch, rng):
-        # theta, E (two kinds, batched), the jet's seven columns and T
-        # (five eps as heads) against fsum over the brute-force full box
-        # within each (head, lattice)'s R, to 2e-15 of the sum of |terms|
-        calls, real = [], en._summed
+        # theta, E (two kinds, batched) and the jet's seven columns against
+        # fsum over the brute-force full box within each lattice's R, and
+        # T's shell sums (five eps) over the triangular lattice's full box
+        # within each eps's R, to 2e-15 of the sum of |terms|
+        calls, shell_calls = [], []
+        real, real_shells = en._summed, stab._shell_sums
 
-        def recording(h_eval, tail_of, bases, rtol, heads=1):
-            out = real(h_eval, tail_of, bases, rtol, heads)
-            calls.append((h_eval, np.reshape(bases, (-1, 2, 2)), heads, out))
+        def recording(h_eval, tail_of, bases, rtol):
+            out = real(h_eval, tail_of, bases, rtol)
+            calls.append((h_eval, np.reshape(bases, (-1, 2, 2)), out))
+            return out
+
+        def recording_shells(H, tail_of, rtol, heads):
+            out = real_shells(H, tail_of, rtol, heads)
+            shell_calls.append((H, heads, out))
             return out
 
         monkeypatch.setattr(en, "_summed", recording)
-        monkeypatch.setattr(stab, "_summed", recording)
+        monkeypatch.setattr(stab, "_shell_sums", recording_shells)
         Ls = [TRIANGULAR, LatticeParams(0.0, 1.0)] + [random_lattice(rng)
                                                       for _ in range(10)]
         xs, ys = np.array([L.x for L in Ls]), np.array([L.y for L in Ls])
@@ -658,16 +684,26 @@ class TestHalfBox:
                              msr.radial_gaussian(0.5))(xs, ys)
         en.diffuse_energy_jet(P, disk)(xs, ys)
         stab.t_coefficient_diffuse(P, disk, np.array([0.0, 0.3, 0.6031, 1.0, 3.0]))
-        assert len(calls) == len(Ls) + 4
-        for h_eval, bases, heads, (sums, R, _, terms) in calls:
+        assert len(calls) == len(Ls) + 3 and len(shell_calls) == 1
+
+        def check(sums, vals):
+            want = np.array([math.fsum(v) for v in vals])
+            scale = np.array([math.fsum(v) for v in np.abs(vals)])
+            assert np.all(np.abs(sums - want) <= 2e-15 * scale)
+
+        for h_eval, bases, (sums, R, _, terms) in calls:
             for j, basis in enumerate(bases):
-                for head in range(heads):
-                    pts, q = full_box_points(basis, R[head, j])
-                    vals = np.reshape(h_eval(pts, q), (-1, heads, len(q)))[:, head]
-                    want = np.array([math.fsum(v) for v in vals])
-                    scale = np.array([math.fsum(v) for v in np.abs(vals)])
-                    assert np.all(np.abs(sums[:, head, j] - want) <= 2e-15 * scale)
-                    assert terms[head, j] == len(q)
+                pts, q = full_box_points(basis, R[j])
+                check(sums[:, j], np.reshape(h_eval(pts, q), (-1, len(q))))
+                assert terms[j] == len(q)
+        H, heads, (sums, (R, _)) = shell_calls[0]
+        for i in range(heads):
+            # each point at the exact q of its shell N = m^2 + mn + n^2
+            q = np.rint(full_box_points(stab._BASIS, R[i])[1] * stab._SHELL) / stab._SHELL
+            h, d1, d2 = (v[i] for v in H(q))
+            check(sums[:, i], np.stack([h, q * (q * d2 + 2.0 * d1)]))
+            # the shells' multiplicities count the full box's points
+            assert stab._shells(R[i])[1].sum() == len(q)
 
     def test_summand_sees_only_the_half_box(self, monkeypatch, rng):
         # a small chunk cuts the box into slices; the points the summand is
@@ -727,80 +763,21 @@ class TestHalfBox:
             assert [v[0] for v in alone] == [v[i] for v in batch]
 
 
-class TestHeads:
-    """A summand of (c, heads, n): each (lattice, head) pair stops alone."""
-
-    @staticmethod
-    def _summand(scales):
-        # head i is scales[i] e^(-q), with a second column q e^(-q) each
-        def h(pts, q):
-            e = np.exp(-q)
-            return np.stack([np.multiply.outer(scales, e),
-                             np.multiply.outer(scales, q * e)])
-        return h
-
-    def test_each_head_as_if_alone(self, monkeypatch):
-        # a head 1e-8 times smaller needs a tail 1e-8 times smaller, so it
-        # runs more rounds than the others and stops at a larger R
-        scales = np.array([1.0, 1e-8, 3.0])
-        tail_of = partial(en.mixture_tail, [1.0], [1.0])
-        bases = lat.basis_matrix(np.array([0.5, 0.0, 0.2]), np.array([0.9, 1.0, 2.5]))
-        total, R, bound, terms = en._summed(self._summand(scales), tail_of, bases,
-                                            1e-10, heads=3)
-        assert total.shape == (2, 3, 3) and R.shape == bound.shape == (3, 3)
-        assert np.all(R[1] > R[0]) and np.array_equal(R[0], R[2])
-        for i, s in enumerate(scales):
-            alone = en._summed(self._summand(np.array([s])), tail_of, bases,
-                               1e-10, heads=1)
-            assert np.array_equal(alone[0][:, 0], total[:, i])
-            for got, want in zip(alone[1:], (R, bound, terms)):
-                assert np.array_equal(got[0], want[i])
-        # the chunk budget counts point x head pairs: a small one slices
-        # the box for three heads into more calls, and no sum moves
-        sizes = []
-
-        def recording(pts, q):
-            sizes.append(len(q))
-            return self._summand(scales)(pts, q)
-
-        monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 96)
-        sliced = en._summed(recording, tail_of, bases, 1e-10, heads=3)
-        assert max(sizes) <= 32
-        for a, b in zip((total, R, bound, terms), sliced):
-            assert np.array_equal(a, b)
-
-    def test_empty_batches_run_no_round(self, monkeypatch):
-        # no head or no lattice: empty sums of the summand's two columns,
-        # with no box built
+class TestNoLattice:
+    def test_empty_batch_runs_no_round(self, monkeypatch):
+        # no lattice: empty sums of the summand's columns, with no box built
         def no_round(*args):
             raise AssertionError("an empty batch ran an engine round")
 
         monkeypatch.setattr(en, "_round_sums", no_round)
-        tail_of = partial(en.mixture_tail, [1.0], [1.0])
-        bases = lat.basis_matrix(np.array([0.5, 0.0, 0.2]), np.array([0.9, 1.0, 2.5]))
-        for scales, b, shape in [(np.zeros(0), bases, (0, 3)),
-                                 (np.ones(3), bases[:0], (3, 0))]:
-            total, *rest = en._summed(self._summand(scales), tail_of, b, 1e-10,
-                                      heads=len(scales))
-            assert total.shape == (2,) + shape
-            assert [v.shape for v in rest] == [shape] * 3
+        h = lambda pts, q: np.stack([np.exp(-q), q * np.exp(-q)])
+        total, *rest = en._summed(h, partial(en.mixture_tail, [1.0], [1.0]),
+                                  np.zeros((0, 2, 2)), 1e-10)
+        assert total.shape == (2, 0)
+        assert [v.shape for v in rest] == [(0,)] * 3
         P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
         E, none = en.diffuse_energy_fn(P, mu), np.zeros(0)
         assert E(none, none).shape == (0,)
         assert E(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2)
         jet = en.diffuse_energy_jet(P, mu)(none, none)
         assert [v.shape for v in jet] == [(0,), (0, 2), (0, 2, 2)]
-
-    def test_one_shape_for_every_summand(self):
-        # the same summand as (n,), (1, n) and (1, 1, n) values: sums come
-        # back (1, 1, k) and R, bounds and terms (1, k), all identical
-        tail_of = partial(en.mixture_tail, [1.0], [1.0])
-        bases = lat.basis_matrix(np.array([0.5, 0.0, 0.2]), np.array([0.9, 1.0, 2.5]))
-        got = [en._summed(lambda pts, q, s=shape: np.exp(-q).reshape(s + (-1,)),
-                          tail_of, bases, 1e-10)
-               for shape in [(), (1,), (1, 1)]]
-        for out in got:
-            assert out[0].shape == (1, 1, 3)
-            assert all(v.shape == (1, 3) for v in out[1:])
-            for a, b in zip(out, got[0]):
-                assert np.array_equal(a, b)

@@ -30,6 +30,28 @@ def _exp_summand(c: float):
     return H, partial(mixture_tail, [c], [1.0])
 
 
+def _full_box(R: float) -> np.ndarray:
+    """The nonzero points of the triangular lattice within R."""
+    k = np.arange(-2 * int(R) - 2, 2 * int(R) + 3)  # |m|, |n| <= (2/sqrt 3) R
+    pts = (k[:, None, None] * stab._BASIS[0] + k[None, :, None] * stab._BASIS[1]).reshape(-1, 2)
+    q = np.einsum("ij,ij->i", pts, pts)
+    return pts[(q > 0) & (q <= R * R * (1.0 + 1e-12))]
+
+
+def _every_point_sums(P, mu, eps: float, rtol: float = 1e-10):
+    """(E, T's column) of one eps, and its R, from the engine's one-lattice
+    sum over every point of the triangular lattice: the route T took
+    before its shell sum."""
+    H, tail_of = _fourier_summand(pot.fourier(P), mu, np.array([eps]))
+
+    def cols(pts, q):
+        h, d1, d2 = (v[0] for v in H(q, derivatives=True))
+        return np.stack([h, q * (q * d2 + 2.0 * d1)])
+
+    sums, R = en._summed(cols, tail_of, stab._BASIS, rtol)[:2]
+    return sums[:, 0], R[0]
+
+
 def _gaussian_theta_T(t: float) -> float:
     """T for the summand e^(-pi t q), from its closed-form q-derivatives."""
     return stab.t_coefficient(*_exp_summand(math.pi * t))
@@ -71,31 +93,26 @@ class TestTCoefficient:
     def test_summand_called_once_per_shell(self):
         P, eps = pot.gaussian(math.pi), np.array([0.3, 0.6031, 2.5])
         H, tail_of = _fourier_summand(pot.fourier(P), _ring_profile(), eps)
-        shells, points = [], []
+        shells = []
 
         def recording(q):
             shells.append(q.copy())
             return H(q, derivatives=True)
 
         T = stab.t_coefficient(recording, tail_of, heads=eps.size)
-
-        def every_point(pts, q):
-            points.append(pts.copy())
-            h, d1, d2 = H(q, derivatives=True)
-            return np.stack([h, q * (q * d2 + 2.0 * d1)])
-
-        basis = lat.basis_matrix(TRIANGULAR.x, TRIANGULAR.y)
-        sums = en._summed(every_point, tail_of, basis, 1e-10, eps.size)[0]
-        # each call takes the exact q = (2/sqrt 3) N of the shells
-        # N = m^2 + mn + n^2 its points lie on, once each, N increasing
-        assert shells and len(points) == len(shells)
-        for q, pts in zip(shells, points):
-            m, n = np.rint(np.linalg.solve(basis.T, pts.T)).astype(int)
-            N = np.unique(m * m + m * n + n * n)
-            assert np.all(np.diff(N) > 0) and q.tolist() == (N / (math.sqrt(3) / 2)).tolist()
+        sums, (R, _) = stab._shell_sums(partial(H, derivatives=True), tail_of,
+                                        1e-10, eps.size)
+        # the calls take the exact q = (2/sqrt 3) N of every shell N = m^2 +
+        # mn + n^2 within the largest R, once each, N increasing
+        q = np.concatenate(shells)
+        pts = _full_box(R.max())
+        m, n = np.rint(np.linalg.solve(stab._BASIS.T, pts.T)).astype(int)
+        N = np.unique(m * m + m * n + n * n)
+        assert q.tolist() == (N / (math.sqrt(3) / 2)).tolist()
         # those q differ from the points' x^2 + y^2 by an ulp or so, and so
-        # does T from the every-point sum
-        every = sums[1, :, 0] * (2.0 / 3.0)
+        # does T from the every-point sum of each eps
+        every = np.array([_every_point_sums(P, _ring_profile(), e)[0][1]
+                          for e in eps.tolist()]) * (2.0 / 3.0)
         assert np.abs(T - every).max() <= 1e-15 * np.abs(every).max()
 
     def test_nonconvergent_sum_raises(self, monkeypatch):
@@ -104,6 +121,37 @@ class TestTCoefficient:
         monkeypatch.setattr(lat, "_POINT_CAP", 10**4)
         with pytest.raises(lat.ShellCapError):
             stab.t_coefficient(*_exp_summand(1e-9))
+
+
+class TestShellSum:
+    def test_multiplicities_match_the_divisor_sum(self):
+        # r(N) = 6 sum_{d | N} chi(d), chi(d) = 0, 1, -1 for d = 0, 1, 2
+        # (mod 3), and a brute-force count over a box, for every N <= 3000
+        top = 3000
+        shells, r = stab._shells(math.sqrt(top / stab._SHELL))
+        table = dict(zip(shells.tolist(), r.tolist()))
+        assert max(table) <= top
+        chi = (0, 1, -1)
+        k = np.arange(-70, 71)  # m^2 + mn + n^2 >= (3/4) max(|m|, |n|)^2
+        N = (k[:, None] ** 2 + k[:, None] * k + k**2).ravel()
+        brute = np.bincount(N[(N > 0) & (N <= top)], minlength=top + 1)
+        for n in range(1, top + 1):
+            divisors = 6 * sum(chi[d % 3] for d in range(1, n + 1) if n % d == 0)
+            assert table.get(n, 0) == divisors == brute[n]
+
+    @pytest.mark.parametrize("kind, eps", [
+        ("disk", 0.05 * np.arange(1, 101)), ("profile", 0.25 * np.arange(1, 21))])
+    def test_matches_the_every_point_engine(self, kind, eps):
+        # the figure curve and the ring profile: each eps stops at the R of
+        # the engine's one-lattice sum over every point, and T agrees
+        P, mu = pot.gaussian(math.pi), _PARTICLES[kind]
+        H, tail_of = _fourier_summand(pot.fourier(P), mu, eps)
+        sums, (R, _) = stab._shell_sums(partial(H, derivatives=True), tail_of,
+                                        1e-10, eps.size)
+        every = [_every_point_sums(P, mu, e) for e in eps.tolist()]
+        assert R.tolist() == [R_e for _, R_e in every]
+        T, T_every = sums[1], np.array([v[1] for v, _ in every])
+        assert np.abs(T - T_every).max() <= 1e-15 * np.abs(T_every).max()
 
 
 class TestDiffuseHDerivatives:
@@ -375,26 +423,32 @@ class TestBatchedCurve:
                 stab.t_coefficient_diffuse(P, mu, eps)
 
     def test_one_engine_call_per_curve(self, monkeypatch):
-        calls, sums = [], []
-        orig, summed = stab.t_coefficient_diffuse, stab._summed
+        # one t_coefficient call per curve, and no lattice-sum engine call:
+        # T is summed over the triangular lattice's shells
+        calls, heads = [], []
+        orig, t_coefficient = stab.t_coefficient_diffuse, stab.t_coefficient
 
         def recording(P, mu, eps, rtol=1e-10):
             calls.append(len(eps))
             return orig(P, mu, eps, rtol)
 
-        def recording_sum(h_eval, tail_of, bases, rtol, heads=1):
-            sums.append(heads)
-            return summed(h_eval, tail_of, bases, rtol, heads)
+        def recording_t(H, tail_of, rtol=1e-10, n=None):
+            heads.append(n)
+            return t_coefficient(H, tail_of, rtol, n)
+
+        def no_engine(*args):
+            raise AssertionError("T called the lattice-sum engine")
 
         monkeypatch.setattr(stab, "t_coefficient_diffuse", recording)
-        monkeypatch.setattr(stab, "_summed", recording_sum)
+        monkeypatch.setattr(stab, "t_coefficient", recording_t)
+        monkeypatch.setattr(en, "_summed", no_engine)
         P, grid = pot.gaussian(math.pi), np.linspace(0.05, 5.0, 100)
         stab.t_coefficient_diffuse(P, msr.uniform_disk(1.0), grid)
-        assert calls == sums == [100]
+        assert calls == heads == [100]
         # a profile's nodes do not split the curve
-        calls.clear(), sums.clear()
+        calls.clear(), heads.clear()
         stab.t_coefficient_diffuse(P, _ring_profile(), grid[:20])
-        assert calls == sums == [20]
+        assert calls == heads == [20]
 
     def test_batches_hold_at_most_the_chunk_budget(self, monkeypatch):
         P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
@@ -427,7 +481,7 @@ class TestBatchedCurve:
         assert peak < 32e6
 
     def test_no_eps_gives_no_t(self, monkeypatch):
-        monkeypatch.setattr(en, "_round_sums", None)  # no round may run
+        monkeypatch.setattr(stab, "_shells", None)  # no round may run
         for mu in _PARTICLES.values():
             T = stab.t_coefficient_diffuse(pot.inverse_power(1.0, 2.0), mu, [])
             assert T.shape == (0,)
