@@ -638,6 +638,39 @@ class TestBatchedEngine:
             assert sums[:, j].tolist() == [2.0 * v for v in want]
 
 
+    def test_empty_batches_run_no_round(self, monkeypatch):
+        # no lattice: empty sums of the summand's two columns, with no box
+        # built
+        def no_round(*args):
+            raise AssertionError("an empty batch ran an engine round")
+
+        monkeypatch.setattr(en, "_round_sums", no_round)
+        h = lambda pts, q: np.stack([np.exp(-q), q * np.exp(-q)])
+        total, *rest = en._summed(h, partial(en.mixture_tail, [1.0], [1.0]),
+                                  np.zeros((0, 2, 2)), 1e-10)
+        assert total.shape == (2, 0)
+        assert [v.shape for v in rest] == [(0,)] * 3
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        E, none = en.diffuse_energy_fn(P, mu), np.zeros(0)
+        assert E(none, none).shape == (0,)
+        assert E(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2)
+        jet = en.diffuse_energy_jet(P, mu)(none, none)
+        assert [v.shape for v in jet] == [(0,), (0, 2), (0, 2, 2)]
+
+    def test_one_shape_for_every_summand(self):
+        # the same summand as (n,) and (1, n) values: sums come back (1, k)
+        # and R, bounds and terms (k,), all identical
+        tail_of = partial(en.mixture_tail, [1.0], [1.0])
+        bases = lat.basis_matrix(np.array([0.5, 0.0, 0.2]), np.array([0.9, 1.0, 2.5]))
+        got = [en._summed(lambda pts, q, s=shape: np.exp(-q).reshape(s + (-1,)),
+                          tail_of, bases, 1e-10)
+               for shape in [(), (1,)]]
+        for out in got:
+            assert out[0].shape == (1, 3)
+            assert all(v.shape == (3,) for v in out[1:])
+            for a, b in zip(out, got[0]):
+                assert np.array_equal(a, b)
+
 def full_box_points(basis, R: float):
     """The nonzero points of the brute-force full box of ``basis`` (in D)
     that lie within R, with the engine's 1e-12 slack, and their |p|^2."""
@@ -761,23 +794,3 @@ class TestHalfBox:
         for i, basis in enumerate(bases):
             alone = [v.reshape(-1) for v in en._summed(h, tail_of, basis, 1e-10)]
             assert [v[0] for v in alone] == [v[i] for v in batch]
-
-
-class TestNoLattice:
-    def test_empty_batch_runs_no_round(self, monkeypatch):
-        # no lattice: empty sums of the summand's columns, with no box built
-        def no_round(*args):
-            raise AssertionError("an empty batch ran an engine round")
-
-        monkeypatch.setattr(en, "_round_sums", no_round)
-        h = lambda pts, q: np.stack([np.exp(-q), q * np.exp(-q)])
-        total, *rest = en._summed(h, partial(en.mixture_tail, [1.0], [1.0]),
-                                  np.zeros((0, 2, 2)), 1e-10)
-        assert total.shape == (2, 0)
-        assert [v.shape for v in rest] == [(0,)] * 3
-        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
-        E, none = en.diffuse_energy_fn(P, mu), np.zeros(0)
-        assert E(none, none).shape == (0,)
-        assert E(np.zeros((0, 2)), np.zeros((0, 2))).shape == (0, 2)
-        jet = en.diffuse_energy_jet(P, mu)(none, none)
-        assert [v.shape for v in jet] == [(0,), (0, 2), (0, 2, 2)]
