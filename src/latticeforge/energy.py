@@ -258,24 +258,26 @@ def _summed(h_eval, tail_of, bases: np.ndarray, rtol: float):
     ``h_eval`` is a summand as ``_round_sums`` takes it.  Each lattice
     climbs its own ladder of ``_stop_rule``, stopping on its first column,
     and keeps the sums, R, bound and terms of its stop rung; a lattice
-    leaves the batch when it stops.  Returns arrays (sums, R, bounds, terms): sums
-    (c, k) and the others (k,), empty from no round when there is no
-    lattice.
+    leaves the batch when it stops.  Returns arrays (sums, R, bounds,
+    terms): sums (c, k) and the others (k,), empty from no round when
+    there is no lattice.
     """
     bases = np.asarray(bases, dtype=float).reshape(-1, 2, 2)
-    rho, terms = _packing_radius(bases), np.zeros(len(bases), dtype=int)
-    kept = None
+    k, rho = len(bases), _packing_radius(bases)
+    kept, terms = None, np.zeros(k, dtype=int)
 
     def round_sums(live, R):
         nonlocal kept
         sums, terms[live] = _round_sums(h_eval, bases[live], R)
-        kept = np.empty((len(sums), len(bases))) if kept is None else kept  # round 1 runs all
+        if kept is None:  # round 1 runs every lattice
+            kept = np.empty((len(sums), k))
         kept[:, live] = sums
         return sums[0]
 
     R, bound = _stop_rule(round_sums, tail_of(rho), rho, rtol)
     if kept is None:  # no lattice: the summand on no points counts its columns c
-        kept = np.zeros((len(np.atleast_2d(h_eval(np.zeros((0, 2)), np.zeros(0)))), 0))
+        c = len(np.atleast_2d(h_eval(np.zeros((0, 2)), np.zeros(0))))
+        kept = np.zeros((c, 0))
     return kept, R, bound, terms
 
 

@@ -68,7 +68,8 @@ def _shells(R: float):
     m_max, n_max = lat.enumerate_points(_BASIS[None], np.array([R]))
     m, n = np.arange(1, m_max + 1)[:, None], np.arange(n_max + 1)
     N = (m * m + m * n + n * n).ravel()
-    shells, count = np.unique(N[N / _SHELL <= R * R * (1.0 + 1e-12)], return_counts=True)
+    N = N[N / _SHELL <= R * R * (1.0 + 1e-12)]
+    shells, count = np.unique(N, return_counts=True)
     r = 6 * count
     shells.flags.writeable = r.flags.writeable = False
     return shells, r
@@ -125,7 +126,8 @@ def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
     each head stops on its own E.  Returns a float, or an array of
     ``heads``.
     """
-    T = _shell_sums(H, tail_of, rtol, 1 if heads is None else heads)[0][1] * (2.0 / 3.0)
+    sums = _shell_sums(H, tail_of, rtol, 1 if heads is None else heads)[0]
+    T = sums[1] * (2.0 / 3.0)
     return float(T[0]) if heads is None else T
 
 

@@ -36,6 +36,17 @@ def direct_lattice_points(basis, n: int = 30) -> np.ndarray:
     return coef[(coef != 0.0).any(axis=1)] @ np.asarray(basis, dtype=float)
 
 
+def full_box_points(basis, R: float):
+    """The nonzero points of the brute-force full box of ``basis`` (in D)
+    that lie within R, with the engine's 1e-12 slack, and their |p|^2."""
+    # every point outside the box lies beyond (sqrt(3)/2) n |u1| > R
+    n = math.ceil(2.0 * R / (math.sqrt(3.0) * np.linalg.norm(basis[0]))) + 1
+    pts = direct_lattice_points(basis, n)
+    q = np.einsum("ij,ij->i", pts, pts)
+    keep = q <= R * R * (1.0 + 1e-12)
+    return pts[keep], q[keep]
+
+
 def direct_lattice_sum(F, basis, n: int = 30) -> float:
     """sum'_{x in L} F(|x|^2) by brute force over ``direct_lattice_points``,
     with no tail.  ``F`` takes an array of squared radii; the terms are

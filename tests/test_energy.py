@@ -16,8 +16,8 @@ import latticeforge.stability as stab
 from latticeforge import LatticeParams, TRIANGULAR
 
 from conftest import (convolved_gaussians, direct_gaussian_energy,
-                      direct_lattice_points, direct_lattice_sum, every_rung_summed,
-                      fd_gradient_hessian, random_lattice)
+                      direct_lattice_sum, every_rung_summed, fd_gradient_hessian,
+                      full_box_points, random_lattice)
 
 
 def _theta_z2_oracle(t: float) -> float:
@@ -637,7 +637,6 @@ class TestBatchedEngine:
             assert counts[j] == 2 * kept
             assert sums[:, j].tolist() == [2.0 * v for v in want]
 
-
     def test_empty_batches_run_no_round(self, monkeypatch):
         # no lattice: empty sums of the summand's two columns, with no box
         # built
@@ -670,16 +669,6 @@ class TestBatchedEngine:
             assert all(v.shape == (3,) for v in out[1:])
             for a, b in zip(out, got[0]):
                 assert np.array_equal(a, b)
-
-def full_box_points(basis, R: float):
-    """The nonzero points of the brute-force full box of ``basis`` (in D)
-    that lie within R, with the engine's 1e-12 slack, and their |p|^2."""
-    # every point outside the box lies beyond (sqrt(3)/2) n |u1| > R
-    n = math.ceil(2.0 * R / (math.sqrt(3.0) * np.linalg.norm(basis[0]))) + 1
-    pts = direct_lattice_points(basis, n)
-    q = np.einsum("ij,ij->i", pts, pts)
-    keep = q <= R * R * (1.0 + 1e-12)
-    return pts[keep], q[keep]
 
 
 class TestHalfBox:

@@ -17,7 +17,7 @@ from latticeforge.energy import (
     _fourier_summand, diffuse_energy_fn, diffuse_energy_jet, mixture_tail,
 )
 
-from conftest import disk_psi_nodes, fd_gradient_hessian
+from conftest import disk_psi_nodes, fd_gradient_hessian, full_box_points
 
 
 def _exp_summand(c: float):
@@ -28,14 +28,6 @@ def _exp_summand(c: float):
         return e, -c * e, c * c * e
 
     return H, partial(mixture_tail, [c], [1.0])
-
-
-def _full_box(R: float) -> np.ndarray:
-    """The nonzero points of the triangular lattice within R."""
-    k = np.arange(-2 * int(R) - 2, 2 * int(R) + 3)  # |m|, |n| <= (2/sqrt 3) R
-    pts = (k[:, None, None] * stab._BASIS[0] + k[None, :, None] * stab._BASIS[1]).reshape(-1, 2)
-    q = np.einsum("ij,ij->i", pts, pts)
-    return pts[(q > 0) & (q <= R * R * (1.0 + 1e-12))]
 
 
 def _every_point_sums(P, mu, eps: float, rtol: float = 1e-10):
@@ -105,7 +97,7 @@ class TestTCoefficient:
         # the calls take the exact q = (2/sqrt 3) N of every shell N = m^2 +
         # mn + n^2 within the largest R, once each, N increasing
         q = np.concatenate(shells)
-        pts = _full_box(R.max())
+        pts = full_box_points(stab._BASIS, R.max())[0]
         m, n = np.rint(np.linalg.solve(stab._BASIS.T, pts.T)).astype(int)
         N = np.unique(m * m + m * n + n * n)
         assert q.tolist() == (N / (math.sqrt(3) / 2)).tolist()
