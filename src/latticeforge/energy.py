@@ -214,9 +214,9 @@ def _stop_rule(round_sums, tail, rho: np.ndarray, rtol: float, ladder=None):
     ladder = np.arange(k) if ladder is None else ladder
     R, rung = np.maximum(6.0 * rho, 2.0), np.zeros(k, dtype=int)
     # every nonzero point has |x| >= 2 rho, so tail(0) bounds |S| at any R
-    reach, bound = tail(np.stack([np.zeros(k), R]))
+    reach, bound = tail(np.array((np.zeros(k), R)))
     cap = rtol * np.maximum(reach * _REACH_SLACK, 1e-300)
-    up = np.flatnonzero(bound > cap)  # the ladders that leave their rung
+    up = (bound > cap).nonzero()[0]  # the ladders that leave their rung
     live, stop = np.arange(len(ladder)), np.zeros((2, len(ladder)))
     if not live.size:
         return stop
@@ -234,8 +234,8 @@ def _stop_rule(round_sums, tail, rho: np.ndarray, rtol: float, ladder=None):
             up = up[bound[up] > cap[up]]
         at = ladder[live]
         S = round_sums(live, R[at])
-        bad = np.flatnonzero(~np.isfinite(S))
-        if bad.size:  # nan never stops, and inf stops at once
+        if not np.isfinite(S).all():  # nan never stops, and inf stops at once
+            bad = np.flatnonzero(~np.isfinite(S))
             raise NonconvergenceError(f"lattice sum is not finite ({S[bad[0]]}) "
                                       f"at cutoff R = {R[at[bad[0]]]:g}")
         stop[:, live] = R[at], bound[at]
@@ -246,7 +246,7 @@ def _stop_rule(round_sums, tail, rho: np.ndarray, rtol: float, ladder=None):
         # every later sum lies within tail(R) of this one
         reach = np.zeros(k)
         np.maximum.at(reach, at, np.abs(S[going]))
-        up = np.flatnonzero(np.bincount(at, minlength=k))
+        up = np.bincount(at, minlength=k).nonzero()[0]
         cap[up] = rtol * np.maximum((reach[up] + bound[up]) * _REACH_SLACK, 1e-300)
 
 
@@ -285,10 +285,9 @@ def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps=None):
     """The summand H(q) = Phi(q) g(sqrt q)^2 at squared dual radius q.
 
     Returns (H, tail_of): H(q) gives H, and H(q, derivatives=True) gives
-    (H, H', H'') in q, for q > 0, from one transform and one Phi call: the
-    J0/J1/J2 moments of mu combine with Phi, Phi', Phi'' by the Leibniz
-    rule, and this H is bit for bit H(q).  tail_of is the tail factory
-    (|g| <= 1, so H <= Phi).  A dilated particle is passed as
+    (H, H', H'') in q, for q > 0, from one transform and one Phi call
+    (``_leibniz``), and this H is bit for bit H(q).  tail_of is the tail
+    factory (|g| <= 1, so H <= Phi).  A dilated particle is passed as
     ``scale(mu, eps)``; a 1-D array ``eps`` instead gives the derivative
     summand of every dilation of mu at once, each of H, H', H'' of shape
     (k, n) for k eps, row i bit for bit that of ``scale(mu, eps[i])``.
@@ -300,21 +299,34 @@ def _fourier_summand(Phi: RadialPotential, mu: RadialMeasure, eps=None):
             g = _transform(mu, np.sqrt(q), False)
             return Phi.eval(q) * g * g
         t = np.sqrt(q)
-        A0, A1, A2 = _transform(mu, t, True, eps)
-        P0, P1, P2 = eval_derivatives(Phi, q, (0, 1, 2))
-        # an overflowing particle scale leaves inf or nan here, quietly
-        with np.errstate(over="ignore", invalid="ignore"):
-            G2 = A0 * A0
-            dG2 = -(2.0 * math.pi / t) * A1 * A0
-            d2G2 = (
-                (math.pi / q**1.5) * A0 * A1
-                + (2.0 * math.pi**2 / q) * A1 * A1
-                + (math.pi**2 / q) * A0 * A2
-            )
-            return (P0 * A0 * A0, P1 * G2 + P0 * dG2,
-                    P2 * G2 + 2.0 * P1 * dG2 + P0 * d2G2)
+        return _leibniz(eval_derivatives(Phi, q, (0, 1, 2)),
+                        _transform(mu, t, True, eps), _q_factors(q, t))
 
     return H, partial(mixture_tail, *Phi.rep.nodes())
+
+
+def _q_factors(q, t):
+    """The factors of q in ``_leibniz`` at q = t^2: -2 pi / t, pi / q^1.5,
+    2 pi^2 / q and pi^2 / q."""
+    return (-(2.0 * math.pi / t), math.pi / q**1.5, 2.0 * math.pi**2 / q,
+            math.pi**2 / q)
+
+
+def _leibniz(P, A, F):
+    """(H, H', H'') in q of H = Phi g^2, from Phi's (P0, P1, P2), the J0/J1/J2
+    moments (A0, A1, A2) of ``_transform`` at t = sqrt q and ``_q_factors``
+    F, by the Leibniz rule; each A may carry a leading eps axis.  Each entry
+    is formed from its own P, A and F alone, so a row or shell computed in
+    any batch is bit for bit the same."""
+    P0, P1, P2 = P
+    A0, A1, A2 = A
+    # an overflowing particle scale leaves inf or nan here, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        G2 = A0 * A0
+        dG2 = F[0] * A1 * A0
+        d2G2 = F[1] * A0 * A1 + F[2] * A1 * A1 + F[3] * A0 * A2
+        return (P0 * A0 * A0, P1 * G2 + P0 * dG2,
+                P2 * G2 + 2.0 * P1 * dG2 + P0 * d2G2)
 
 
 def _triangular_is_global(mu: RadialMeasure) -> bool:

@@ -63,8 +63,9 @@ def _j2(x, J0, J1):
     with np.errstate(invalid="ignore"):  # 0/0 at x = 0
         out = np.asarray(2.0 * J1 / x - J0)
     small = x < 1.0
-    u = x[small] ** 2 / 4.0
-    out[small] = u * reduce(lambda acc, c: acc * u + c, _J2_SERIES)  # Horner
+    if small.any():
+        u = x[small] ** 2 / 4.0
+        out[small] = u * reduce(lambda acc, c: acc * u + c, _J2_SERIES)  # Horner
     return out
 
 
@@ -79,7 +80,7 @@ def bessel_j(n: int, x):
     if n not in (0, 1, 2):
         raise ValueError(f"order must be in {{0, 1, 2}}, got {n}")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
+    if (xa < 0).any():
         raise ValueError("argument must be nonnegative")
     out = _BESSEL[n](xa)
     return float(out) if xa.ndim == 0 else out
@@ -223,8 +224,9 @@ def _transform(mu: RadialMeasure, t: np.ndarray, moments: bool, eps=None):
     out = _family(mu, t, moments, eps)
     # each output is a fresh (eps, t) array: the point mass goes in its rows
     point = eps.reshape(-1) == 0.0
-    for a, value in zip(out if moments else (out,), (1.0, 0.0, 0.0)):
-        a[point] = value
+    if point.any():
+        for a, value in zip(out if moments else (out,), (1.0, 0.0, 0.0)):
+            a[point] = value
     return out
 
 

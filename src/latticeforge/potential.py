@@ -96,6 +96,12 @@ class RadialPotential:
         return float(self.rep.nodes()[1].sum())
 
     @cached_property
+    def _tables(self) -> dict:
+        """Tables that other modules derive from this potential, built once
+        each (by key) and shared between calls as long as it lives."""
+        return {}
+
+    @cached_property
     def _fourier(self) -> RadialPotential:
         """The 2D Fourier transform, built once per potential (``fourier``)."""
         pi = math.pi

@@ -9,30 +9,32 @@ shells, not points.  The sum climbs the cutoff ladder of the lattice-sum
 engine of ``energy`` under the same stop rule and stops on E's certified
 tail, so ``rtol`` is relative to E and T shares E's cutoff without a tail
 bound of its own.  A scalar eps is one head, and a curve sums its eps in
-one request, where the eps share the shells, one Phi pass and the tail,
-and each eps is a head with columns (E, T) that stops on its own E; each
-head's sum runs shell after shell in increasing N, so each T is bit for
-bit its scalar call.  ``sign_changes`` takes the arrays (eps, T) of one
-such request and bisects the sign changes of every bracket at once: each
-request holds the next midpoint of every open bracket and, where the
-curve is smooth enough to predict it, the midpoints after it on the
-secant zero's path.  The finite-difference check of T, a Hessian of
+one request, where the eps share the shells, and each eps is a head with
+columns (E, T) that stops on its own E and is evaluated only while it
+runs; each head's sum runs shell after shell in increasing N, so each T
+is bit for bit its scalar call.  Every request for one potential shares
+T's tail bounds over the ladder and the summand's rows that do not
+depend on eps at each shell (``_Tables``), so a command's later requests
+evaluate only what depends on their eps.  ``sign_changes`` takes the
+arrays (eps, T) of one such request and bisects the sign changes of
+every bracket at once: each request holds the next midpoint of every
+open bracket and, where the curve is smooth enough to predict it, the
+midpoints after it on the secant zero's path.  The finite-difference check of T, a Hessian of
 E(x, y) on a 3x3 stencil, lives in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from . import energy
 from . import lattice as lat
-from .energy import _fourier_summand
 from .lattice import TRIANGULAR, basis_matrix
-from .measure import MeasureSpecError, RadialMeasure
-from .potential import RadialPotential, fourier
+from .measure import MeasureSpecError, RadialMeasure, _transform
+from .potential import RadialPotential, eval_derivatives, fourier
 
 __all__ = [
     "t_coefficient",
@@ -75,44 +77,125 @@ def _shells(R: float):
     return shells, r
 
 
-def _shell_sums(H, tail_of, rtol: float, heads: int):
+# T's cutoff ladder: R = 0, whose tail bounds the sum over every nonzero
+# point, then each rung ``energy._stop_rule`` climbs at the packing radius
+# _RHO, formed by the same products
+_LADDER = np.cumprod(np.concatenate(
+    [np.maximum(6.0 * _RHO, 2.0), np.full(energy._RUNGS - 1, 1.5)]))
+_LADDER = np.concatenate([[0.0], _LADDER])
+_LADDER.flags.writeable = False
+
+
+class _Tables:
+    """What every T request for one potential Phi shares: T's tail bound at
+    each ``_LADDER`` cutoff, from one evaluation, and the summand's rows
+    that do not depend on eps at the shells reached so far, each shell
+    evaluated once.  Built by ``_tables`` and kept on Phi, so it lives as
+    long as the potential."""
+
+    def __init__(self, Phi: RadialPotential):
+        self.Phi = Phi
+        self.bounds = energy.mixture_tail(*Phi.rep.nodes(), _RHO)(_LADDER)
+        self.shells = np.empty((8, 0))
+
+    def tail_of(self, rho):
+        """T's tail factory, for T's packing radius ``_RHO``: the bound of a
+        rung is read from the table."""
+        return lambda R: self.bounds[_LADDER.searchsorted(R)]
+
+    def rows(self, q):
+        """Phi, Phi', Phi'', t = sqrt q and ``energy._q_factors`` at q."""
+        t = np.sqrt(q)
+        return (*eval_derivatives(self.Phi, q, (0, 1, 2)), t, *energy._q_factors(q, t))
+
+    def at(self, q, first: int):
+        """``rows`` as an (8, n) array, at the exact q of the shells from
+        index ``first`` of the shell tables on; the table grows by the
+        shells it does not hold yet."""
+        end, have = first + q.size, self.shells.shape[1]
+        if end > have:
+            self.shells = np.concatenate(
+                [self.shells, np.array(self.rows(q[have - first:]))], axis=1)
+        return self.shells[:, first:end]
+
+
+def _tables(Phi: RadialPotential) -> _Tables:
+    """The T tables of Phi, built on the first request."""
+    tables = Phi._tables.get(__name__)
+    if tables is None:
+        tables = Phi._tables[__name__] = _Tables(Phi)
+    return tables
+
+
+class _Curve:
+    """T's summand for the eps of one request: (H, H', H'') of H(q) =
+    Phi(q) g(eps sqrt q)^2 at a 1-D q, one row per eps, as
+    ``_fourier_summand`` forms them.  ``select(live, first)`` narrows the
+    next call to the eps ``live`` at the shells from index ``first`` on, read
+    from the shared tables; any other call gives every eps at q."""
+
+    def __init__(self, tables: _Tables, mu: RadialMeasure, eps: np.ndarray):
+        self.tables, self.mu, self.eps = tables, mu, eps
+        self._next = None
+
+    def select(self, live, first: int) -> None:
+        self._next = live, first
+
+    def __call__(self, q):
+        at, self._next = self._next, None
+        if at is None:
+            rows, eps = self.tables.rows(q), self.eps
+        else:
+            rows, eps = self.tables.at(q, at[1]), self.eps[at[0]]
+        A = _transform(self.mu, rows[3], True, eps)
+        return energy._leibniz(rows[:3], A, rows[4:])
+
+
+def _shell_sums(H, tail_of, rtol: float, heads: int, select=None):
     """Sums (E, T's column) of ``heads`` summands over the shells of the
     triangular lattice, and (R, bound) where each stopped, each (2, heads).
 
     Every head climbs ``energy._stop_rule``'s one ladder of the triangular
     packing radius and stops on its own E.  A round calls H on the exact q
     of the shells new since the last round only, in slices of at most
-    ``_CHUNK_CANDIDATES`` (shell, head) pairs, and adds r(N) times each
-    shell's values to a running total per head, one shell after another in
-    increasing N (``np.cumsum``, carried across slices and rounds), so a
-    head's sums are bit for bit the same alone, in any batch and under any
-    slicing.
+    ``_CHUNK_CANDIDATES`` (shell, running head) pairs, and adds r(N) times
+    each shell's values to a running total per running head, one shell
+    after another in increasing N (``np.cumsum``, carried across slices and
+    rounds), so a head's sums are bit for bit the same alone, in any batch
+    and under any slicing.  With ``select``, each call of H is preceded by
+    ``select(live, first)``: the running heads and the index of the call's
+    first shell in the shell tables, and H gives the running heads' rows
+    only; without it, H gives every head's rows.
     """
-    total, kept, done = np.zeros((2, heads)), np.zeros((2, heads)), 0
+    total, done = np.zeros((2, heads)), 0
 
     def round_sums(live, R):
-        nonlocal total, done
+        nonlocal done
         # a larger R's table extends a smaller one's: its new shells follow
         shells, r = (v[done:] for v in _shells(R[0]))
-        done += shells.size
-        per = max(1, energy._CHUNK_CANDIDATES // heads)
+        per = max(1, energy._CHUNK_CANDIDATES // live.size)
         for at in range(0, shells.size, per):
             q = shells[at:at + per] / _SHELL
-            h, d1, d2 = (np.reshape(v, (heads, -1)) for v in H(q))
+            if select is not None:
+                select(live, done + at)
+                h, d1, d2 = H(q)
+            else:  # every head's rows
+                h, d1, d2 = (np.reshape(v, (heads, -1))[live] for v in H(q))
             # (column, head, shell): r(N) (H, q (q H'' + 2 H')) per shell,
             # the first shell's onto the running total
-            vals = np.stack([h, q * (q * d2 + 2.0 * d1)]) * r[at:at + per]
-            vals[..., 0] += total
-            total = np.cumsum(vals, axis=-1)[..., -1]
-        kept[:, live] = total[:, live]
+            vals = np.array((h, q * (q * d2 + 2.0 * d1))) * r[at:at + per]
+            vals[..., 0] += total[:, live]
+            total[:, live] = vals.cumsum(axis=-1)[..., -1]
+        done += shells.size
         return total[0, live]
 
     stop = energy._stop_rule(round_sums, tail_of(_RHO), _RHO, rtol,
                              np.zeros(heads, dtype=int))
-    return kept, stop
+    return total, stop
 
 
-def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
+def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None,
+                  select=None):
     """T = d^2E/dx^2 of E = sum' H(|p|^2) at the triangular lattice (x, y).
 
     ``H(q)`` gives (H, H', H'') on a 1-D array q, each of shape (n,) for
@@ -123,10 +206,10 @@ def t_coefficient(H, tail_of, rtol: float = 1e-10, heads: int | None = None):
     y^2 Laplacian(q) = 2 q, so with y^2 = 3/4, T = (2/3) sum' q^2 H'' + 2 q H',
     a radial column summed over the lattice's shells next to H by
     ``_shell_sums``, whose tail stops both sums at ``rtol`` relative to E;
-    each head stops on its own E.  Returns a float, or an array of
-    ``heads``.
+    each head stops on its own E, and a ``select`` narrows H to the heads
+    still running there.  Returns a float, or an array of ``heads``.
     """
-    sums = _shell_sums(H, tail_of, rtol, 1 if heads is None else heads)[0]
+    sums = _shell_sums(H, tail_of, rtol, 1 if heads is None else heads, select)[0]
     T = sums[1] * (2.0 / 3.0)
     return float(T[0]) if heads is None else T
 
@@ -135,20 +218,26 @@ def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
                           rtol: float = 1e-10):
     """T of the diffuse energy E_{h_eps} at the triangular lattice.
 
-    A float for a scalar eps; for a 1-D array of eps, an array of T, from
-    one ``t_coefficient`` call per batch of at most the engine's
-    ``_CHUNK_CANDIDATES`` eps.  A batch shares the triangular lattice's
-    shells, a Phi pass and the tail, and each eps stops on its own E, so
-    each T is bit for bit its scalar call in any batch.
+    ``eps`` is a scalar, which gives a float, or a 1-D array, which gives
+    an array of T from one ``t_coefficient`` call per batch of at most the
+    engine's ``_CHUNK_CANDIDATES`` eps.  A batch shares the triangular
+    lattice's shells, and each eps stops on its own E and is evaluated
+    only while it runs, so each T is bit for bit its scalar call in any
+    batch.  Every request for P also shares P's ``_Tables``: T's tail at
+    each cutoff and Phi on each shell are evaluated once, on the first
+    request that needs them.
     """
     e = np.asarray(eps, dtype=float)
-    if e.ndim > 1 or not np.all((e >= 0) & (e < np.inf)):
+    if e.ndim > 1:
+        raise MeasureSpecError(
+            f"eps must be a scalar or a 1-D array, got an array of shape {e.shape}")
+    if not ((e >= 0) & (e < np.inf)).all():
         raise MeasureSpecError(f"scale factor must be finite and >= 0, got {eps}")
-    flat, per, Phi = e.reshape(-1), energy._CHUNK_CANDIDATES, fourier(P)
+    flat, per, tables = e.reshape(-1), energy._CHUNK_CANDIDATES, _tables(fourier(P))
     T = []
-    for batch in np.split(flat, np.arange(per, flat.size, per)):  # one if empty
-        H, tail_of = _fourier_summand(Phi, mu, batch)
-        T.append(t_coefficient(partial(H, derivatives=True), tail_of, rtol, batch.size))
+    for at in range(0, max(flat.size, 1), per):  # one batch if empty
+        H = _Curve(tables, mu, flat[at:at + per])
+        T.append(t_coefficient(H, tables.tail_of, rtol, H.eps.size, select=H.select))
     T = np.concatenate(T)
     return T if e.ndim else float(T[0])
 

@@ -688,8 +688,8 @@ class TestHalfBox:
             calls.append((h_eval, np.reshape(bases, (-1, 2, 2)), out))
             return out
 
-        def recording_shells(H, tail_of, rtol, heads):
-            out = real_shells(H, tail_of, rtol, heads)
+        def recording_shells(H, tail_of, rtol, heads, select=None):
+            out = real_shells(H, tail_of, rtol, heads, select)
             shell_calls.append((H, heads, out))
             return out
 

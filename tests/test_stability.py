@@ -11,7 +11,7 @@ import latticeforge.lattice as lat
 import latticeforge.measure as msr
 import latticeforge.potential as pot
 import latticeforge.stability as stab
-from latticeforge import TRIANGULAR, LatticeParams
+from latticeforge import TRIANGULAR, LatticeParams, cli
 from latticeforge.cli import _parse_range
 from latticeforge.energy import (
     _fourier_summand, diffuse_energy_fn, diffuse_energy_jet, mixture_tail,
@@ -383,7 +383,7 @@ def _sequential_sign_changes(P, mu, eps, T, rtol=1e-10):
 
 
 class TestBatchedCurve:
-    """Every eps of a curve slice in one engine call."""
+    """Every eps of a curve slice in one shell sum (``t_coefficient``)."""
 
     # eps = 0 is the point mass; at 1e-6 every point of the sum has
     # X = 2 pi eps R |p| below the disk's 1e-4 series switch, and at 1e-5
@@ -414,6 +414,13 @@ class TestBatchedCurve:
             with pytest.raises(msr.MeasureSpecError):
                 stab.t_coefficient_diffuse(P, mu, eps)
 
+    def test_eps_of_two_or_more_axes_rejected(self):
+        # every value is a valid scale; the shape is not
+        P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
+        with pytest.raises(msr.MeasureSpecError,
+                           match=r"scalar or a 1-D array, got an array of shape \(1, 2\)"):
+            stab.t_coefficient_diffuse(P, mu, np.array([[0.5, 0.6]]))
+
     def test_one_engine_call_per_curve(self, monkeypatch):
         # one t_coefficient call per curve, and no lattice-sum engine call:
         # T is summed over the triangular lattice's shells
@@ -424,9 +431,9 @@ class TestBatchedCurve:
             calls.append(len(eps))
             return orig(P, mu, eps, rtol)
 
-        def recording_t(H, tail_of, rtol=1e-10, n=None):
+        def recording_t(H, tail_of, rtol=1e-10, n=None, select=None):
             heads.append(n)
-            return t_coefficient(H, tail_of, rtol, n)
+            return t_coefficient(H, tail_of, rtol, n, select)
 
         def no_engine(*args):
             raise AssertionError("T called the lattice-sum engine")
@@ -449,9 +456,9 @@ class TestBatchedCurve:
         heads = []
         orig = stab.t_coefficient
 
-        def recording(H, tail_of, rtol=1e-10, n=None):
+        def recording(H, tail_of, rtol=1e-10, n=None, select=None):
             heads.append(n)
-            return orig(H, tail_of, rtol, n)
+            return orig(H, tail_of, rtol, n, select)
 
         monkeypatch.setattr(stab, "t_coefficient", recording)
         monkeypatch.setattr(en, "_CHUNK_CANDIDATES", 1 << 10)
@@ -567,3 +574,129 @@ class TestLockstepSignChanges:
         P, mu = pot.gaussian(math.pi), msr.uniform_disk(1.0)
         assert stab.sign_changes(P, mu, *curve) == want
         assert _sequential_sign_changes(P, mu, *curve) == want
+
+
+def _ring_samples() -> list[tuple[float, float]]:
+    """The 40 samples (s, psi-density) of the ring of
+    ``tools/cli_fingerprint.py``: s exp(-((s - 0.6) / 0.2)^2) at s = 1.2 i / 39."""
+    s = 1.2 * np.arange(40) / 39
+    return list(zip(s.tolist(), (s * np.exp(-(((s - 0.6) / 0.2) ** 2))).tolist()))
+
+
+def _sample_ring():
+    return msr.profile(_ring_samples())
+
+
+def _stop_radius(P, mu, eps: float) -> float:
+    """The R where eps stops alone, from a summand that takes q alone."""
+    H, tail_of = _fourier_summand(pot.fourier(P), mu, np.array([eps]))
+    return stab._shell_sums(partial(H, derivatives=True), tail_of, 1e-10, 1)[1][0, 0]
+
+
+class TestRunningEps:
+    """Each round evaluates the summand for the eps still running only."""
+
+    @pytest.mark.parametrize("P", [pot.gaussian(math.pi), pot.inverse_power(1.0, 2.0)],
+                             ids=["gaussian", "invpower"])
+    def test_only_running_eps_are_evaluated(self, P, monkeypatch):
+        # the one-shot 100-eps ring curve, whose eps stop at different rungs
+        mu, eps = _sample_ring(), 0.05 * np.arange(1, 101)
+        alone = [stab.t_coefficient_diffuse(P, mu, e) for e in eps.tolist()]
+        stops = np.array([_stop_radius(P, mu, e) for e in eps.tolist()])
+        rounds, calls = [], []
+        stop_rule, transform = en._stop_rule, stab._transform
+
+        def recording_stop_rule(round_sums, *args):
+            def recording(live, R):
+                rounds.append((live.tolist(), R[0]))
+                return round_sums(live, R)
+            return stop_rule(recording, *args)
+
+        def recording_transform(mu, t, moments, eps=None):
+            calls.append((len(rounds) - 1, np.array(eps).tolist(), t.size))
+            return transform(mu, t, moments, eps)
+
+        monkeypatch.setattr(en, "_stop_rule", recording_stop_rule)
+        monkeypatch.setattr(stab, "_transform", recording_transform)
+        T = stab.t_coefficient_diffuse(P, mu, eps)
+        # each T bit for bit its single-eps call
+        assert T.tolist() == alone
+        # an eps runs in a round until the round at its own stop radius
+        assert len(rounds) > 1
+        shells_before, pairs = 0, 0
+        for i, (live, R) in enumerate(rounds):
+            assert live == np.flatnonzero(stops >= R).tolist()
+            new = stab._shells(R)[0].size - shells_before
+            shells_before += new
+            mine = [c for c in calls if c[0] == i]
+            assert all(c[1] == eps[live].tolist() for c in mine)
+            assert sum(c[2] for c in mine) == new
+            pairs += len(live) * new
+        # stopped eps were skipped: fewer pairs than every eps on every shell
+        assert sum(len(c[1]) * c[2] for c in calls) == pairs < eps.size * shells_before
+
+
+class TestSharedTables:
+    """The T requests of one command share the tail bounds of T's ladder
+    and the summand's eps-free rows at each shell."""
+
+    def test_ladder_is_the_stop_rules(self):
+        # the R the stop rule gives T's tail are the first cutoffs of
+        # _LADDER, bit for bit, as the table's lookup needs: e^(-1e-4 q)
+        # climbs 14 rungs
+        seen = []
+
+        def tail_of(rho):
+            tail = mixture_tail([1e-4], [1.0], rho)
+            return lambda R: seen.append(np.ravel(R).tolist()) or tail(R)
+
+        stab.t_coefficient(_exp_summand(1e-4)[0], tail_of)
+        R = sorted({r for rs in seen for r in rs})
+        assert len(R) > 12 and R == stab._LADDER[:len(R)].tolist()
+
+    @pytest.mark.parametrize("P", [pot.gaussian(math.pi), pot.inverse_power(1.0, 2.0),
+                                   pot.inverse_power(1e-3, 1.5)])
+    def test_table_tail_is_the_tail(self, P):
+        tables = stab._Tables(pot.fourier(P))
+        tail = partial(mixture_tail, *pot.fourier(P).rep.nodes())(stab._RHO)
+        looked_up = tables.tail_of(stab._RHO)
+        for R in stab._LADDER.tolist():
+            assert looked_up(np.array([R])) == tail(np.array([R]))
+        both = np.array([[0.0], [stab._LADDER[1]]])  # the stop rule's first call
+        assert looked_up(both).tolist() == tail(both).tolist()
+
+    def test_one_command_builds_them_once(self, monkeypatch, tmp_path, capsys):
+        # the 100-eps inverse-power ring curve and every bisection request
+        # of its sign changes: one tail evaluation over the ladder, and
+        # each shell's Phi once, in increasing N, in the first request
+        # that reaches it
+        path = tmp_path / "ring.csv"
+        path.write_text("".join(f"{s!r},{d!r}\n" for s, d in _ring_samples()))
+        requests, tails, phis = [], [], []
+        t_diffuse, mixture, evals = (stab.t_coefficient_diffuse, en.mixture_tail,
+                                     stab.eval_derivatives)
+
+        def recording(P, mu, eps, rtol=1e-10):
+            requests.append(np.size(eps))
+            return t_diffuse(P, mu, eps, rtol)
+
+        def counted_mixture(ts, ws, rho):
+            bound = mixture(ts, ws, rho)
+            return lambda R: tails.append(np.shape(R)) or bound(R)
+
+        def recorded_evals(P, q, order):
+            phis.append((len(requests), q.copy()))
+            return evals(P, q, order)
+
+        monkeypatch.setattr(stab, "t_coefficient_diffuse", recording)
+        monkeypatch.setattr(en, "mixture_tail", counted_mixture)
+        monkeypatch.setattr(stab, "eval_derivatives", recorded_evals)
+        assert cli.main(["stability", "--potential", "invpower:a=1,s=2",
+                         "--measure", f"profile:file={path}", "--eps", "0.05:5:0.05",
+                         "--format", "json"]) == 0
+        assert len(capsys.readouterr().out) > 0
+        assert len(requests) >= 3  # the curve and at least two bisection requests
+        assert tails == [stab._LADDER.shape]
+        q = np.concatenate([v for _, v in phis])
+        shells = stab._shells(math.sqrt(q[-1]))[0]
+        assert q.tolist() == (shells[:q.size] / stab._SHELL).tolist()

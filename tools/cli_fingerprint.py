@@ -28,10 +28,11 @@ closed-form moments), an inverse-power ``stability`` curve for the profile
 two ``stability`` curves on coarse grids (disk on 0.5:20:0.5, profile on
 0.25:20:0.25), whose bisection misses the secant's path, a disk curve on
 0:1:0.25, whose first eps is the point mass, a one-shot 100-eps profile
-curve (0.05:5:0.05), whose eps stop at different rungs, an ``energy``
-for ``invpower:a=0.001,s=1.5``, whose derivative pass over its nodes runs
+curve (0.05:5:0.05), whose eps stop at different rungs, the same curve for
+``invpower:a=1,s=2``, whose ``sign_changes`` bisects several brackets on the
+tables its curve request built, an ``energy`` for ``invpower:a=0.001,s=1.5``, whose derivative pass over its nodes runs
 in blocks, the same potential for the profile, whose transform runs in
-blocks of (t, ring node) pairs, and two commands that exit 3: 62 commands.
+blocks of (t, ring node) pairs, and two commands that exit 3: 63 commands.
 Outputs are written to stdout inside a scratch directory, which also holds
 the profile.  Exits 0 when every command ran; a command that raises fails
 the script.  CI runs it with ``python -W error::RuntimeWarning``, so a
@@ -110,6 +111,10 @@ def commands() -> list[list[str]]:
         # rungs of the shell sum
         ["stability", "--potential", GAUSS, "--measure", f"profile:file={PROFILE}",
          "--eps", "0.05:5:0.05", "--format", "json"],
+        # and for the inverse power, whose eps stop at more rungs, and whose
+        # bisection requests reuse the tables of the curve's request
+        ["stability", "--potential", "invpower:a=1,s=2", "--measure",
+         f"profile:file={PROFILE}", "--eps", "0.05:5:0.05", "--format", "json"],
         # 183 nodes at about 10^5 points a round: the Phi pass runs in blocks
         ["energy", "--potential", "invpower:a=0.001,s=1.5", "--measure",
          "disk:r=0.5", "--lattice", "0.2,1.3"],
