@@ -88,13 +88,12 @@ _LADDER.flags.writeable = False
 
 class _Tables:
     """What every T request for one potential Phi shares: T's tail bound at
-    each ``_LADDER`` cutoff, from one evaluation, and the summand's rows
-    that do not depend on eps at the shells reached so far, each shell
-    evaluated once.  Built by ``_tables`` and kept on Phi, so it lives as
-    long as the potential."""
+    each ``_LADDER`` cutoff, from one evaluation, and the summand's ``_rows``
+    at the shells reached so far, each shell evaluated once.  Built by
+    ``_tables`` and kept on Phi, to which it holds no reference, so it is
+    freed with the potential."""
 
     def __init__(self, Phi: RadialPotential):
-        self.Phi = Phi
         self.bounds = energy.mixture_tail(*Phi.rep.nodes(), _RHO)(_LADDER)
         self.shells = np.empty((8, 0))
 
@@ -103,19 +102,14 @@ class _Tables:
         rung is read from the table."""
         return lambda R: self.bounds[_LADDER.searchsorted(R)]
 
-    def rows(self, q):
-        """Phi, Phi', Phi'', t = sqrt q and ``energy._q_factors`` at q."""
-        t = np.sqrt(q)
-        return (*eval_derivatives(self.Phi, q, (0, 1, 2)), t, *energy._q_factors(q, t))
-
-    def at(self, q, first: int):
-        """``rows`` as an (8, n) array, at the exact q of the shells from
+    def at(self, Phi: RadialPotential, q, first: int):
+        """``_rows`` as an (8, n) array, at the exact q of the shells from
         index ``first`` of the shell tables on; the table grows by the
         shells it does not hold yet."""
         end, have = first + q.size, self.shells.shape[1]
         if end > have:
             self.shells = np.concatenate(
-                [self.shells, np.array(self.rows(q[have - first:]))], axis=1)
+                [self.shells, np.array(_rows(Phi, q[have - first:]))], axis=1)
         return self.shells[:, first:end]
 
 
@@ -127,15 +121,22 @@ def _tables(Phi: RadialPotential) -> _Tables:
     return tables
 
 
+def _rows(Phi: RadialPotential, q):
+    """The summand's rows that do not depend on eps: Phi, Phi', Phi'',
+    t = sqrt q and ``energy._q_factors`` at q."""
+    t = np.sqrt(q)
+    return (*eval_derivatives(Phi, q, (0, 1, 2)), t, *energy._q_factors(q, t))
+
+
 class _Curve:
     """T's summand for the eps of one request: (H, H', H'') of H(q) =
     Phi(q) g(eps sqrt q)^2 at a 1-D q, one row per eps, as
     ``_fourier_summand`` forms them.  ``select(live, first)`` narrows the
     next call to the eps ``live`` at the shells from index ``first`` on, read
-    from the shared tables; any other call gives every eps at q."""
+    from Phi's tables; any other call gives every eps at q."""
 
-    def __init__(self, tables: _Tables, mu: RadialMeasure, eps: np.ndarray):
-        self.tables, self.mu, self.eps = tables, mu, eps
+    def __init__(self, Phi: RadialPotential, mu: RadialMeasure, eps: np.ndarray):
+        self.Phi, self.tables, self.mu, self.eps = Phi, _tables(Phi), mu, eps
         self._next = None
 
     def select(self, live, first: int) -> None:
@@ -144,9 +145,9 @@ class _Curve:
     def __call__(self, q):
         at, self._next = self._next, None
         if at is None:
-            rows, eps = self.tables.rows(q), self.eps
+            rows, eps = _rows(self.Phi, q), self.eps
         else:
-            rows, eps = self.tables.at(q, at[1]), self.eps[at[0]]
+            rows, eps = self.tables.at(self.Phi, q, at[1]), self.eps[at[0]]
         A = _transform(self.mu, rows[3], True, eps)
         return energy._leibniz(rows[:3], A, rows[4:])
 
@@ -233,11 +234,11 @@ def t_coefficient_diffuse(P: RadialPotential, mu: RadialMeasure, eps,
             f"eps must be a scalar or a 1-D array, got an array of shape {e.shape}")
     if not ((e >= 0) & (e < np.inf)).all():
         raise MeasureSpecError(f"scale factor must be finite and >= 0, got {eps}")
-    flat, per, tables = e.reshape(-1), energy._CHUNK_CANDIDATES, _tables(fourier(P))
+    flat, per, Phi = e.reshape(-1), energy._CHUNK_CANDIDATES, fourier(P)
     T = []
     for at in range(0, max(flat.size, 1), per):  # one batch if empty
-        H = _Curve(tables, mu, flat[at:at + per])
-        T.append(t_coefficient(H, tables.tail_of, rtol, H.eps.size, select=H.select))
+        H = _Curve(Phi, mu, flat[at:at + per])
+        T.append(t_coefficient(H, H.tables.tail_of, rtol, H.eps.size, select=H.select))
     T = np.concatenate(T)
     return T if e.ndim else float(T[0])
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from functools import partial
 from types import SimpleNamespace
 
@@ -664,6 +666,19 @@ class TestSharedTables:
             assert looked_up(np.array([R])) == tail(np.array([R]))
         both = np.array([[0.0], [stab._LADDER[1]]])  # the stop rule's first call
         assert looked_up(both).tolist() == tail(both).tolist()
+
+    def test_tables_die_with_the_potential(self):
+        # kept on the potential's Fourier transform and holding no reference
+        # back, so reference counting frees them with the potential
+        P = pot.gaussian(math.pi)
+        stab.t_coefficient_diffuse(P, msr.uniform_disk(1.0), np.array([0.3, 0.6]))
+        tables = weakref.ref(pot.fourier(P)._tables[stab.__name__])
+        gc.disable()
+        try:
+            del P
+            assert tables() is None
+        finally:
+            gc.enable()
 
     def test_one_command_builds_them_once(self, monkeypatch, tmp_path, capsys):
         # the 100-eps inverse-power ring curve and every bisection request
